@@ -47,7 +47,6 @@ from .retiming import (
     RetimeError,
     align_period,
     cluster_events,
-    pairwise_dt,
     retime,
 )
 from .scenario import (
@@ -107,7 +106,6 @@ __all__ = [
     "RetimedEvent",
     "retime",
     "align_period",
-    "pairwise_dt",
     "cluster_events",
     "FLAG_OUT_OF_SPAN",
     "FLAG_DEGENERATE_DT",

@@ -25,13 +25,11 @@ class ClockState:
             the counter gains 50 ticks per million reference microseconds.
         counter_ticks: current counter value in ticks. Fractional ticks are
             carried between advances, never truncated.
-        last_reset_ref_us: reference time of the most recent counter reset.
         ref_now_us: reference time the clock has been advanced to.
     """
 
     drift_ppm: float
     counter_ticks: float = 0.0
-    last_reset_ref_us: float = 0.0
     ref_now_us: float = 0.0
 
     def __post_init__(self) -> None:
@@ -72,13 +70,11 @@ class ClockState:
         """Atomically capture the counter and restart it from zero.
 
         The save and the reset are one step: no ticks are lost between them.
-        After the call the counter reads 0 and the reset time is the clock's
-        current reference time.
+        After the call the counter reads 0.
 
         Returns:
             The counter value immediately before the reset.
         """
         saved = self.counter_ticks
         self.counter_ticks = 0.0
-        self.last_reset_ref_us = self.ref_now_us
         return saved

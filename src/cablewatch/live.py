@@ -3,14 +3,11 @@
 The supervisor and each sensor agent are separate endpoints exchanging the
 same wire bytes as the simulator. Time, however, stays modeled: every agent
 derives its receipt instants from (scenario, seed, period, sensor) exactly
-like the simulated transport, so the values flowing through real sockets are
-reproducible and a live run can be compared against its simulated twin. Wall
-pacing only spaces the datagrams out; it never enters a timestamp.
-
-Sensor agents report only events stamped after their first sync. The wire
-format has no pre-sync flag, so a live supervisor could not tell such
-events apart; a freshly powered sensor simply has nothing to say about the
-time before its first period started.
+like the simulated transport, stamps the same ground-truth arrivals through
+the same SensorProtocol, and sends whatever report its on_sync returns. The
+values flowing through real sockets are therefore reproducible and a live
+run equals its simulated twin. Wall pacing only spaces the datagrams out; it
+never enters a timestamp.
 """
 
 from __future__ import annotations
@@ -29,10 +26,8 @@ from .clock import ClockState
 from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
-from .simulate import EstimateRow, postprocess_periods
-from .wave import WaveArrival, detect, quantize_to_sampling, simulate_rupture
+from .simulate import EstimateRow, postprocess_periods, scenario_arrivals
 from .wire import (
-    SensorReport,
     WireFormatError,
     decode_sensor_report,
     decode_sync_frame,
@@ -120,33 +115,6 @@ class LiveRunResult:
     decode_errors: int
 
 
-def _sensor_arrivals(scenario: Scenario, sensor_id: int) -> list[WaveArrival]:
-    """This sensor's detection schedule, identical to the simulator's."""
-    rows: list[WaveArrival] = []
-    for r in scenario.ruptures:
-        for arr in simulate_rupture(
-            scenario.geometry,
-            r,
-            wave_speed_m_s=scenario.wave_speed_m_s,
-            threshold_g=scenario.threshold_g,
-            window_us=scenario.window_us,
-            attenuation_per_m=scenario.attenuation_per_m,
-        ):
-            if arr.sensor_id == sensor_id:
-                rows.append(arr)
-    for sp in scenario.spurious_events:
-        if sp.sensor_id != sensor_id:
-            continue
-        hit = detect(
-            sp.sensor_id, sp.time_ref_us, sp.amplitude_g,
-            scenario.threshold_g, scenario.window_us,
-        )
-        if hit is not None:
-            rows.append(hit)
-    rows.sort(key=lambda a: a.arrival_ref_us)
-    return rows
-
-
 class SensorAgent:
     """One sensor endpoint: listens for sync frames, sends reports.
 
@@ -173,7 +141,12 @@ class SensorAgent:
             clock=ClockState(drift_ppm=scenario.drift_for(sensor_id)),
         )
         self.net = scenario.network_model()
-        self.arrivals = _sensor_arrivals(scenario, sensor_id)
+        # this sensor's share of the simulator's detection schedule; the
+        # stable sort keeps the simulator's order for simultaneous arrivals
+        self.arrivals = sorted(
+            (arr for _, arr in scenario_arrivals(scenario) if arr.sensor_id == sensor_id),
+            key=lambda a: a.arrival_ref_us,
+        )
         self._next_arrival = 0
         self.frames_seen = 0
         self.reports_sent = 0
@@ -190,28 +163,10 @@ class SensorAgent:
             arr = self.arrivals[self._next_arrival]
             if arr.arrival_ref_us > ref_us:
                 break
-            self.protocol.clock.advance_to(arr.arrival_ref_us)
-            ticks = quantize_to_sampling(
-                self.protocol.clock.read_counter(), self.config.scenario.sampling_period_ticks
+            self.protocol.stamp(
+                arr.arrival_ref_us, arr.max_amplitude_g, self.config.scenario.sampling_period_ticks
             )
-            self.protocol.on_detection(ticks, arr.max_amplitude_g)
             self._next_arrival += 1
-
-    def _wire_report(self, report: SensorReport, pre_sync_flags) -> Optional[SensorReport]:
-        events = tuple(
-            ev for ev, pre in zip(report.events, pre_sync_flags) if not pre
-        )
-        if len(events) != len(report.events):
-            log.info(
-                "sensor %d: omitting %d pre-sync event(s) from live report",
-                self.sensor_id, len(report.events) - len(events),
-            )
-        return SensorReport(
-            sensor_id=report.sensor_id,
-            period_index=report.period_index,
-            saved_counter_ticks=report.saved_counter_ticks,
-            events=events,
-        )
 
     def handle_sync(self, payload: bytes, out_sock: socket.socket) -> None:
         frame = decode_sync_frame(payload)
@@ -229,9 +184,8 @@ class SensorAgent:
         self.frames_seen += 1
         if result.report is None:
             return
-        report = self._wire_report(result.report, result.pre_sync_flags)
         try:
-            payload_out = encode_sensor_report(report)
+            payload_out = encode_sensor_report(result.report)
         except WireFormatError as e:
             log.error("sensor %d: report refused at send: %s", self.sensor_id, e)
             return
@@ -263,15 +217,14 @@ class LiveSupervisor:
     agents reproduce the simulator's receipt instants exactly.
     """
 
-    def __init__(self, config: LiveConfig, sync_targets: Optional[Mapping[int, int]] = None):
+    def __init__(self, config: LiveConfig):
         self.config = config
         scenario = config.scenario
         self.protocol = SupervisorProtocol(
             roster=scenario.geometry.sensor_ids,
             period_t_us=scenario.sync_period_T_us,
-            start_ref_us=0.0,
         )
-        self.targets = dict(sync_targets) if sync_targets is not None else config.resolved_sync_ports()
+        self.targets = config.resolved_sync_ports()
         self.completed: dict[int, CompletedPeriod] = {}
         self.reports_received = 0
         self.decode_errors = 0
@@ -330,7 +283,7 @@ class LiveSupervisor:
         finally:
             out.close()
             self.sock.close()
-        retimed, estimates = postprocess_periods(config.scenario, self.completed, {})
+        retimed, estimates = postprocess_periods(config.scenario, self.completed)
         return LiveRunResult(
             completed_periods=[self.completed[k] for k in sorted(self.completed)],
             retimed=retimed,
@@ -347,7 +300,7 @@ def run_live(config: LiveConfig) -> LiveRunResult:
     resolved automatically, which keeps parallel test runs from colliding.
     """
     ports = config.resolved_sync_ports()
-    supervisor = LiveSupervisor(config, sync_targets={})
+    supervisor = LiveSupervisor(config)
     agents = [
         SensorAgent(config, sid, sync_port=ports[sid], report_port=supervisor.port)
         for sid in sorted(config.scenario.geometry.sensor_ids)

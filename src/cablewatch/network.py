@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 DEFAULT_RF_SPEED_M_S = 180e6
@@ -40,7 +40,6 @@ class ScheduledDelivery:
 
     deliver_at_ref_us: float
     kind: str
-    source: Node
     destination: Node
     payload: bytes
 
@@ -111,7 +110,6 @@ class NetworkModel:
                 ScheduledDelivery(
                     deliver_at_ref_us=at,
                     kind=KIND_SYNC,
-                    source=SUPERVISOR_NODE,
                     destination=sid,
                     payload=payload,
                 )
@@ -129,7 +127,6 @@ class NetworkModel:
         return ScheduledDelivery(
             deliver_at_ref_us=at,
             kind=KIND_REPORT,
-            source=sensor_id,
             destination=SUPERVISOR_NODE,
             payload=payload,
         )
@@ -138,11 +135,10 @@ class NetworkModel:
 class EventLoop:
     """Single-threaded dispatch of scheduled actions in reference-time order."""
 
-    def __init__(self, start_ref_us: float = 0.0):
-        self.now_ref_us = start_ref_us
+    def __init__(self):
+        self.now_ref_us = 0.0
         self._heap: list[tuple[float, int, int, int, Callable[[float], None]]] = []
         self._seq = 0
-        self.dispatched = 0
 
     @staticmethod
     def _node_rank(node: Node) -> int:
@@ -169,13 +165,12 @@ class EventLoop:
     ) -> None:
         self.schedule(delivery.deliver_at_ref_us, delivery.kind, delivery.destination, action)
 
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Dispatch until the queue drains (or max_events); returns the count."""
+    def run(self) -> int:
+        """Dispatch until the queue drains; returns the number dispatched."""
         n = 0
-        while self._heap and (max_events is None or n < max_events):
+        while self._heap:
             at, _, _, _, action = heapq.heappop(self._heap)
             self.now_ref_us = at
             action(at)
             n += 1
-        self.dispatched += n
         return n

@@ -2,9 +2,15 @@
 
 The supervisor broadcasts a sync frame once per period. On receipt, a sensor
 atomically saves and resets its local counter, then reports the saved value
-together with every event it timestamped during the period just closed. The
-first sync a sensor ever sees only starts its first period; there is nothing
-meaningful to report before it.
+together with every event it timestamped during the period just closed.
+
+A report is only meaningful for a period whose start and end the sensor both
+saw: retimed = T_evi * T / T_i needs T_i to span exactly one announced
+period. So a sync reports only when its index is the last one seen plus one.
+A first sync, a regressed index or a gap of missed frames instead restarts
+the counter and discards the pending events, which were stamped against a
+counter with no defined start. This is the one rule for simulated and live
+runs alike; nothing beyond the wire report ever leaves the sensor.
 
 Both machines are single-owner and event-driven: callers deliver one message
 at a time and nothing here touches sockets or wall clocks.
@@ -13,39 +19,27 @@ at a time and nothing here touches sockets or wall clocks.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .clock import ClockState
+from .wave import quantize_to_sampling
 from .wire import ReportEvent, SensorReport, SyncFrame
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class _PendingDetection:
-    timestamp_ticks: int
-    amplitude_milli_g: int
-    # Stamped against the power-on counter (before any sync) or against a
-    # period that was abandoned in a resync; either way not retimeable.
-    pre_sync: bool
 
 
 @dataclass(frozen=True)
 class SensorSyncResult:
     """What one sync receipt did at the sensor.
 
-    action is one of "first_sync", "report", "duplicate", "regression".
-    pre_sync_flags aligns with report.events and marks entries whose
-    timestamps predate the sensor's first (or re-based) sync; the wire
-    format does not carry this flag, so it only exists at the sensor.
+    action is one of "report", "first_sync", "duplicate", "regression",
+    "gap"; only "report" carries a report.
     """
 
     action: str
     report: Optional[SensorReport] = None
-    pre_sync_flags: tuple[bool, ...] = ()
     clamped_events: int = 0
-    dropped_frames: int = 0
 
 
 class SensorProtocol:
@@ -54,13 +48,14 @@ class SensorProtocol:
     def __init__(self, sensor_id: int, clock: ClockState):
         self.sensor_id = sensor_id
         self.clock = clock
-        self.pending: list[_PendingDetection] = []
+        self.pending: list[ReportEvent] = []
         self.last_seen_period_index: Optional[int] = None
         # diagnostics
         self.duplicate_syncs = 0
         self.regressions = 0
         self.dropped_frames = 0
-        self.pre_sync_detections = 0
+        self.reported_events = 0
+        self.discarded_events = 0
 
     @property
     def synced(self) -> bool:
@@ -72,85 +67,81 @@ class SensorProtocol:
             raise ValueError(f"timestamp must be >= 0, got {local_timestamp_ticks!r}")
         if amplitude_g < 0:
             raise ValueError(f"amplitude must be >= 0, got {amplitude_g!r}")
-        pre_sync = not self.synced
-        if pre_sync:
-            self.pre_sync_detections += 1
         self.pending.append(
-            _PendingDetection(
+            ReportEvent(
                 timestamp_ticks=int(local_timestamp_ticks),
                 amplitude_milli_g=round(amplitude_g * 1000),
-                pre_sync=pre_sync,
             )
         )
 
+    def stamp(self, ref_us: float, amplitude_g: float, sampling_period_ticks: int) -> int:
+        """Detect a wave arriving at reference time ref_us; returns its ticks.
+
+        The clock runs up to the arrival and the digitizer stamps the first
+        sample at or after it.
+        """
+        self.clock.advance_to(ref_us)
+        ticks = quantize_to_sampling(self.clock.read_counter(), sampling_period_ticks)
+        self.on_detection(ticks, amplitude_g)
+        return ticks
+
     def on_sync(self, frame: SyncFrame) -> SensorSyncResult:
         """Handle one sync receipt; returns the report to send, if any."""
-        if self.synced and frame.period_index == self.last_seen_period_index:
+        last = self.last_seen_period_index
+        if frame.period_index == last:
             # the same period announced twice: a replayed datagram. Resetting
             # again would zero the counter mid-period, so ignore it.
             self.duplicate_syncs += 1
             log.debug("sensor %d: duplicate sync for period %d", self.sensor_id, frame.period_index)
             return SensorSyncResult(action="duplicate")
 
-        if self.synced and frame.period_index < self.last_seen_period_index:
-            # the broadcast sequence went backwards (supervisor restart).
-            # Abandon the open period and start over from the new index.
+        saved = self.clock.save_and_reset()
+        self.last_seen_period_index = frame.period_index
+        if last is not None and frame.period_index == last + 1:
+            return self._report(last, round(saved))
+
+        if last is None:
+            action = "first_sync"
+        elif frame.period_index < last:
+            # the broadcast sequence went backwards (supervisor restart)
+            action = "regression"
             self.regressions += 1
             log.warning(
                 "sensor %d: sync period regressed %d -> %d, resynchronizing",
-                self.sensor_id, self.last_seen_period_index, frame.period_index,
+                self.sensor_id, last, frame.period_index,
             )
-            self.clock.save_and_reset()
-            for p in self.pending:
-                p.pre_sync = True
-            self.last_seen_period_index = frame.period_index
-            return SensorSyncResult(action="regression")
-
-        first = not self.synced
-        dropped = 0
-        if not first and frame.period_index > self.last_seen_period_index + 1:
-            dropped = frame.period_index - self.last_seen_period_index - 1
-            self.dropped_frames += dropped
+        else:
+            action = "gap"
+            missed = frame.period_index - last - 1
+            self.dropped_frames += missed
             log.warning(
-                "sensor %d: %d sync frame(s) missed before period %d",
-                self.sensor_id, dropped, frame.period_index,
+                "sensor %d: %d sync frame(s) missed before period %d, resynchronizing",
+                self.sensor_id, missed, frame.period_index,
             )
+        # no announced period brackets these stamps, so none can be retimed
+        self.discarded_events += len(self.pending)
+        self.pending.clear()
+        return SensorSyncResult(action=action)
 
-        saved = self.clock.save_and_reset()
-        if first:
-            # nothing to report: the counter never had a defined start
-            self.last_seen_period_index = frame.period_index
-            return SensorSyncResult(action="first_sync")
-
-        closing_index = self.last_seen_period_index
-        saved_wire = round(saved)
+    def _report(self, period_index: int, saved_ticks: int) -> SensorSyncResult:
         events = []
-        flags = []
         clamped = 0
-        for p in self.pending:
-            ts = p.timestamp_ticks
-            if not p.pre_sync and ts > saved_wire:
+        for ev in self.pending:
+            if ev.timestamp_ticks > saved_ticks:
                 # ceiling quantization can push a detection sampled just
                 # before the sync past the period end; keep it in its period
-                ts = saved_wire
+                ev = ReportEvent(timestamp_ticks=saved_ticks, amplitude_milli_g=ev.amplitude_milli_g)
                 clamped += 1
-            events.append(ReportEvent(timestamp_ticks=ts, amplitude_milli_g=p.amplitude_milli_g))
-            flags.append(p.pre_sync)
+            events.append(ev)
         self.pending.clear()
-        self.last_seen_period_index = frame.period_index
+        self.reported_events += len(events)
         report = SensorReport(
             sensor_id=self.sensor_id,
-            period_index=closing_index,
-            saved_counter_ticks=saved_wire,
+            period_index=period_index,
+            saved_counter_ticks=saved_ticks,
             events=tuple(events),
         )
-        return SensorSyncResult(
-            action="report",
-            report=report,
-            pre_sync_flags=tuple(flags),
-            clamped_events=clamped,
-            dropped_frames=dropped,
-        )
+        return SensorSyncResult(action="report", report=report, clamped_events=clamped)
 
 
 @dataclass(frozen=True)
@@ -166,14 +157,13 @@ class CompletedPeriod:
 class SupervisorProtocol:
     """Supervisor-side state: broadcast schedule and per-period report filing."""
 
-    def __init__(self, roster, period_t_us: int, start_ref_us: float = 0.0):
+    def __init__(self, roster, period_t_us: int):
         if not period_t_us > 0:
             raise ValueError(f"period must be > 0, got {period_t_us!r}")
         self.roster = frozenset(roster)
         if not self.roster:
             raise ValueError("roster must not be empty")
         self.period_t_us = int(period_t_us)
-        self.start_ref_us = start_ref_us
         self.next_period_index = 0
         self._open: dict[int, dict[int, SensorReport]] = {}
         self._released: set[int] = set()
@@ -187,9 +177,9 @@ class SupervisorProtocol:
         """Emit the next sync frame if its broadcast instant has been reached.
 
         At most one frame per call; the caller drives ticks at (or after)
-        each schedule point start + k * T.
+        each schedule point k * T.
         """
-        due = self.start_ref_us + self.next_period_index * self.period_t_us
+        due = self.next_period_index * self.period_t_us
         if now_ref_us < due:
             return None
         frame = SyncFrame(period_index=self.next_period_index, period_T_us=self.period_t_us)

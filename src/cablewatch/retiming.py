@@ -9,7 +9,9 @@ the period start in reference microseconds:
     retimed = T_evi * T / T_i
 
 No sensor ever learns the reference clock; the division cancels its rate
-error instead.
+error instead. The mapping is exact only for events stamped inside one
+announced period whose start and end the sensor saw; the sensor protocol
+discards every other stamp before it reaches a report.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
 # flag values attached to events that could not be retimed
 FLAG_ZERO_COUNTER = "zero_counter"
 FLAG_OUT_OF_PERIOD = "out_of_period"
-FLAG_PRE_SYNC = "pre_sync"
 
 
 class RetimeError(ValueError):
@@ -82,16 +83,12 @@ def retime(t_evi_ticks: float, t_i_ticks: float, period_t_us: float) -> float:
 
 
 def align_period(
-    reports: Iterable[SensorReport],
-    period_t_us: float,
-    pre_sync_raw: Optional[dict[int, frozenset[int]]] = None,
+    reports: Iterable[SensorReport], period_t_us: float
 ) -> list[RetimedEvent]:
     """Retime every event of one period's reports onto a shared timescale.
 
     Events that cannot be retimed come back flagged rather than failing the
-    whole period. pre_sync_raw optionally maps sensor_id to raw timestamps
-    known (sensor-side) to predate the sensor's first sync; the wire format
-    cannot carry that flag, so it arrives out of band when available.
+    whole period.
 
     Returns:
         Valid events sorted by (retimed_us, sensor_id), then flagged events
@@ -103,7 +100,6 @@ def align_period(
         raise ValueError(f"reports span several periods: {sorted(indices)}")
     out: list[RetimedEvent] = []
     for r in reports:
-        stale = (pre_sync_raw or {}).get(r.sensor_id, frozenset())
         for ev in r.events:
             base = RetimedEvent(
                 sensor_id=r.sensor_id,
@@ -112,9 +108,6 @@ def align_period(
                 raw_ticks=ev.timestamp_ticks,
                 amplitude_g=ev.amplitude_milli_g / 1000.0,
             )
-            if ev.timestamp_ticks in stale:
-                out.append(replace(base, flag=FLAG_PRE_SYNC))
-                continue
             try:
                 mapped = retime(ev.timestamp_ticks, r.saved_counter_ticks, period_t_us)
             except RetimeError:
@@ -133,24 +126,6 @@ def align_period(
         (e for e in out if not e.valid), key=lambda e: (e.sensor_id, e.raw_ticks)
     )
     return valid + flagged
-
-
-def pairwise_dt(
-    events: Iterable[RetimedEvent], sensor_i: int, sensor_j: int
-) -> float:
-    """Retimed arrival-time difference t_i - t_j between two sensors.
-
-    Uses each sensor's earliest valid event. Raises ValueError when either
-    sensor has none.
-    """
-    earliest: dict[int, float] = {}
-    for e in events:
-        if e.valid and (e.sensor_id not in earliest or e.retimed_us < earliest[e.sensor_id]):
-            earliest[e.sensor_id] = e.retimed_us
-    for sid in (sensor_i, sensor_j):
-        if sid not in earliest:
-            raise ValueError(f"no valid retimed event for sensor {sid}")
-    return earliest[sensor_i] - earliest[sensor_j]
 
 
 def cluster_events(

@@ -8,7 +8,7 @@ scenario file produces one complete diagnosis instead of a fix-one-rerun loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -26,7 +26,6 @@ from .wave import (
     DEFAULT_SAMPLING_PERIOD_TICKS,
     DEFAULT_THRESHOLD_G,
     DEFAULT_WAVE_SPEED_M_S,
-    DEFAULT_WINDOW_US,
     CableGeometry,
     RuptureEvent,
 )
@@ -71,7 +70,6 @@ class Scenario:
     drift_ppm: dict[int, float] = field(default_factory=dict)
     wave_speed_m_s: float = DEFAULT_WAVE_SPEED_M_S
     threshold_g: float = DEFAULT_THRESHOLD_G
-    window_us: float = DEFAULT_WINDOW_US
     sampling_period_ticks: int = DEFAULT_SAMPLING_PERIOD_TICKS
     sync_period_T_us: int = DEFAULT_SYNC_PERIOD_T_US
     coincidence_window_us: float = DEFAULT_COINCIDENCE_WINDOW_US
@@ -109,8 +107,6 @@ class Scenario:
             out.append(f"wave_speed_m_s must be > 0, got {self.wave_speed_m_s!r}")
         if not self.threshold_g > 0:
             out.append(f"threshold_g must be > 0, got {self.threshold_g!r}")
-        if not self.window_us > 0:
-            out.append(f"window_us must be > 0, got {self.window_us!r}")
         if self.sampling_period_ticks < 1 or int(self.sampling_period_ticks) != self.sampling_period_ticks:
             out.append(
                 f"sampling_period_ticks must be a positive integer, got {self.sampling_period_ticks!r}"
@@ -279,8 +275,8 @@ def _int_keyed(mapping, prefix, errors) -> dict[int, float]:
 
 
 _TOP_FIELDS = {
-    "geometry", "drift_ppm", "wave_speed_m_s", "threshold_g", "window_us",
-    "sampling_period_ticks", "sync_period_T_us", "coincidence_window_us",
+    "geometry", "drift_ppm", "wave_speed_m_s", "threshold_g", "sampling_period_ticks",
+    "sync_period_T_us", "coincidence_window_us",
     "attenuation_per_m", "network", "ruptures", "spurious_events", "seed",
     "run_duration_us",
 }
@@ -428,7 +424,6 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     kwargs = dict(
         wave_speed_m_s=_get_number(raw, "wave_speed_m_s", "", errors, DEFAULT_WAVE_SPEED_M_S),
         threshold_g=_get_number(raw, "threshold_g", "", errors, DEFAULT_THRESHOLD_G),
-        window_us=_get_number(raw, "window_us", "", errors, DEFAULT_WINDOW_US),
         sampling_period_ticks=_get_int(raw, "sampling_period_ticks", "", errors, DEFAULT_SAMPLING_PERIOD_TICKS),
         sync_period_T_us=_get_int(raw, "sync_period_T_us", "", errors, DEFAULT_SYNC_PERIOD_T_US),
         coincidence_window_us=_get_number(raw, "coincidence_window_us", "", errors, DEFAULT_COINCIDENCE_WINDOW_US),

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from .localization import RuptureEstimate, localize_cluster
-from .network import EventLoop, NetworkModel, SUPERVISOR_NODE
-from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .clock import ClockState
+from .localization import RuptureEstimate, localize_cluster
+from .network import EventLoop, SUPERVISOR_NODE
+from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
-from .wave import detect, quantize_to_sampling, simulate_rupture
+from .wave import WaveArrival, detect, simulate_rupture
 from .wire import decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
 
 # period timeout, as a fraction of T after the next broadcast
@@ -39,7 +38,7 @@ class DetectionRow:
     arrival_ref_us: float
     local_timestamp_ticks: int
     max_amplitude_g: float
-    pre_sync: bool
+    pre_sync: bool  # stamped before the first sync, so the sensor discards it
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,29 @@ class RunReport:
     summary: dict[str, object]
 
 
+def scenario_arrivals(scenario: Scenario) -> list[tuple[str, WaveArrival]]:
+    """Every detection the scenario's ground truth triggers, with its source.
+
+    Each rupture's arrivals in geometry order, then each spurious hit, in
+    scenario order. Simulated runs and live agents both stamp from this list.
+    """
+    out = []
+    for i, rupture in enumerate(scenario.ruptures):
+        for arr in simulate_rupture(
+            scenario.geometry,
+            rupture,
+            wave_speed_m_s=scenario.wave_speed_m_s,
+            threshold_g=scenario.threshold_g,
+            attenuation_per_m=scenario.attenuation_per_m,
+        ):
+            out.append((f"rupture:{i}", arr))
+    for i, sp in enumerate(scenario.spurious_events):
+        hit = detect(sp.sensor_id, sp.time_ref_us, sp.amplitude_g, scenario.threshold_g)
+        if hit is not None:
+            out.append((f"spurious:{i}", hit))
+    return out
+
+
 def run(scenario: Scenario) -> RunReport:
     """Simulate one scenario end to end."""
     geom = scenario.geometry
@@ -78,34 +100,26 @@ def run(scenario: Scenario) -> RunReport:
         sid: SensorProtocol(sensor_id=sid, clock=ClockState(drift_ppm=scenario.drift_for(sid)))
         for sid in geom.sensor_ids
     }
-    supervisor = SupervisorProtocol(roster=geom.sensor_ids, period_t_us=t_us, start_ref_us=0.0)
-    loop = EventLoop(0.0)
+    supervisor = SupervisorProtocol(roster=geom.sensor_ids, period_t_us=t_us)
+    loop = EventLoop()
 
     detections: list[DetectionRow] = []
     completed: dict[int, CompletedPeriod] = {}
-    # sensor-side pre-sync knowledge, keyed (period_index, sensor_id); the
-    # wire cannot carry the flag, so the harness forwards it out of band
-    pre_sync_raw: dict[tuple[int, int], set[int]] = {}
     clamped_events = 0
 
-    def on_detection(sid: int, source: str, arrival_ref_us: float, amplitude_g: float):
+    def on_detection(source: str, arr: WaveArrival):
         def action(now: float) -> None:
-            s = sensors[sid]
-            s.clock.advance_to(now)
-            ticks = quantize_to_sampling(
-                s.clock.read_counter(), scenario.sampling_period_ticks
-            )
-            pre = not s.synced
-            s.on_detection(ticks, amplitude_g)
+            s = sensors[arr.sensor_id]
+            ticks = s.stamp(now, arr.max_amplitude_g, scenario.sampling_period_ticks)
             detections.append(
                 DetectionRow(
-                    sensor_id=sid,
+                    sensor_id=arr.sensor_id,
                     period_index=s.last_seen_period_index if s.synced else -1,
                     source=source,
-                    arrival_ref_us=arrival_ref_us,
+                    arrival_ref_us=arr.arrival_ref_us,
                     local_timestamp_ticks=ticks,
-                    max_amplitude_g=amplitude_g,
-                    pre_sync=pre,
+                    max_amplitude_g=arr.max_amplitude_g,
+                    pre_sync=not s.synced,
                 )
             )
         return action
@@ -127,13 +141,6 @@ def run(scenario: Scenario) -> RunReport:
             if result.report is None:
                 return
             clamped_events += result.clamped_events
-            stale = {
-                ev.timestamp_ticks
-                for ev, pre in zip(result.report.events, result.pre_sync_flags)
-                if pre
-            }
-            if stale:
-                pre_sync_raw.setdefault((result.report.period_index, sid), set()).update(stale)
             delivery = net.report_delivery(
                 encode_sensor_report(result.report), now, sid, result.report.period_index
             )
@@ -168,39 +175,12 @@ def run(scenario: Scenario) -> RunReport:
         loop.schedule(k * t_us, "timer", SUPERVISOR_NODE, on_broadcast_timer)
         k += 1
 
-    # inject ground truth
-    for i, rupture in enumerate(scenario.ruptures):
-        for arr in simulate_rupture(
-            geom,
-            rupture,
-            wave_speed_m_s=scenario.wave_speed_m_s,
-            threshold_g=scenario.threshold_g,
-            window_us=scenario.window_us,
-            attenuation_per_m=scenario.attenuation_per_m,
-        ):
-            loop.schedule(
-                arr.arrival_ref_us,
-                "detection",
-                arr.sensor_id,
-                on_detection(arr.sensor_id, f"rupture:{i}", arr.arrival_ref_us, arr.max_amplitude_g),
-            )
-    for i, sp in enumerate(scenario.spurious_events):
-        hit = detect(
-            sp.sensor_id, sp.time_ref_us, sp.amplitude_g,
-            scenario.threshold_g, scenario.window_us,
-        )
-        if hit is None:
-            continue
-        loop.schedule(
-            sp.time_ref_us,
-            "detection",
-            sp.sensor_id,
-            on_detection(sp.sensor_id, f"spurious:{i}", sp.time_ref_us, sp.amplitude_g),
-        )
+    for source, arr in scenario_arrivals(scenario):
+        loop.schedule(arr.arrival_ref_us, "detection", arr.sensor_id, on_detection(source, arr))
 
     loop.run()
 
-    retimed, estimates = postprocess_periods(scenario, completed, pre_sync_raw)
+    retimed, estimates = postprocess_periods(scenario, completed)
     summary = _summarize(
         scenario, sensors, supervisor, detections, completed, retimed, estimates, clamped_events
     )
@@ -215,9 +195,7 @@ def run(scenario: Scenario) -> RunReport:
 
 
 def postprocess_periods(
-    scenario: Scenario,
-    completed: dict[int, CompletedPeriod],
-    pre_sync_raw: dict[tuple[int, int], set[int]],
+    scenario: Scenario, completed: dict[int, CompletedPeriod]
 ) -> tuple[list[RetimedEvent], list[EstimateRow]]:
     """Retime, cluster, and localize every released period, in index order."""
     geom = scenario.geometry
@@ -225,13 +203,7 @@ def postprocess_periods(
     retimed_all: list[RetimedEvent] = []
     estimates: list[EstimateRow] = []
     for k in sorted(completed):
-        period = completed[k]
-        stale = {
-            sid: frozenset(raw)
-            for (pk, sid), raw in pre_sync_raw.items()
-            if pk == k
-        }
-        events = align_period(period.reports, t_us, pre_sync_raw=stale)
+        events = align_period(completed[k].reports, t_us)
         retimed_all.extend(events)
         clusters = cluster_events(events, scenario.coincidence_window_us)
         for ci, cluster in enumerate(clusters):
@@ -276,9 +248,6 @@ def _match_rupture(
 
 def _summarize(scenario, sensors, supervisor, detections, completed, retimed, estimates, clamped_events):
     errors = [e.abs_error_m for e in estimates if not math.isnan(e.abs_error_m)]
-    events_reported = sum(
-        len(r.events) for p in completed.values() for r in p.reports
-    )
     pending = sum(len(s.pending) for s in sensors.values())
     summary: dict[str, object] = {
         "sensors": len(sensors),
@@ -290,8 +259,11 @@ def _summarize(scenario, sensors, supervisor, detections, completed, retimed, es
         "reports_unknown": supervisor.unknown_reports,
         "detections_total": len(detections),
         "detections_pre_sync": sum(1 for d in detections if d.pre_sync),
-        "events_reported": events_reported,
+        # sensor side: every detection is reported, pending or discarded;
+        # reports lost or late on the way never reach retiming
+        "events_reported": sum(s.reported_events for s in sensors.values()),
         "events_pending_at_end": pending,
+        "events_discarded": sum(s.discarded_events for s in sensors.values()),
         "events_clamped_to_period_end": clamped_events,
         "events_retimed_valid": sum(1 for e in retimed if e.valid),
         "events_flagged": sum(1 for e in retimed if not e.valid),

@@ -3,19 +3,18 @@
 A wire rupture releases an elastic wave that travels both ways along the
 cable at a few km/s. Each sensor sees the wavefront after a distance/speed
 delay; a detection fires when the amplitude at the sensor reaches the trigger
-threshold. Amplitude is modeled as flat (the max over the measurement window
-equals the peak) with an optional exponential decay per meter.
+threshold. Amplitude is modeled as flat, with an optional exponential decay
+per meter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 DEFAULT_WAVE_SPEED_M_S = 5000.0
 DEFAULT_THRESHOLD_G = 0.8
-DEFAULT_WINDOW_US = 3000.0
 DEFAULT_SAMPLING_PERIOD_TICKS = 4
 
 
@@ -61,13 +60,6 @@ class CableGeometry:
         """Cable distance between two sensors, meters."""
         return abs(self.position_of(sensor_a) - self.position_of(sensor_b))
 
-    def neighbor(self, sensor_id: int, step: int) -> Optional[int]:
-        """Sensor id `step` places away in position order, or None off the end."""
-        i = self.index_of(sensor_id) + step
-        if 0 <= i < len(self.sensor_ids):
-            return self.sensor_ids[i]
-        return None
-
     @property
     def extent_m(self) -> tuple[float, float]:
         return self.positions_m[0], self.positions_m[-1]
@@ -98,7 +90,7 @@ class RuptureEvent:
 
 @dataclass(frozen=True)
 class WaveArrival:
-    """Wavefront as one sensor sees it: arrival instant and window max amplitude."""
+    """Wavefront as one sensor sees it: arrival instant and amplitude."""
 
     sensor_id: int
     arrival_ref_us: float
@@ -135,16 +127,12 @@ def detect(
     arrival_ref_us: float,
     amplitude_g: float,
     threshold_g: float = DEFAULT_THRESHOLD_G,
-    window_us: float = DEFAULT_WINDOW_US,
 ) -> Optional[WaveArrival]:
     """Threshold trigger for one sensor's view of a wave.
 
-    Fires when amplitude >= threshold (inclusive). The amplitude model is
-    flat over the measurement window, so the window max equals the incoming
-    amplitude; the window length is validated but does not change the outcome.
+    Fires when amplitude >= threshold (inclusive), reporting the incoming
+    amplitude.
     """
-    if not window_us > 0:
-        raise ValueError(f"measurement window must be > 0, got {window_us!r}")
     if amplitude_g < threshold_g:
         return None
     return WaveArrival(
@@ -181,7 +169,6 @@ def simulate_rupture(
     rupture: RuptureEvent,
     wave_speed_m_s: float = DEFAULT_WAVE_SPEED_M_S,
     threshold_g: float = DEFAULT_THRESHOLD_G,
-    window_us: float = DEFAULT_WINDOW_US,
     attenuation_per_m: float = 0.0,
 ) -> list[WaveArrival]:
     """Per-sensor arrivals for one rupture, in geometry order.
@@ -206,7 +193,6 @@ def simulate_rupture(
             arrival_time(geometry, rupture, sid, wave_speed_m_s),
             amp,
             threshold_g,
-            window_us,
         )
         if hit is not None:
             arrivals.append(hit)

@@ -69,7 +69,6 @@ class TestSaveAndReset:
         saved = c.save_and_reset()
         assert saved == pytest.approx(1_000_050, rel=1e-12)
         assert c.read_counter() == 0.0
-        assert c.last_reset_ref_us == 1_000_000.0
 
     def test_reset_of_fresh_clock_returns_zero(self):
         c = ClockState(drift_ppm=-12.0)

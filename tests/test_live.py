@@ -151,7 +151,7 @@ class TestAgentLogic:
         agent = SensorAgent(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
         # the event at 5 us predates the first sync receipt (~20 us)
         agent.handle_sync(self.frame(0), self.out)
-        assert agent.protocol.pre_sync_detections == 1
+        assert agent.protocol.discarded_events == 1
         agent.handle_sync(self.frame(1), self.out)
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.events == ()
@@ -161,22 +161,29 @@ class TestAgentLogic:
 class TestEndToEnd:
     def test_live_run_matches_simulated_twin_exactly(self):
         periods = 5
-        scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
-        live = run_live(ephemeral_config(scenario, periods=periods))
-        sim = run(scenario)
+        duration = (periods - 1) * 1_000_000.0
+        for scenario in (
+            live_scenario(run_duration_us=duration),
+            # sensor 3 detects before its first sync receipt (~20 us)
+            live_scenario(
+                run_duration_us=duration, spurious_events=(SpuriousEvent(3, 5.0),)
+            ),
+        ):
+            live = run_live(ephemeral_config(scenario, periods=periods))
+            sim = run(scenario)
 
-        assert len(live.completed_periods) == periods - 1
-        assert all(p.complete for p in live.completed_periods)
-        # the same bytes flowed through real sockets: reports, retimed
-        # events, and estimates are identical, not merely close
-        assert live.completed_periods == sim.completed_periods
-        assert live.retimed == sim.retimed
-        assert [e.estimate for e in live.estimates] == [e.estimate for e in sim.estimates]
+            assert len(live.completed_periods) == periods - 1
+            assert all(p.complete for p in live.completed_periods)
+            # the same bytes flowed through real sockets: reports, retimed
+            # events, and estimates are identical, not merely close
+            assert live.completed_periods == sim.completed_periods
+            assert live.retimed == sim.retimed
+            assert [e.estimate for e in live.estimates] == [e.estimate for e in sim.estimates]
 
-        est = [e for e in live.estimates if e.matched == "rupture:0"]
-        assert len(est) == 1
-        assert abs(est[0].estimate.x_est_m - 14.0) <= 0.15
-        assert live.decode_errors == 0
+            est = [e for e in live.estimates if e.matched == "rupture:0"]
+            assert len(est) == 1
+            assert abs(est[0].estimate.x_est_m - 14.0) <= 0.15
+            assert live.decode_errors == 0
 
     def test_live_broadcast_mode_completes_periods(self):
         scenario = live_scenario()

@@ -92,7 +92,6 @@ class TestBroadcast:
         m = model(latency_jitter_us=0.0)
         d = m.report_delivery(b"r", 100.0, 4, 0)
         assert d.destination == SUPERVISOR_NODE
-        assert d.source == 4
         assert d.deliver_at_ref_us == pytest.approx(100.0 + 30.0 / 180e6 * 1e6 + 20.0)
 
     def test_validation(self):
@@ -168,7 +167,7 @@ class TestEventLoop:
     def test_schedule_delivery_uses_delivery_fields(self):
         loop = EventLoop()
         seen = []
-        d = ScheduledDelivery(12.0, "report", 1, SUPERVISOR_NODE, b"x")
+        d = ScheduledDelivery(12.0, "report", SUPERVISOR_NODE, b"x")
         loop.schedule_delivery(d, lambda t: seen.append(t))
         loop.run()
         assert seen == [12.0]

@@ -50,7 +50,6 @@ class TestSensorOnSync:
         out = s.on_sync(frame(1))
         assert out.report.events == (ReportEvent(500_025, 1200),)
         assert out.report.saved_counter_ticks == 1_000_050
-        assert out.pre_sync_flags == (False,)
 
     def test_consecutive_periods_carry_their_own_index(self):
         s = sensor()
@@ -60,18 +59,18 @@ class TestSensorOnSync:
         s.clock.advance(T_US)
         assert s.on_sync(frame(2)).report.period_index == 1
 
-    def test_detection_before_first_sync_flushes_flagged_with_first_report(self):
+    def test_detection_before_first_sync_is_discarded(self):
+        # stamped on the power-on counter, which has no defined start
         s = sensor()
         s.clock.advance(300)
         s.on_detection(300, 0.9)
         out0 = s.on_sync(frame(0))
+        assert out0.action == "first_sync"
         assert out0.report is None
-        assert len(s.pending) == 1
+        assert s.pending == []
+        assert s.discarded_events == 1
         s.clock.advance(T_US)
-        out1 = s.on_sync(frame(1))
-        assert len(out1.report.events) == 1
-        assert out1.pre_sync_flags == (True,)
-        assert s.pre_sync_detections == 1
+        assert s.on_sync(frame(1)).report.events == ()
 
     def test_duplicate_sync_is_ignored_without_reset(self):
         s = sensor()
@@ -94,21 +93,40 @@ class TestSensorOnSync:
         assert s.regressions == 1
         assert s.clock.read_counter() == 0.0
         assert s.last_seen_period_index == 3
-        # the abandoned period's event is kept but no longer retimeable
+        # the abandoned period's event can no longer be retimed
+        assert s.pending == []
+        assert s.discarded_events == 1
         s.clock.advance(T_US)
         out = s.on_sync(frame(4))
         assert out.report.period_index == 3
-        assert out.pre_sync_flags == (True,)
+        assert out.report.events == ()
 
     def test_missed_frames_are_diagnosed(self):
         s = sensor()
         s.on_sync(frame(0))
         s.clock.advance(3 * T_US)
         out = s.on_sync(frame(3))
-        assert out.action == "report"
-        assert out.dropped_frames == 2
+        assert out.action == "gap"
+        assert out.report is None
         assert s.dropped_frames == 2
-        assert out.report.period_index == 0
+        assert s.clock.read_counter() == 0.0
+        # the next frame in sequence closes period 3 as usual
+        s.clock.advance(T_US)
+        assert s.on_sync(frame(4)).report.period_index == 3
+
+    def test_gap_discards_events_of_the_unbracketed_period(self):
+        # frame 1 is lost, so an event at 1.5 T lies in period 1, whose
+        # start the sensor never saw. Reporting it as period 0 over a 2 T
+        # counter would retime it to 750000 us instead of period 1, 500000 us.
+        s = sensor()
+        s.on_sync(frame(0))
+        s.clock.advance(1.5 * T_US)
+        s.on_detection(round(s.clock.read_counter()), 1.0)
+        s.clock.advance(0.5 * T_US)
+        out = s.on_sync(frame(2))
+        assert out.report is None
+        assert s.pending == []
+        assert s.discarded_events == 1
 
     def test_boundary_sample_clamped_into_its_period(self):
         # ceiling quantization can stamp a detection a few ticks past the
@@ -165,7 +183,7 @@ class TestSensorProperties:
 
 class TestSupervisorTick:
     def test_emits_on_schedule_points_only(self):
-        sup = SupervisorProtocol(roster=[1, 2], period_t_us=T_US, start_ref_us=0.0)
+        sup = SupervisorProtocol(roster=[1, 2], period_t_us=T_US)
         f0 = sup.tick(0.0)
         assert f0 == SyncFrame(0, T_US)
         assert sup.tick(500_000.0) is None
@@ -185,9 +203,9 @@ class TestSupervisorTick:
         assert emitted == 3 + 1
 
     def test_before_start_emits_nothing(self):
-        sup = SupervisorProtocol(roster=[1], period_t_us=T_US, start_ref_us=100.0)
-        assert sup.tick(99.0) is None
-        assert sup.tick(100.0) is not None
+        sup = SupervisorProtocol(roster=[1], period_t_us=T_US)
+        assert sup.tick(-1.0) is None
+        assert sup.tick(0.0) is not None
 
     def test_indices_strictly_increase(self):
         sup = SupervisorProtocol(roster=[1], period_t_us=T_US)

@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from cablewatch.retiming import (
     FLAG_OUT_OF_PERIOD,
-    FLAG_PRE_SYNC,
     FLAG_ZERO_COUNTER,
     RetimeError,
     align_period,
     cluster_events,
-    pairwise_dt,
     retime,
 )
 from cablewatch.wire import ReportEvent, SensorReport
@@ -102,13 +100,6 @@ class TestAlignPeriod:
         assert out[2].flag == FLAG_OUT_OF_PERIOD
         assert math.isnan(out[1].retimed_us)
 
-    def test_sensor_side_pre_sync_knowledge_flags_events(self):
-        r = report(1, 1_000_000, [(700, 900), (300, 900)])
-        out = align_period([r], T_US, pre_sync_raw={1: frozenset({300})})
-        by_raw = {e.raw_ticks: e for e in out}
-        assert by_raw[300].flag == FLAG_PRE_SYNC
-        assert by_raw[700].valid
-
     def test_mixed_periods_rejected(self):
         with pytest.raises(ValueError, match="period"):
             align_period([report(1, T_US, [], period=0), report(2, T_US, [], period=1)], T_US)
@@ -119,20 +110,6 @@ class TestAlignPeriod:
     def test_amplitude_converted_to_g(self):
         out = align_period([report(1, T_US, [(10, 1234)])], T_US)
         assert out[0].amplitude_g == pytest.approx(1.234)
-
-
-class TestPairwiseDt:
-    def test_difference_of_earliest_valid_events(self):
-        out = align_period(
-            [report(2, T_US, [(800, 900)]), report(3, T_US, [(1200, 900)])], T_US
-        )
-        assert pairwise_dt(out, 3, 2) == pytest.approx(400.0)
-        assert pairwise_dt(out, 2, 3) == pytest.approx(-400.0)
-
-    def test_missing_sensor_raises(self):
-        out = align_period([report(2, T_US, [(800, 900)])], T_US)
-        with pytest.raises(ValueError, match="sensor 9"):
-            pairwise_dt(out, 9, 2)
 
 
 class TestCluster:

@@ -32,7 +32,6 @@ class TestScenarioDefaults:
         s = Scenario(geometry=GEOM)
         assert s.wave_speed_m_s == 5000.0
         assert s.threshold_g == 0.8
-        assert s.window_us == 3000.0
         assert s.sampling_period_ticks == 4
         assert s.sync_period_T_us == 1_000_000
         assert s.coincidence_window_us == 100_000.0

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from cablewatch.localization import FLAG_INSUFFICIENT_SENSORS, FLAG_OUT_OF_SPAN
-from cablewatch.retiming import FLAG_PRE_SYNC
 from cablewatch.scenario import NetworkConfig, Scenario, SpuriousEvent
 from cablewatch.simulate import (
     DETECTIONS_HEADER,
@@ -32,6 +31,15 @@ def canonical_scenario(**overrides):
     return Scenario(**base)
 
 
+def pre_sync_scenario():
+    # sync 0 lands ~20 us after t=0; an event at t=5 us predates it
+    return Scenario(
+        geometry=GEOM,
+        spurious_events=(SpuriousEvent(3, 5.0, 1.0),),
+        run_duration_us=3_000_000.0,
+    )
+
+
 class TestCanonicalRun:
     def test_rupture_localized_within_budget(self):
         rep = run(canonical_scenario())
@@ -45,10 +53,14 @@ class TestCanonicalRun:
         assert est.estimate.v_est_m_s == pytest.approx(5000.0, rel=0.01)
 
     def test_event_accounting_balances(self):
-        rep = run(canonical_scenario())
-        s = rep.summary
+        lossy = canonical_scenario(network=NetworkConfig(drop_probability=0.3), seed=3)
+        for scenario in (canonical_scenario(), pre_sync_scenario(), lossy):
+            s = run(scenario).summary
+            assert s["detections_total"] == (
+                s["events_reported"] + s["events_pending_at_end"] + s["events_discarded"]
+            )
+        s = run(canonical_scenario()).summary
         assert s["detections_total"] == 4
-        assert s["detections_total"] == s["events_reported"] + s["events_pending_at_end"]
         assert s["events_reported"] == s["events_retimed_valid"] + s["events_flagged"]
         assert s["periods_completed"] == 3
         assert s["periods_timed_out"] == 0
@@ -139,24 +151,28 @@ class TestQuietAndDegradedRuns:
         assert s["periods_completed"] + s["periods_timed_out"] == 3
         assert s["detections_total"] == 4
 
-    def test_pre_sync_detection_is_reported_flagged_and_excluded(self):
-        # sync 0 lands ~20 us after t=0; an event at t=5 us predates it
+    def test_pre_sync_detection_is_discarded_at_the_sensor(self):
+        rep = run(pre_sync_scenario())
+        assert rep.summary["detections_pre_sync"] == 1
+        assert rep.summary["events_discarded"] == 1
+        assert rep.detections[0].pre_sync
+        assert rep.detections[0].period_index == -1
+        assert rep.retimed == []
+        assert rep.estimates == []
+
+    def test_valid_detection_sharing_a_tick_with_a_pre_sync_one_is_retimed(self):
+        # both events stamp tick 8: the first on the power-on counter, the
+        # second 6 us after sync 0 reset it; only the first is unretimeable
+        rx = Scenario(geometry=GEOM).network_model().sync_receipt_at(0.0, 0, 3)
         rep = run(
             Scenario(
                 geometry=GEOM,
-                spurious_events=(SpuriousEvent(3, 5.0, 1.0),),
-                run_duration_us=3_000_000.0,
+                spurious_events=(SpuriousEvent(3, 5.0), SpuriousEvent(3, rx + 6.0)),
             )
         )
-        assert rep.summary["detections_pre_sync"] == 1
-        assert rep.detections[0].pre_sync
-        assert rep.detections[0].period_index == -1
-        flagged = [e for e in rep.retimed if not e.valid]
-        assert len(flagged) == 1
-        assert flagged[0].flag == FLAG_PRE_SYNC
-        assert flagged[0].sensor_id == 3
-        assert flagged[0].period_index == 0
-        assert rep.estimates == []  # flagged events never cluster
+        assert [d.local_timestamp_ticks for d in rep.detections] == [8, 8]
+        assert [(e.period_index, e.raw_ticks, e.flag) for e in rep.retimed] == [(0, 8, None)]
+        assert rep.summary["events_discarded"] == 1
 
     def test_two_ruptures_in_different_periods_both_localized(self):
         rep = run(
