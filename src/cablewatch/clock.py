@@ -61,6 +61,8 @@ class ClockState:
     def advance_to(self, ref_us: float) -> None:
         """Advance the clock to an absolute reference time (>= current)."""
         self.advance(ref_us - self.ref_now_us)
+        # now + (ref_us - now) can round past ref_us; a repeat would go back
+        self.ref_now_us = ref_us
 
     def read_counter(self) -> float:
         """Current counter value in ticks; does not mutate the clock."""

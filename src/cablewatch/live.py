@@ -3,11 +3,11 @@
 The supervisor and each sensor agent are separate endpoints exchanging the
 same wire bytes as the simulator. Time, however, stays modeled: every agent
 derives its receipt instants from (scenario, seed, period, sensor) exactly
-like the simulated transport, stamps the same ground-truth arrivals through
-the same SensorProtocol, and sends whatever report its on_sync returns. The
-values flowing through real sockets are therefore reproducible and a live
-run equals its simulated twin. Wall pacing only spaces the datagrams out; it
-never enters a timestamp.
+like the simulated transport and hands each frame to the simulator's own
+sensor driver (simulate.SensorNode), which stamps the same ground-truth
+arrivals and returns the same report. The values flowing through real
+sockets are therefore reproducible and a live run equals its simulated twin.
+Wall pacing only spaces the datagrams out; it never enters a timestamp.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from typing import Mapping, Optional, Union
 
 import yaml
 
-from .clock import ClockState
-from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
+from .protocol import CompletedPeriod, SupervisorProtocol
 from .retiming import RetimedEvent
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
-from .simulate import EstimateRow, postprocess_periods, scenario_arrivals
+from .simulate import EstimateRow, postprocess_periods, sensor_nodes
 from .wire import (
     WireFormatError,
     decode_sensor_report,
@@ -136,18 +135,8 @@ class SensorAgent:
         self.sensor_id = sensor_id
         self.report_port = report_port if report_port is not None else config.report_port
         scenario = config.scenario
-        self.protocol = SensorProtocol(
-            sensor_id=sensor_id,
-            clock=ClockState(drift_ppm=scenario.drift_for(sensor_id)),
-        )
+        self.node = sensor_nodes(scenario)[sensor_id]
         self.net = scenario.network_model()
-        # this sensor's share of the simulator's detection schedule; the
-        # stable sort keeps the simulator's order for simultaneous arrivals
-        self.arrivals = sorted(
-            (arr for _, arr in scenario_arrivals(scenario) if arr.sensor_id == sensor_id),
-            key=lambda a: a.arrival_ref_us,
-        )
-        self._next_arrival = 0
         self.frames_seen = 0
         self.reports_sent = 0
         port = sync_port if sync_port is not None else config.resolved_sync_ports()[sensor_id]
@@ -158,16 +147,6 @@ class SensorAgent:
         self.sock.settimeout(_POLL_S)
         self.port = self.sock.getsockname()[1]
 
-    def _stamp_arrivals_until(self, ref_us: float) -> None:
-        while self._next_arrival < len(self.arrivals):
-            arr = self.arrivals[self._next_arrival]
-            if arr.arrival_ref_us > ref_us:
-                break
-            self.protocol.stamp(
-                arr.arrival_ref_us, arr.max_amplitude_g, self.config.scenario.sampling_period_ticks
-            )
-            self._next_arrival += 1
-
     def handle_sync(self, payload: bytes, out_sock: socket.socket) -> None:
         frame = decode_sync_frame(payload)
         t_us = self.config.scenario.sync_period_T_us
@@ -175,12 +154,7 @@ class SensorAgent:
             frame.period_index * t_us, frame.period_index, self.sensor_id
         )
         assert modeled is not None  # LiveConfig forbids modeled drops
-        # a replayed or reordered frame models earlier than the clock has
-        # advanced; the device's clock cannot run backwards
-        receipt = max(modeled, self.protocol.clock.ref_now_us)
-        self._stamp_arrivals_until(receipt)
-        self.protocol.clock.advance_to(receipt)
-        result = self.protocol.on_sync(frame)
+        result = self.node.receive_sync(frame, modeled)
         self.frames_seen += 1
         if result.report is None:
             return
@@ -196,7 +170,9 @@ class SensorAgent:
         deadline = time.monotonic() + self.config.timeout_s
         out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            while self.frames_seen < self.config.periods and time.monotonic() < deadline:
+            # duplicates and replays count as frames; only the last period ends the run
+            last = self.config.periods - 1
+            while self.node.protocol.last_seen_period_index != last and time.monotonic() < deadline:
                 try:
                     data, _ = self.sock.recvfrom(_RECV_BYTES)
                 except socket.timeout:
@@ -320,9 +296,29 @@ def run_live(config: LiveConfig) -> LiveRunResult:
     return result
 
 
-_LIVE_FIELDS = {
-    "scenario", "periods", "host", "report_port", "sync_ports",
-    "sync_port_base", "broadcast_address", "pace_s", "timeout_s",
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _port_map(value) -> dict[int, int]:
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    return {int(k): int(v) for k, v in value.items()}
+
+
+# LiveConfig fields besides the scenario: how to read each from the file,
+# and what a value that fails to read should have been
+_WIRING_FIELDS = {
+    "periods": (int, "an integer"),
+    "host": (_text, "a string"),
+    "report_port": (int, "an integer"),
+    "sync_ports": (_port_map, "a map of sensor id to port"),
+    "sync_port_base": (int, "an integer"),
+    "broadcast_address": (_text, "a string"),
+    "pace_s": (float, "a number"),
+    "timeout_s": (float, "a number"),
 }
 
 
@@ -337,11 +333,10 @@ def load_live_config(source: Union[str, Path]) -> LiveConfig:
         raise ScenarioError([f"live config is not valid YAML: {e}"]) from None
     if not isinstance(raw, dict):
         raise ScenarioError(["live config must be a mapping"])
-    problems = [f"unknown field '{k}'" for k in raw if k not in _LIVE_FIELDS]
-    if "scenario" not in raw:
-        problems.append("field 'scenario' is required")
-    if "periods" not in raw:
-        problems.append("field 'periods' is required")
+    problems = [f"unknown field '{k}'" for k in raw if k != "scenario" and k not in _WIRING_FIELDS]
+    for name in ("scenario", "periods"):
+        if raw.get(name) is None:
+            problems.append(f"field '{name}' is required")
     if problems:
         raise ScenarioError(problems)
     sc = raw["scenario"]
@@ -351,20 +346,17 @@ def load_live_config(source: Union[str, Path]) -> LiveConfig:
         scenario = scenario_from_dict(sc)
     else:
         raise ScenarioError(["field 'scenario' must be a mapping or a file path"])
-    sync_ports = raw.get("sync_ports")
-    if sync_ports is not None:
-        sync_ports = {int(k): int(v) for k, v in sync_ports.items()}
+    wiring = {}
+    for name, (convert, expected) in _WIRING_FIELDS.items():
+        if raw.get(name) is None:
+            continue  # LiveConfig's default
+        try:
+            wiring[name] = convert(raw[name])
+        except (TypeError, ValueError):
+            problems.append(f"field '{name}' must be {expected}, got {raw[name]!r}")
+    if problems:
+        raise ScenarioError(problems)
     try:
-        return LiveConfig(
-            scenario=scenario,
-            periods=int(raw["periods"]),
-            host=str(raw.get("host", "127.0.0.1")),
-            report_port=int(raw.get("report_port", DEFAULT_REPORT_PORT)),
-            sync_ports=sync_ports,
-            sync_port_base=int(raw.get("sync_port_base", DEFAULT_SYNC_PORT)),
-            broadcast_address=raw.get("broadcast_address"),
-            pace_s=float(raw.get("pace_s", 0.0)),
-            timeout_s=float(raw.get("timeout_s", 5.0)),
-        )
+        return LiveConfig(scenario=scenario, **wiring)
     except ValueError as e:
         raise ScenarioError([str(e)]) from None

@@ -6,10 +6,9 @@ and loss draws are keyed by (seed, message kind, period index, sensor id), so
 a run is a pure function of its scenario and seed; two runs never disagree
 because of dict ordering or shared RNG state.
 
-The event loop dispatches strictly in delivery-time order. Simultaneous
-events are ordered by kind (detections, then syncs, then reports, then
-timers), then by node, then by insertion; syncs sort before reports as the
-protocol requires, the rest is pinned for determinism.
+The event loop dispatches the supervisor's traffic, report deliveries and
+period timeouts, strictly in time order. Simultaneous events are ordered by
+kind (a report before a timeout), then by node, then by insertion.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ SUPERVISOR_NODE = "supervisor"
 
 Node = Union[int, str]
 
-KIND_DETECTION = "detection"
 KIND_SYNC = "sync"
 KIND_REPORT = "report"
 KIND_TIMER = "timer"
-_KIND_RANK = {KIND_DETECTION: 0, KIND_SYNC: 1, KIND_REPORT: 2, KIND_TIMER: 3}
+_KIND_RANK = {KIND_REPORT: 0, KIND_TIMER: 1}
 
 
 @dataclass(frozen=True)

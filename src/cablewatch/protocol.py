@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .clock import ClockState
-from .wave import quantize_to_sampling
 from .wire import ReportEvent, SensorReport, SyncFrame
 
 log = logging.getLogger(__name__)
@@ -73,17 +72,6 @@ class SensorProtocol:
                 amplitude_milli_g=round(amplitude_g * 1000),
             )
         )
-
-    def stamp(self, ref_us: float, amplitude_g: float, sampling_period_ticks: int) -> int:
-        """Detect a wave arriving at reference time ref_us; returns its ticks.
-
-        The clock runs up to the arrival and the digitizer stamps the first
-        sample at or after it.
-        """
-        self.clock.advance_to(ref_us)
-        ticks = quantize_to_sampling(self.clock.read_counter(), sampling_period_ticks)
-        self.on_detection(ticks, amplitude_g)
-        return ticks
 
     def on_sync(self, frame: SyncFrame) -> SensorSyncResult:
         """Handle one sync receipt; returns the report to send, if any."""

@@ -1,11 +1,12 @@
 """End-to-end simulated runs: rupture to detection to sync to estimate.
 
-The run is one deterministic event loop. Supervisor timers broadcast sync
-frames on schedule; deliveries advance each sensor's drifting clock, stamp
-detections on the local sampling grid, and close out periods with reports.
-Completed periods are retimed, clustered, and localized after the loop
-drains. Identical (scenario, seed) pairs produce identical output, down to
-the exported CSV bytes.
+Each sensor is a SensorNode, the socket-free driver live agents use too: a
+sync receipt stamps every wave that reached the sensor by then and closes
+the period. The run feeds each sensor its receipts in receipt-time order;
+the event loop carries only report deliveries and period timeouts. Closed
+periods are retimed, clustered, and localized after the loop drains.
+Identical (scenario, seed) pairs produce identical output, down to the
+exported CSV bytes.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from .clock import ClockState
 from .localization import RuptureEstimate, localize_cluster
 from .network import EventLoop, SUPERVISOR_NODE
-from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
+from .protocol import CompletedPeriod, SensorProtocol, SensorSyncResult, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
-from .wave import WaveArrival, detect, simulate_rupture
-from .wire import decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
+from .wave import WaveArrival, detect, quantize_to_sampling, simulate_rupture
+from .wire import SyncFrame, decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
 
 # period timeout, as a fraction of T after the next broadcast
 PERIOD_TIMEOUT_FRACTION = 0.5
@@ -66,52 +68,35 @@ class RunReport:
     summary: dict[str, object]
 
 
-def scenario_arrivals(scenario: Scenario) -> list[tuple[str, WaveArrival]]:
-    """Every detection the scenario's ground truth triggers, with its source.
+class SensorNode:
+    """One sensor without sockets: its protocol and the waves that reach it.
 
-    Each rupture's arrivals in geometry order, then each spurious hit, in
-    scenario order. Simulated runs and live agents both stamp from this list.
+    The only code that stamps arrivals, for simulated and live runs alike.
     """
-    out = []
-    for i, rupture in enumerate(scenario.ruptures):
-        for arr in simulate_rupture(
-            scenario.geometry,
-            rupture,
-            wave_speed_m_s=scenario.wave_speed_m_s,
-            threshold_g=scenario.threshold_g,
-            attenuation_per_m=scenario.attenuation_per_m,
-        ):
-            out.append((f"rupture:{i}", arr))
-    for i, sp in enumerate(scenario.spurious_events):
-        hit = detect(sp.sensor_id, sp.time_ref_us, sp.amplitude_g, scenario.threshold_g)
-        if hit is not None:
-            out.append((f"spurious:{i}", hit))
-    return out
 
+    def __init__(self, scenario: Scenario, sensor_id: int, arrivals: list[tuple[str, WaveArrival]]):
+        self.protocol = SensorProtocol(
+            sensor_id=sensor_id, clock=ClockState(drift_ppm=scenario.drift_for(sensor_id))
+        )
+        self.sampling_period_ticks = scenario.sampling_period_ticks
+        # the stable sort keeps scenario order for simultaneous arrivals
+        self._arrivals = sorted(arrivals, key=lambda sa: sa[1].arrival_ref_us)
+        self._next = 0
+        self.detections: list[DetectionRow] = []
 
-def run(scenario: Scenario) -> RunReport:
-    """Simulate one scenario end to end."""
-    geom = scenario.geometry
-    net = scenario.network_model()
-    t_us = scenario.sync_period_T_us
-    duration = scenario.effective_duration_us()
-
-    sensors = {
-        sid: SensorProtocol(sensor_id=sid, clock=ClockState(drift_ppm=scenario.drift_for(sid)))
-        for sid in geom.sensor_ids
-    }
-    supervisor = SupervisorProtocol(roster=geom.sensor_ids, period_t_us=t_us)
-    loop = EventLoop()
-
-    detections: list[DetectionRow] = []
-    completed: dict[int, CompletedPeriod] = {}
-    clamped_events = 0
-
-    def on_detection(source: str, arr: WaveArrival):
-        def action(now: float) -> None:
-            s = sensors[arr.sensor_id]
-            ticks = s.stamp(now, arr.max_amplitude_g, scenario.sampling_period_ticks)
-            detections.append(
+    def stamp_until(self, ref_us: float) -> None:
+        """Stamp every arrival at or before ref_us not stamped yet: the clock
+        runs up to the arrival and the digitizer stamps the first sample at
+        or after it."""
+        s = self.protocol
+        while self._next < len(self._arrivals):
+            source, arr = self._arrivals[self._next]
+            if arr.arrival_ref_us > ref_us:
+                break
+            s.clock.advance_to(arr.arrival_ref_us)
+            ticks = quantize_to_sampling(s.clock.read_counter(), self.sampling_period_ticks)
+            s.on_detection(ticks, arr.max_amplitude_g)
+            self.detections.append(
                 DetectionRow(
                     sensor_id=arr.sensor_id,
                     period_index=s.last_seen_period_index if s.synced else -1,
@@ -122,67 +107,101 @@ def run(scenario: Scenario) -> RunReport:
                     pre_sync=not s.synced,
                 )
             )
-        return action
+            self._next += 1
 
-    def on_report_delivery(payload: bytes):
-        def action(now: float) -> None:
-            report = decode_sensor_report(payload)
-            done = supervisor.on_report(report)
-            if done is not None:
-                completed[done.period_index] = done
-        return action
+    def receive_sync(self, frame: SyncFrame, receipt_ref_us: float) -> SensorSyncResult:
+        """Handle one sync receipt; a wave arriving at the receipt instant
+        is stamped first, so it rides the report of the period it closes."""
+        # a replayed or reordered frame may be received earlier than the
+        # clock has advanced; the device's clock cannot run backwards
+        receipt = max(receipt_ref_us, self.protocol.clock.ref_now_us)
+        self.stamp_until(receipt)
+        self.protocol.clock.advance_to(receipt)
+        return self.protocol.on_sync(frame)
 
-    def on_sync_delivery(sid: int, payload: bytes):
-        def action(now: float) -> None:
-            nonlocal clamped_events
-            s = sensors[sid]
-            s.clock.advance_to(now)
-            result = s.on_sync(decode_sync_frame(payload))
-            if result.report is None:
-                return
-            clamped_events += result.clamped_events
-            delivery = net.report_delivery(
-                encode_sensor_report(result.report), now, sid, result.report.period_index
-            )
-            if delivery is not None:
-                loop.schedule_delivery(delivery, on_report_delivery(delivery.payload))
-        return action
 
-    def on_broadcast_timer(now: float) -> None:
-        frame = supervisor.tick(now)
-        if frame is None:
-            return
-        payload = encode_sync_frame(frame)
-        for d in net.broadcast_sync(payload, now, frame.period_index):
-            loop.schedule_delivery(d, on_sync_delivery(d.destination, d.payload))
-        if frame.period_index >= 1:
-            closing = frame.period_index - 1
-            loop.schedule(
-                now + PERIOD_TIMEOUT_FRACTION * t_us,
-                "timer",
-                SUPERVISOR_NODE,
-                lambda t, k=closing: _expire(k),
-            )
+def sensor_nodes(scenario: Scenario) -> dict[int, SensorNode]:
+    """One SensorNode per sensor, holding the detections its ground truth
+    triggers: each rupture's arrivals in geometry order, then each spurious
+    hit, in scenario order."""
+    shares = {sid: [] for sid in scenario.geometry.sensor_ids}
+    for i, rupture in enumerate(scenario.ruptures):
+        for arr in simulate_rupture(
+            scenario.geometry,
+            rupture,
+            wave_speed_m_s=scenario.wave_speed_m_s,
+            threshold_g=scenario.threshold_g,
+            attenuation_per_m=scenario.attenuation_per_m,
+        ):
+            shares[arr.sensor_id].append((f"rupture:{i}", arr))
+    for i, sp in enumerate(scenario.spurious_events):
+        hit = detect(sp.sensor_id, sp.time_ref_us, sp.amplitude_g, scenario.threshold_g)
+        if hit is not None:
+            shares[hit.sensor_id].append((f"spurious:{i}", hit))
+    return {sid: SensorNode(scenario, sid, share) for sid, share in shares.items()}
 
-    def _expire(period_index: int) -> None:
-        done = supervisor.expire(period_index)
+
+def run(scenario: Scenario) -> RunReport:
+    """Simulate one scenario end to end."""
+    net = scenario.network_model()
+    t_us = scenario.sync_period_T_us
+    duration = scenario.effective_duration_us()
+
+    nodes = sensor_nodes(scenario)
+    supervisor = SupervisorProtocol(roster=scenario.geometry.sensor_ids, period_t_us=t_us)
+    loop = EventLoop()
+
+    completed: dict[int, CompletedPeriod] = {}
+    clamped_events = 0
+
+    def release(done: Optional[CompletedPeriod]) -> None:
         if done is not None:
             completed[done.period_index] = done
 
-    # schedule the whole broadcast calendar
+    # the broadcast calendar: frame k leaves at k*T, and period k-1 times
+    # out half a period later
+    receipts = []
     k = 0
     while k * t_us <= duration:
-        loop.schedule(k * t_us, "timer", SUPERVISOR_NODE, on_broadcast_timer)
+        now = k * t_us
+        frame = supervisor.tick(now)
+        receipts.extend(net.broadcast_sync(encode_sync_frame(frame), now, k))
+        if k >= 1:
+            loop.schedule(
+                now + PERIOD_TIMEOUT_FRACTION * t_us, "timer", SUPERVISOR_NODE,
+                lambda t, closing=k - 1: release(supervisor.expire(closing)),
+            )
         k += 1
 
-    for source, arr in scenario_arrivals(scenario):
-        loop.schedule(arr.arrival_ref_us, "detection", arr.sensor_id, on_detection(source, arr))
+    # each sensor hears its frames in receipt-time order, which is not the
+    # broadcast order when jitter spans more than half a period
+    receipts.sort(key=lambda d: d.deliver_at_ref_us)
+    for d in receipts:
+        result = nodes[d.destination].receive_sync(decode_sync_frame(d.payload), d.deliver_at_ref_us)
+        if result.report is None:
+            continue
+        clamped_events += result.clamped_events
+        delivery = net.report_delivery(
+            encode_sensor_report(result.report), d.deliver_at_ref_us, d.destination,
+            result.report.period_index,
+        )
+        if delivery is not None:
+            loop.schedule_delivery(
+                delivery, lambda t, p=delivery.payload: release(supervisor.on_report(decode_sensor_report(p)))
+            )
+    # waves after a sensor's last receipt stay pending
+    for node in nodes.values():
+        node.stamp_until(math.inf)
 
     loop.run()
 
+    detections = sorted(
+        (row for node in nodes.values() for row in node.detections),
+        key=lambda row: (row.arrival_ref_us, row.sensor_id),
+    )
     retimed, estimates = postprocess_periods(scenario, completed)
     summary = _summarize(
-        scenario, sensors, supervisor, detections, completed, retimed, estimates, clamped_events
+        scenario, nodes, supervisor, detections, completed, retimed, estimates, clamped_events
     )
     return RunReport(
         scenario=scenario,
@@ -246,9 +265,9 @@ def _match_rupture(
     return "", math.nan
 
 
-def _summarize(scenario, sensors, supervisor, detections, completed, retimed, estimates, clamped_events):
+def _summarize(scenario, nodes, supervisor, detections, completed, retimed, estimates, clamped_events):
     errors = [e.abs_error_m for e in estimates if not math.isnan(e.abs_error_m)]
-    pending = sum(len(s.pending) for s in sensors.values())
+    sensors = [n.protocol for n in nodes.values()]
     summary: dict[str, object] = {
         "sensors": len(sensors),
         "sync_frames_sent": supervisor.frames_sent,
@@ -261,9 +280,9 @@ def _summarize(scenario, sensors, supervisor, detections, completed, retimed, es
         "detections_pre_sync": sum(1 for d in detections if d.pre_sync),
         # sensor side: every detection is reported, pending or discarded;
         # reports lost or late on the way never reach retiming
-        "events_reported": sum(s.reported_events for s in sensors.values()),
-        "events_pending_at_end": pending,
-        "events_discarded": sum(s.discarded_events for s in sensors.values()),
+        "events_reported": sum(s.reported_events for s in sensors),
+        "events_pending_at_end": sum(len(s.pending) for s in sensors),
+        "events_discarded": sum(s.discarded_events for s in sensors),
         "events_clamped_to_period_end": clamped_events,
         "events_retimed_valid": sum(1 for e in retimed if e.valid),
         "events_flagged": sum(1 for e in retimed if not e.valid),

@@ -61,6 +61,16 @@ class TestAdvance:
         with pytest.raises(ValueError):
             c.advance_to(999.0)
 
+    def test_advance_to_lands_exactly_on_the_target(self):
+        # 1.84... + (t - 1.84...) rounds to one ulp above t; a second
+        # advance to t must still be a zero-length step, not a negative one
+        c = ClockState(drift_ppm=0.0)
+        t = 524290.340132722
+        for target in (1.8404889599769376, t, t):
+            c.advance_to(target)
+        assert c.ref_now_us == t
+        assert c.read_counter() == pytest.approx(t, rel=1e-15)
+
 
 class TestSaveAndReset:
     def test_returns_counter_and_zeroes_it(self):

@@ -1,6 +1,7 @@
 """Live datagram mode: real sockets, modeled time."""
 
 import socket
+import threading
 
 import pytest
 
@@ -124,7 +125,7 @@ class TestAgentLogic:
         agent = self.make_agent()
         agent.handle_sync(self.frame(0), self.out)
         agent.handle_sync(self.frame(0), self.out)
-        assert agent.protocol.duplicate_syncs == 1
+        assert agent.node.protocol.duplicate_syncs == 1
         agent.handle_sync(self.frame(1), self.out)
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.saved_counter_ticks == 1_000_050
@@ -151,11 +152,43 @@ class TestAgentLogic:
         agent = SensorAgent(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
         # the event at 5 us predates the first sync receipt (~20 us)
         agent.handle_sync(self.frame(0), self.out)
-        assert agent.protocol.discarded_events == 1
+        assert agent.node.protocol.discarded_events == 1
         agent.handle_sync(self.frame(1), self.out)
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.events == ()
         agent.sock.close()
+
+    def test_arrival_at_the_receipt_instant_rides_the_closing_report(self):
+        scenario = self.cfg.scenario
+        rx1 = scenario.network_model().sync_receipt_at(1_000_000.0, 1, 3)
+        cfg = ephemeral_config(
+            live_scenario(network=scenario.network, ruptures=(),
+                          spurious_events=(SpuriousEvent(3, rx1),))
+        )
+        agent = SensorAgent(cfg, 3, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent.handle_sync(self.frame(0), self.out)
+        agent.handle_sync(self.frame(1), self.out)
+        report = decode_sensor_report(self.rx.recvfrom(65536)[0])
+        assert report.period_index == 0
+        assert len(report.events) == 1
+        agent.sock.close()
+
+    def test_agent_stops_after_the_last_period_not_after_n_datagrams(self):
+        cfg = ephemeral_config(live_scenario(), periods=3)
+        agent = SensorAgent(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        worker = threading.Thread(target=agent.run, daemon=True)
+        worker.start()
+        # a replayed frame 0 must not stand in for frame 2
+        for k in (0, 0, 1, 2):
+            self.out.sendto(self.frame(k), ("127.0.0.1", agent.port))
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert agent.frames_seen == 4
+        assert agent.reports_sent == 2
+        periods = sorted(
+            decode_sensor_report(self.rx.recvfrom(65536)[0]).period_index for _ in range(2)
+        )
+        assert periods == [0, 1]
 
 
 class TestEndToEnd:
@@ -248,6 +281,24 @@ class TestLiveConfigFile:
         msgs = "\n".join(e.value.problems)
         assert "'scenario' is required" in msgs
         assert "'periods' is required" in msgs
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("sync_ports: [47801, 47803, 47804]", "sync_ports"),
+            ("sync_ports: {one: 47801}", "sync_ports"),
+            ("broadcast_address: 5", "broadcast_address"),
+        ],
+        ids=["sync_ports_list", "sync_ports_named_key", "broadcast_address_number"],
+    )
+    def test_bad_field_is_rejected_by_name(self, tmp_path, line, field):
+        p = tmp_path / "live.yaml"
+        p.write_text(
+            "periods: 2\nscenario: {geometry: {sensor_ids: [1,2,3], positions_m: [0,1,2]}}\n"
+            + line + "\n"
+        )
+        with pytest.raises(ScenarioError, match=f"field '{field}' must be"):
+            load_live_config(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):

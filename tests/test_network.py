@@ -114,30 +114,23 @@ class TestEventLoop:
         assert seen == [("a", 10.0), ("b", 20.0), ("c", 30.0)]
         assert loop.now_ref_us == 30.0
 
-    def test_sync_dispatches_before_report_at_same_instant(self):
+    def test_report_dispatches_before_timer_at_same_instant(self):
         loop = EventLoop()
         seen = []
+        loop.schedule(50.0, "timer", SUPERVISOR_NODE, lambda t: seen.append("timer"))
         loop.schedule(50.0, "report", SUPERVISOR_NODE, lambda t: seen.append("report"))
-        loop.schedule(50.0, "sync", 1, lambda t: seen.append("sync"))
         loop.run()
-        assert seen == ["sync", "report"]
+        assert seen == ["report", "timer"]
 
     def test_same_kind_ties_break_by_node(self):
         loop = EventLoop()
         seen = []
-        loop.schedule(5.0, "sync", 4, lambda t: seen.append(4))
-        loop.schedule(5.0, "sync", 2, lambda t: seen.append(2))
-        loop.schedule(5.0, "sync", 3, lambda t: seen.append(3))
+        loop.schedule(5.0, "timer", 4, lambda t: seen.append(4))
+        loop.schedule(5.0, "timer", 2, lambda t: seen.append(2))
+        loop.schedule(5.0, "timer", 3, lambda t: seen.append(3))
+        loop.schedule(5.0, "timer", SUPERVISOR_NODE, lambda t: seen.append(SUPERVISOR_NODE))
         loop.run()
-        assert seen == [2, 3, 4]
-
-    def test_detection_precedes_sync_at_same_instant(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(5.0, "sync", 1, lambda t: seen.append("sync"))
-        loop.schedule(5.0, "detection", 1, lambda t: seen.append("detection"))
-        loop.run()
-        assert seen == ["detection", "sync"]
+        assert seen == [SUPERVISOR_NODE, 2, 3, 4]
 
     def test_actions_can_schedule_later_events(self):
         loop = EventLoop()
@@ -158,8 +151,10 @@ class TestEventLoop:
             loop.run()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            EventLoop().schedule(0.0, "gossip", 1, lambda t: None)
+        # sync receipts and detections are the sensors' own business
+        for kind in ("gossip", "sync", "detection"):
+            with pytest.raises(ValueError, match="kind"):
+                EventLoop().schedule(0.0, kind, 1, lambda t: None)
 
     def test_empty_queue_terminates(self):
         assert EventLoop().run() == 0

@@ -174,6 +174,21 @@ class TestQuietAndDegradedRuns:
         assert [(e.period_index, e.raw_ticks, e.flag) for e in rep.retimed] == [(0, 8, None)]
         assert rep.summary["events_discarded"] == 1
 
+    def test_simultaneous_detections_at_one_sensor_are_both_stamped(self):
+        # the first stamp's clock advance used to overshoot the arrival by
+        # one ulp, so advancing to the same instant again raised
+        t = 2863.040669159211
+        rep = run(
+            Scenario(
+                geometry=CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0)),
+                spurious_events=(SpuriousEvent(1, t), SpuriousEvent(1, t)),
+                seed=2561,
+                run_duration_us=3e6,
+            )
+        )
+        assert [d.arrival_ref_us for d in rep.detections] == [t, t]
+        assert [(e.period_index, e.sensor_id) for e in rep.retimed] == [(0, 1), (0, 1)]
+
     def test_two_ruptures_in_different_periods_both_localized(self):
         rep = run(
             canonical_scenario(
@@ -201,6 +216,38 @@ class TestQuietAndDegradedRuns:
         assert est.matched == "rupture:0"
         assert FLAG_OUT_OF_SPAN in est.estimate.flags
         assert not est.estimate.clean
+
+
+class TestSensorDriver:
+    def test_arrival_at_the_receipt_instant_rides_the_closing_report(self):
+        rx1 = Scenario(geometry=GEOM).network_model().sync_receipt_at(1_000_000.0, 1, 3)
+        rep = run(Scenario(geometry=GEOM, spurious_events=(SpuriousEvent(3, rx1),)))
+        assert [(d.arrival_ref_us, d.period_index) for d in rep.detections] == [(rx1, 0)]
+        assert [(e.period_index, e.sensor_id, e.flag) for e in rep.retimed] == [(0, 3, None)]
+
+    def test_each_sensor_hears_its_frames_in_receipt_order(self):
+        # jitter wider than T/2: with this seed sensor 2 hears frame 1 before
+        # frame 0, so frame 0 is a regression and frame 2 a gap; in broadcast
+        # order the event at 120 us would be pre-sync and the one at 135 us
+        # would ride period 1's report
+        scenario = Scenario(
+            geometry=CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0)),
+            sync_period_T_us=100,
+            coincidence_window_us=50.0,
+            network=NetworkConfig(latency_mean_us=80.0, latency_jitter_us=80.0),
+            spurious_events=(SpuriousEvent(2, 120.0), SpuriousEvent(2, 135.0)),
+            seed=4,
+            run_duration_us=300.0,
+        )
+        net = scenario.network_model()
+        rx = [net.sync_receipt_at(k * 100.0, k, 2) for k in range(4)]
+        assert rx[1] < 120.0 < rx[0] < 135.0 < rx[2] < rx[3]
+        rep = run(scenario)
+        assert [(d.arrival_ref_us, d.period_index) for d in rep.detections] == [
+            (120.0, 1), (135.0, 0),
+        ]
+        assert rep.summary["events_discarded"] == 2
+        assert rep.retimed == []
 
 
 class TestDeterminism:
