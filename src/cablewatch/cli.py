@@ -16,17 +16,16 @@ import csv
 import dataclasses
 import logging
 import sys
+import typing
 from pathlib import Path
-
-import yaml
 
 from . import montecarlo as mc
 from .clock import ClockState
 from .live import LiveSupervisor, SensorAgent, load_live_config
 from .localization import localize_cluster
 from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent, cluster_events, retime
-from .scenario import ScenarioError, load_scenario
-from .simulate import export_csv, run
+from .scenario import Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass
+from .simulate import RETIMED_HEADER, export_csv, run
 from .wave import CableGeometry
 
 log = logging.getLogger(__name__)
@@ -50,34 +49,41 @@ def cmd_simulate(args) -> int:
 
 
 def _load_geometry(path: Path) -> CableGeometry:
-    raw = yaml.safe_load(path.read_text())
-    if not isinstance(raw, dict):
-        raise ScenarioError(["geometry file must be a mapping"])
-    block = raw.get("geometry", raw)
-    if not isinstance(block, dict) or "sensor_ids" not in block or "positions_m" not in block:
-        raise ScenarioError(["geometry file needs sensor_ids and positions_m"])
-    return CableGeometry(
-        tuple(int(i) for i in block["sensor_ids"]),
-        tuple(float(p) for p in block["positions_m"]),
-    )
+    """A bare sensor_ids/positions_m mapping, or a scenario file's geometry."""
+    raw = load_yaml_mapping(path, "geometry file")
+    if "geometry" in raw:
+        return read_dataclass(Scenario, raw).geometry
+    return read_dataclass(CableGeometry, raw)
+
+
+def _load_retimed(path: Path) -> list[RetimedEvent]:
+    """The events of a retimed.csv, each bad cell named by file, line and column."""
+    kinds = typing.get_type_hints(RetimedEvent)
+    events = []
+    with open(path, newline="") as f:
+        rows = csv.DictReader(f)
+        missing = [c for c in RETIMED_HEADER if c not in (rows.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column {', '.join(missing)}")
+        for row in rows:
+            values = {"flag": row["flag"] or None}
+            for column in RETIMED_HEADER:
+                if column == "flag":
+                    continue
+                try:
+                    values[column] = kinds[column](row[column])
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}, line {rows.line_num}, column {column}: "
+                        f"bad value {row[column]!r}"
+                    ) from None
+            events.append(RetimedEvent(**values))
+    return events
 
 
 def cmd_localize(args) -> int:
     geometry = _load_geometry(Path(args.geometry))
-    events: list[RetimedEvent] = []
-    with open(args.retimed, newline="") as f:
-        for row in csv.DictReader(f):
-            flag = row.get("flag") or None
-            events.append(
-                RetimedEvent(
-                    sensor_id=int(row["sensor_id"]),
-                    period_index=int(row["period_index"]),
-                    retimed_us=float(row["retimed_us"]),
-                    raw_ticks=int(row["raw_ticks"]),
-                    amplitude_g=float(row["amplitude_g"]),
-                    flag=flag,
-                )
-            )
+    events = _load_retimed(Path(args.retimed))
     if not events:
         print("no retimed events")
         return 0
@@ -195,7 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localize", help="estimate positions from a retimed.csv")
     p.add_argument("retimed", help="retimed.csv as written by simulate")
-    p.add_argument("--geometry", required=True, help="YAML with sensor_ids/positions_m")
+    p.add_argument(
+        "--geometry", required=True,
+        help="YAML with sensor_ids/positions_m, or a scenario file",
+    )
     p.add_argument(
         "--window-us", type=float, default=DEFAULT_COINCIDENCE_WINDOW_US,
         help="coincidence window for clustering (default %(default)s)",

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-import yaml
-
 from .protocol import CompletedPeriod, SupervisorProtocol
 from .retiming import RetimedEvent
-from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
+from .scenario import (
+    Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
+)
 from .simulate import EstimateRow, postprocess_periods, sensor_nodes
 from .wire import (
     WireFormatError,
@@ -63,7 +63,8 @@ class LiveConfig:
     OS-assigned one (in-process runs resolve it automatically; separate
     processes need fixed ports). broadcast_address switches the supervisor
     to a single broadcast datagram per frame, with every agent sharing
-    sync_port_base.
+    sync_port_base. Every port, given or counted up from sync_port_base,
+    must lie in 0-65535.
     """
 
     scenario: Scenario
@@ -77,21 +78,32 @@ class LiveConfig:
     timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
+        problems = []
         if self.periods < 2:
-            raise ValueError(
+            problems.append(
                 f"need at least 2 sync periods to close one, got {self.periods!r}"
             )
         if self.scenario.network.drop_probability != 0.0:
-            raise ValueError(
+            problems.append(
                 "live mode sends real datagrams; modeled drop_probability must be 0"
             )
         if self.pace_s < 0 or self.timeout_s <= 0:
-            raise ValueError("pace_s must be >= 0 and timeout_s > 0")
+            problems.append("pace_s must be >= 0 and timeout_s > 0")
         if self.sync_ports is not None:
             missing = set(self.scenario.geometry.sensor_ids) - set(self.sync_ports)
             if missing:
-                raise ValueError(f"sync_ports missing sensors {sorted(missing)}")
+                problems.append(f"sync_ports missing sensors {sorted(missing)}")
             object.__setattr__(self, "sync_ports", dict(self.sync_ports))
+        # resolved, so that ports counted up from sync_port_base are checked too
+        ports = {"report_port": self.report_port, "sync_port_base": self.sync_port_base}
+        ports.update((f"sync_ports[{sid}]", p) for sid, p in self.resolved_sync_ports().items())
+        problems.extend(
+            f"{name} must be a port in 0-65535, got {port!r}"
+            for name, port in ports.items()
+            if not 0 <= port <= 65535
+        )
+        if problems:
+            raise ScenarioError(problems)
 
     def resolved_sync_ports(self) -> dict[int, int]:
         if self.sync_ports is not None:
@@ -296,67 +308,14 @@ def run_live(config: LiveConfig) -> LiveRunResult:
     return result
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
-def _port_map(value) -> dict[int, int]:
-    if not isinstance(value, dict):
-        raise TypeError(value)
-    return {int(k): int(v) for k, v in value.items()}
-
-
-# LiveConfig fields besides the scenario: how to read each from the file,
-# and what a value that fails to read should have been
-_WIRING_FIELDS = {
-    "periods": (int, "an integer"),
-    "host": (_text, "a string"),
-    "report_port": (int, "an integer"),
-    "sync_ports": (_port_map, "a map of sensor id to port"),
-    "sync_port_base": (int, "an integer"),
-    "broadcast_address": (_text, "a string"),
-    "pace_s": (float, "a number"),
-    "timeout_s": (float, "a number"),
-}
-
-
 def load_live_config(source: Union[str, Path]) -> LiveConfig:
-    """Load a live-run config: scenario (inline mapping or file path) plus wiring."""
+    """Load a live-run config: scenario (inline mapping or file path) plus wiring.
+
+    A scenario path is relative to the config file's directory.
+    """
     path = Path(source)
-    if not path.exists():
-        raise ScenarioError([f"live config file not found: {path}"])
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as e:
-        raise ScenarioError([f"live config is not valid YAML: {e}"]) from None
-    if not isinstance(raw, dict):
-        raise ScenarioError(["live config must be a mapping"])
-    problems = [f"unknown field '{k}'" for k in raw if k != "scenario" and k not in _WIRING_FIELDS]
-    for name in ("scenario", "periods"):
-        if raw.get(name) is None:
-            problems.append(f"field '{name}' is required")
-    if problems:
-        raise ScenarioError(problems)
-    sc = raw["scenario"]
-    if isinstance(sc, str):
-        scenario = load_scenario(path.parent / sc if not Path(sc).is_absolute() else sc)
-    elif isinstance(sc, dict):
-        scenario = scenario_from_dict(sc)
-    else:
-        raise ScenarioError(["field 'scenario' must be a mapping or a file path"])
-    wiring = {}
-    for name, (convert, expected) in _WIRING_FIELDS.items():
-        if raw.get(name) is None:
-            continue  # LiveConfig's default
-        try:
-            wiring[name] = convert(raw[name])
-        except (TypeError, ValueError):
-            problems.append(f"field '{name}' must be {expected}, got {raw[name]!r}")
-    if problems:
-        raise ScenarioError(problems)
-    try:
-        return LiveConfig(scenario=scenario, **wiring)
-    except ValueError as e:
-        raise ScenarioError([str(e)]) from None
+    raw = load_yaml_mapping(path, "live config")
+    given = {}
+    if isinstance(raw.get("scenario"), str):
+        given["scenario"] = load_scenario(path.parent / raw["scenario"])
+    return read_dataclass(LiveConfig, raw, given)

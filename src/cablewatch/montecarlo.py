@@ -12,8 +12,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .clock import MAX_DRIFT_PPM
 from .scenario import NetworkConfig, Scenario
 from .simulate import run
@@ -116,6 +114,20 @@ def run_trial(
     )
 
 
+def percentile(sorted_values: list[float], q: float) -> float:
+    """The q-th percentile of an ascending list by linear interpolation
+    between closest ranks, bit-equal to numpy.percentile's default method."""
+    pos = (len(sorted_values) - 1) * (q / 100)
+    i = math.floor(pos)
+    frac = pos - i
+    a = sorted_values[i]
+    b = sorted_values[min(i + 1, len(sorted_values) - 1)]
+    # numpy interpolates from the nearer end, which rounds differently
+    if frac >= 0.5:
+        return b - (b - a) * (1 - frac)
+    return a + (b - a) * frac
+
+
 def run_study(
     base: Scenario | None = None,
     trials: int = DEFAULT_TRIALS,
@@ -137,17 +149,16 @@ def run_study(
                   drift_range_ppm=drift_range_ppm)
         for t in range(trials)
     )
-    errors = np.array([t.abs_error_m for t in results if not t.failed])
-    failures = sum(1 for t in results if t.failed)
-    if errors.size:
-        p50, p99 = np.percentile(errors, [50.0, 99.0])
-        mx = float(errors.max())
+    errors = sorted(t.abs_error_m for t in results if not t.failed)
+    failures = len(results) - len(errors)
+    if errors:
+        p50, p99, mx = percentile(errors, 50.0), percentile(errors, 99.0), errors[-1]
     else:
         p50 = p99 = mx = math.nan
     return StudyResult(
         trials=results,
-        p50_m=float(p50),
-        p99_m=float(p99),
+        p50_m=p50,
+        p99_m=p99,
         max_m=mx,
         failures=failures,
     )

@@ -1,16 +1,22 @@
 """Scenario definition: everything a run needs, loadable from a YAML file.
 
-The file mirrors the Scenario fields, nested the same way. Unknown fields are
-rejected by name and validation problems are reported all at once, so a bad
-scenario file produces one complete diagnosis instead of a fix-one-rerun loop.
+The file mirrors the Scenario fields, nested the same way. read_dataclass is
+the one reader for every YAML input (scenario, live config, localize
+geometry): it takes field names, required fields and defaults from the
+dataclasses themselves, rejects unknown fields by path and reports every
+problem at once, so a bad file produces one complete diagnosis instead of a
+fix-one-rerun loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, Mapping, Optional, Sequence, TypeVar, Union, get_args, get_origin, get_type_hints,
+)
 
 import yaml
 
@@ -31,6 +37,8 @@ from .wave import (
 )
 
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
+
+T = TypeVar("T")
 
 
 class ScenarioError(ValueError):
@@ -210,241 +218,196 @@ class Scenario:
         return (math.floor(latest / t) + 2) * t
 
 
+_NO_VALUE = object()  # a field left to its default, or one whose problem is recorded
+
+
 def _err_path(prefix: str, key: str) -> str:
     return f"{prefix}.{key}" if prefix else key
 
 
-def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], prefix: str, errors: list[str]) -> None:
-    for key in mapping:
-        if key not in allowed:
-            errors.append(f"unknown field '{_err_path(prefix, str(key))}'")
+def _prefixed(path: str, problem: str) -> str:
+    return f"{path}: {problem}" if path else problem
 
 
-def _numeric(v):
-    """v as a number, else None. Strings get one float() attempt because
-    YAML 1.1 resolves exponent forms without a sign ('1.5e6') as strings."""
-    if isinstance(v, bool):
-        return None
-    if isinstance(v, (int, float)):
-        return v
-    if isinstance(v, str):
+def _as_number(value, kind: type):
+    """value as kind (int or float) by the one number rule, else None.
+
+    Bools are not numbers. Strings get one float() attempt because YAML 1.1
+    resolves exponent forms without a sign ('1.5e6') as strings.
+    """
+    if isinstance(value, str):
         try:
-            f = float(v)
+            value = float(value)
         except ValueError:
             return None
-        return f if math.isfinite(f) else None
-    return None
+        if not math.isfinite(value):
+            return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            return None
+        return int(value)
+    return float(value)
 
 
-def _get_number(mapping, key, prefix, errors, default=None):
-    if key not in mapping or mapping[key] is None:
-        return default
-    v = _numeric(mapping[key])
-    if v is None:
-        errors.append(
-            f"field '{_err_path(prefix, key)}' must be a number, got {mapping[key]!r}"
-        )
-        return default
-    return v
+def _convert(value, hint, path: str, errors: list[str]):
+    """value read as its declared type, or _NO_VALUE with the problem recorded."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]: a null never gets here, it means absent
+        (inner,) = [a for a in args if a is not type(None)]
+        return _convert(value, inner, path, errors)
+    if is_dataclass(hint):
+        return _read(hint, value, path, errors)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            errors.append(f"field '{path}' must be a list, got {value!r}")
+            return _NO_VALUE
+        items = [_convert(v, args[0], f"{path}[{i}]", errors) for i, v in enumerate(value)]
+        return _NO_VALUE if any(i is _NO_VALUE for i in items) else tuple(items)
+    if origin in (dict, abc.Mapping):
+        if not isinstance(value, Mapping):
+            errors.append(f"field '{path}' must be a mapping, got {value!r}")
+            return _NO_VALUE
+        out, ok = {}, True
+        for k, v in value.items():
+            key = _as_number(k, args[0])
+            if key is None:
+                errors.append(f"field '{path}' must be keyed by integers, got key {k!r}")
+                ok = False
+                continue
+            out[key] = _convert(v, args[1], f"{path}[{key}]", errors)
+            ok = ok and out[key] is not _NO_VALUE
+        return out if ok else _NO_VALUE
+    if hint is str:
+        if isinstance(value, str):
+            return value
+        errors.append(f"field '{path}' must be a string, got {value!r}")
+        return _NO_VALUE
+    if hint in (int, float):
+        number = _as_number(value, hint)
+        if number is None:
+            expected = "an integer" if hint is int else "a number"
+            errors.append(f"field '{path}' must be {expected}, got {value!r}")
+            return _NO_VALUE
+        return number
+    raise TypeError(f"no reader for {hint!r} at '{path}'")
 
 
-def _get_int(mapping, key, prefix, errors, default=None):
-    v = _get_number(mapping, key, prefix, errors, default)
-    if v is None or v == default and key not in mapping:
-        return default
-    if int(v) != v:
-        errors.append(f"field '{_err_path(prefix, key)}' must be an integer, got {v!r}")
-        return default
-    return int(v)
+def _per_sensor_drift(raw: Mapping[str, Any], path: str, errors: list[str]) -> dict:
+    """geometry and drift_ppm for a scenario that lists one drift per sensor,
+    in geometry order, instead of mapping sensor ids to drifts."""
+    drift = raw["drift_ppm"]
+    given = {"drift_ppm": _NO_VALUE}
+    if raw.get("geometry") is None:
+        return given  # the caller reports the missing geometry
+    geometry = given["geometry"] = _read(
+        CableGeometry, raw["geometry"], _err_path(path, "geometry"), errors
+    )
+    if geometry is _NO_VALUE:
+        return given
+    dpath = _err_path(path, "drift_ppm")
+    ids = geometry.sensor_ids
+    if len(drift) != len(ids):
+        errors.append(f"field '{dpath}' list has {len(drift)} entries for {len(ids)} sensors")
+        return given
+    ppm = [_convert(v, float, f"{dpath}[{i}]", errors) for i, v in enumerate(drift)]
+    if all(p is not _NO_VALUE for p in ppm):
+        given["drift_ppm"] = dict(zip(ids, ppm))
+    return given
 
 
-def _int_keyed(mapping, prefix, errors) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for k, v in mapping.items():
-        try:
-            kid = int(k)
-        except (TypeError, ValueError):
-            errors.append(f"field '{prefix}': key {k!r} is not a sensor id")
-            continue
-        num = _numeric(v)
-        if num is None:
-            errors.append(f"field '{prefix}[{kid}]' must be a number, got {v!r}")
-            continue
-        out[kid] = float(num)
-    return out
+def _read(cls, raw, path: str, errors: list[str], given: Optional[Mapping[str, Any]] = None):
+    """The dataclass cls built from a YAML mapping, or _NO_VALUE.
+
+    Field names, required fields and defaults come from cls itself; a null
+    field counts as absent. Every problem goes to errors by its path, and
+    cls's constructor still runs when only defaulted fields failed to read,
+    so its own checks are reported too. given holds fields the caller has
+    already read.
+    """
+    if not isinstance(raw, Mapping):
+        errors.append(f"field '{path}' must be a mapping, got {raw!r}")
+        return _NO_VALUE
+    given = dict(given or {})
+    if cls is Scenario and isinstance(raw.get("drift_ppm"), (list, tuple)):
+        given.update(_per_sensor_drift(raw, path, errors))
+    declared = fields(cls)
+    names = {f.name for f in declared}
+    errors.extend(f"unknown field '{_err_path(path, str(k))}'" for k in raw if k not in names)
+    hints = get_type_hints(cls)
+    values, complete = {}, True
+    for f in declared:
+        required = f.default is MISSING and f.default_factory is MISSING
+        sub = _err_path(path, f.name)
+        if f.name in given:
+            value = given[f.name]
+        elif raw.get(f.name) is not None:
+            value = _convert(raw[f.name], hints[f.name], sub, errors)
+        else:
+            value = _NO_VALUE
+            if required:
+                errors.append(f"field '{sub}' is required")
+        if value is not _NO_VALUE:
+            values[f.name] = value
+        elif required:
+            complete = False
+    if not complete:
+        return _NO_VALUE
+    try:
+        return cls(**values)
+    except ScenarioError as e:
+        errors.extend(_prefixed(path, p) for p in e.problems)
+    except ValueError as e:
+        errors.append(_prefixed(path, str(e)))
+    return _NO_VALUE
 
 
-_TOP_FIELDS = {
-    "geometry", "drift_ppm", "wave_speed_m_s", "threshold_g", "sampling_period_ticks",
-    "sync_period_T_us", "coincidence_window_us",
-    "attenuation_per_m", "network", "ruptures", "spurious_events", "seed",
-    "run_duration_us",
-}
-_NETWORK_FIELDS = {
-    "rf_speed_m_s", "supervisor_position_m", "latency_mean_us",
-    "latency_jitter_us", "drop_probability", "radio_positions_m",
-}
-_RUPTURE_FIELDS = {"position_m", "time_ref_us", "peak_amplitude_g"}
-_SPURIOUS_FIELDS = {"sensor_id", "time_ref_us", "amplitude_g"}
+def read_dataclass(cls: type[T], raw: Any, given: Optional[Mapping[str, Any]] = None) -> T:
+    """Build the dataclass cls (Scenario, LiveConfig, CableGeometry, ...) from
+    a mapping loaded from YAML, converting each field by its declared type.
+
+    Raises:
+        ScenarioError: with every problem found (unknown fields, missing
+            required fields, bad values, cls's own checks), each named by
+            its path, e.g. 'ruptures[1].time_ref_us'.
+    """
+    errors: list[str] = []
+    if not isinstance(raw, Mapping):
+        raise ScenarioError([f"input must be a mapping, got {type(raw).__name__}"])
+    obj = _read(cls, raw, "", errors, given)
+    if errors:
+        raise ScenarioError(errors)
+    return obj
 
 
-def load_scenario(source: Union[str, Path]) -> Scenario:
-    """Load and validate a scenario from a YAML file path or YAML text.
+def load_yaml_mapping(path: Union[str, Path], what: str) -> dict:
+    """The top-level mapping of a YAML file; an empty file reads as {}."""
+    path = Path(path)
+    if not path.exists():
+        raise ScenarioError([f"{what} file not found: {path}"])
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as e:
+        raise ScenarioError([f"{what} is not valid YAML: {e}"]) from None
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ScenarioError([f"{what} must be a mapping, got {type(raw).__name__}"])
+    return raw
+
+
+def load_scenario(path: Union[str, Path]) -> Scenario:
+    """Load and validate a scenario from a YAML file.
 
     Raises:
         ScenarioError: with every problem found (unknown fields, bad types,
             violated invariants), not just the first.
     """
-    looks_like_path = isinstance(source, Path) or (
-        isinstance(source, str)
-        and "\n" not in source
-        and len(source) < 4096
-        and (source.endswith((".yaml", ".yml")) or Path(source).exists())
-    )
-    if looks_like_path:
-        path = Path(source)
-        if not path.exists():
-            raise ScenarioError([f"scenario file not found: {path}"])
-        text = path.read_text()
-    else:
-        text = str(source)
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        raise ScenarioError([f"scenario is not valid YAML: {e}"]) from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ScenarioError([f"scenario must be a mapping, got {type(raw).__name__}"])
-    return scenario_from_dict(raw)
+    return scenario_from_dict(load_yaml_mapping(path, "scenario"))
 
 
 def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
-    errors: list[str] = []
-    _reject_unknown(raw, _TOP_FIELDS, "", errors)
-
-    geometry = None
-    geo = raw.get("geometry")
-    if geo is None:
-        errors.append("field 'geometry' is required")
-    elif not isinstance(geo, Mapping):
-        errors.append("field 'geometry' must be a mapping")
-    else:
-        _reject_unknown(geo, {"sensor_ids", "positions_m"}, "geometry", errors)
-        ids = geo.get("sensor_ids")
-        pos = geo.get("positions_m")
-        if not isinstance(ids, Sequence) or isinstance(ids, (str, bytes)):
-            errors.append("field 'geometry.sensor_ids' must be a list of ids")
-            ids = None
-        if not isinstance(pos, Sequence) or isinstance(pos, (str, bytes)):
-            errors.append("field 'geometry.positions_m' must be a list of positions")
-            pos = None
-        if ids is not None and pos is not None:
-            try:
-                geometry = CableGeometry(tuple(int(i) for i in ids), tuple(float(p) for p in pos))
-            except (TypeError, ValueError) as e:
-                errors.append(f"geometry: {e}")
-
-    drift: dict[int, float] = {}
-    d = raw.get("drift_ppm")
-    if d is not None:
-        if isinstance(d, Mapping):
-            drift = _int_keyed(d, "drift_ppm", errors)
-        elif isinstance(d, Sequence) and not isinstance(d, (str, bytes)):
-            if geometry is not None and len(d) != len(geometry.sensor_ids):
-                errors.append(
-                    f"drift_ppm list has {len(d)} entries for {len(geometry.sensor_ids)} sensors"
-                )
-            elif geometry is not None:
-                for sid, v in zip(geometry.sensor_ids, d):
-                    num = _numeric(v)
-                    if num is None:
-                        errors.append(
-                            f"field 'drift_ppm' entry for sensor {sid} must be a "
-                            f"number, got {v!r}"
-                        )
-                    else:
-                        drift[sid] = float(num)
-        else:
-            errors.append("field 'drift_ppm' must be a map or a per-sensor list")
-
-    net = NetworkConfig()
-    n = raw.get("network")
-    if n is not None:
-        if not isinstance(n, Mapping):
-            errors.append("field 'network' must be a mapping")
-        else:
-            _reject_unknown(n, _NETWORK_FIELDS, "network", errors)
-            radio = None
-            if n.get("radio_positions_m") is not None:
-                if not isinstance(n["radio_positions_m"], Mapping):
-                    errors.append("field 'network.radio_positions_m' must be a map")
-                else:
-                    radio = _int_keyed(n["radio_positions_m"], "network.radio_positions_m", errors)
-            net = NetworkConfig(
-                rf_speed_m_s=_get_number(n, "rf_speed_m_s", "network", errors, DEFAULT_RF_SPEED_M_S),
-                supervisor_position_m=_get_number(n, "supervisor_position_m", "network", errors, None),
-                latency_mean_us=_get_number(n, "latency_mean_us", "network", errors, DEFAULT_LATENCY_MEAN_US),
-                latency_jitter_us=_get_number(n, "latency_jitter_us", "network", errors, DEFAULT_LATENCY_JITTER_US),
-                drop_probability=_get_number(n, "drop_probability", "network", errors, 0.0),
-                radio_positions_m=radio,
-            )
-
-    ruptures: list[RuptureEvent] = []
-    for i, r in enumerate(raw.get("ruptures") or []):
-        if not isinstance(r, Mapping):
-            errors.append(f"ruptures[{i}] must be a mapping")
-            continue
-        _reject_unknown(r, _RUPTURE_FIELDS, f"ruptures[{i}]", errors)
-        pos = _get_number(r, "position_m", f"ruptures[{i}]", errors)
-        t = _get_number(r, "time_ref_us", f"ruptures[{i}]", errors)
-        amp = _get_number(r, "peak_amplitude_g", f"ruptures[{i}]", errors, 1.0)
-        if pos is None or t is None:
-            errors.append(f"ruptures[{i}] needs position_m and time_ref_us")
-            continue
-        try:
-            ruptures.append(RuptureEvent(position_m=pos, time_ref_us=t, peak_amplitude_g=amp))
-        except ValueError as e:
-            errors.append(f"ruptures[{i}]: {e}")
-
-    spurious: list[SpuriousEvent] = []
-    for i, s in enumerate(raw.get("spurious_events") or []):
-        if not isinstance(s, Mapping):
-            errors.append(f"spurious_events[{i}] must be a mapping")
-            continue
-        _reject_unknown(s, _SPURIOUS_FIELDS, f"spurious_events[{i}]", errors)
-        sid = _get_int(s, "sensor_id", f"spurious_events[{i}]", errors)
-        t = _get_number(s, "time_ref_us", f"spurious_events[{i}]", errors)
-        amp = _get_number(s, "amplitude_g", f"spurious_events[{i}]", errors, 1.0)
-        if sid is None or t is None:
-            errors.append(f"spurious_events[{i}] needs sensor_id and time_ref_us")
-            continue
-        spurious.append(SpuriousEvent(sensor_id=sid, time_ref_us=t, amplitude_g=amp))
-
-    kwargs = dict(
-        wave_speed_m_s=_get_number(raw, "wave_speed_m_s", "", errors, DEFAULT_WAVE_SPEED_M_S),
-        threshold_g=_get_number(raw, "threshold_g", "", errors, DEFAULT_THRESHOLD_G),
-        sampling_period_ticks=_get_int(raw, "sampling_period_ticks", "", errors, DEFAULT_SAMPLING_PERIOD_TICKS),
-        sync_period_T_us=_get_int(raw, "sync_period_T_us", "", errors, DEFAULT_SYNC_PERIOD_T_US),
-        coincidence_window_us=_get_number(raw, "coincidence_window_us", "", errors, DEFAULT_COINCIDENCE_WINDOW_US),
-        attenuation_per_m=_get_number(raw, "attenuation_per_m", "", errors, 0.0),
-        seed=_get_int(raw, "seed", "", errors, 0),
-        run_duration_us=_get_number(raw, "run_duration_us", "", errors, None),
-    )
-
-    if geometry is None:
-        raise ScenarioError(errors or ["field 'geometry' is required"])
-    try:
-        scenario = Scenario(
-            geometry=geometry,
-            drift_ppm=drift,
-            network=net,
-            ruptures=tuple(ruptures),
-            spurious_events=tuple(spurious),
-            **kwargs,
-        )
-    except ScenarioError as e:
-        raise ScenarioError(errors + e.problems) from None
-    if errors:
-        raise ScenarioError(errors)
-    return scenario
+    """A Scenario from a mapping shaped like its fields; drift_ppm may also be
+    a list with one entry per sensor, in geometry order."""
+    return read_dataclass(Scenario, raw)

@@ -23,6 +23,11 @@ SCENARIO_YAML = textwrap.dedent(
 
 GEOMETRY_YAML = "geometry:\n  sensor_ids: [1, 2, 3, 4]\n  positions_m: [0.0, 10.0, 20.0, 30.0]\n"
 
+RETIMED_CSV = (
+    "period_index,sensor_id,retimed_us,raw_ticks,amplitude_g,flag\n"
+    "1,1,500002.8,1500003,1.0,\n"
+)
+
 
 @pytest.fixture
 def scenario_file(tmp_path):
@@ -90,6 +95,54 @@ class TestLocalize:
         rc = main(["localize", str(p), "--geometry", str(geom)])
         assert rc == 0
         assert "no retimed events" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("sensor_ids: 5\npositions_m: [0.0, 1.0]\n", "field 'sensor_ids' must be a list, got 5"),
+            ("sensor_ids: [1, 2, 3\n", "geometry file is not valid YAML"),
+            (
+                "sensor_ids: [1, 2, 3]\npositions_m: [0.0, 1.0, 2.0]\ncolour: red\n",
+                "unknown field 'colour'",
+            ),
+            (GEOMETRY_YAML + "colour: red\n", "unknown field 'colour'"),
+        ],
+        ids=["sensor_ids_scalar", "invalid_yaml", "unknown_field", "unknown_field_nested"],
+    )
+    def test_bad_geometry_file_is_an_error(self, tmp_path, capsys, text, problem):
+        p = tmp_path / "retimed.csv"
+        p.write_text(RETIMED_CSV)
+        geom = tmp_path / "geom.yaml"
+        geom.write_text(text)
+        rc = main(["localize", str(p), "--geometry", str(geom)])
+        assert rc == 1
+        assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (
+                "period_index,sensor_id,retimed_us,amplitude_g,flag\n1,1,500002.8,1.0,\n",
+                "retimed.csv: missing column raw_ticks",
+            ),
+            (
+                RETIMED_CSV + "2,two,512.0,512,1.0,\n",
+                "retimed.csv, line 3, column sensor_id: bad value 'two'",
+            ),
+        ],
+        ids=["missing_column", "bad_cell"],
+    )
+    def test_malformed_retimed_csv_is_named_by_line_and_column(
+        self, tmp_path, capsys, text, problem
+    ):
+        p = tmp_path / "retimed.csv"
+        p.write_text(text)
+        geom = tmp_path / "geom.yaml"
+        geom.write_text(GEOMETRY_YAML)
+        rc = main(["localize", str(p), "--geometry", str(geom)])
+        assert rc == 1
+        assert problem in capsys.readouterr().err
 
 
 class TestSyncDemo:
@@ -181,6 +234,20 @@ class TestLiveCommands:
         m = re.search(r"x_est = ([0-9.]+) m", out)
         assert m is not None
         assert abs(float(m.group(1)) - 14.0) <= 0.15
+
+    def test_supervise_port_out_of_range_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "live.yaml"
+        cfg.write_text(
+            "periods: 2\n"
+            "report_port: 70000\n"
+            "scenario:\n"
+            "  geometry:\n"
+            "    sensor_ids: [1, 2, 3]\n"
+            "    positions_m: [0.0, 1.0, 2.0]\n"
+        )
+        rc = main(["supervise", str(cfg)])
+        assert rc == 1
+        assert "error: report_port must be a port in 0-65535" in capsys.readouterr().err
 
     def test_agent_unknown_sensor_errors(self, tmp_path, capsys):
         cfg = tmp_path / "live.yaml"

@@ -288,8 +288,13 @@ class TestLiveConfigFile:
             ("sync_ports: [47801, 47803, 47804]", "sync_ports"),
             ("sync_ports: {one: 47801}", "sync_ports"),
             ("broadcast_address: 5", "broadcast_address"),
+            ("periods: 2.7", "periods"),
+            ("pace_s: true", "pace_s"),
         ],
-        ids=["sync_ports_list", "sync_ports_named_key", "broadcast_address_number"],
+        ids=[
+            "sync_ports_list", "sync_ports_named_key", "broadcast_address_number",
+            "periods_fraction", "pace_s_bool",
+        ],
     )
     def test_bad_field_is_rejected_by_name(self, tmp_path, line, field):
         p = tmp_path / "live.yaml"
@@ -303,3 +308,27 @@ class TestLiveConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_live_config(tmp_path / "nope.yaml")
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("report_port: 70000", "report_port must be a port in 0-65535, got 70000"),
+            ("sync_port_base: 65536", "sync_port_base must be a port in 0-65535, got 65536"),
+            (
+                "sync_ports: {1: -1, 2: 47803, 3: 47804}",
+                "sync_ports[1] must be a port in 0-65535, got -1",
+            ),
+            # sensors 1-3 count up from the base: 65534, 65535, 65536
+            ("sync_port_base: 65534", "sync_ports[3] must be a port in 0-65535, got 65536"),
+        ],
+        ids=["report_port", "sync_port_base", "sync_ports", "sync_port_counted_from_base"],
+    )
+    def test_port_out_of_range_is_rejected_by_name(self, tmp_path, line, problem):
+        p = tmp_path / "live.yaml"
+        p.write_text(
+            "periods: 2\nscenario: {geometry: {sensor_ids: [1,2,3], positions_m: [0,1,2]}}\n"
+            + line + "\n"
+        )
+        with pytest.raises(ScenarioError) as e:
+            load_live_config(p)
+        assert problem in e.value.problems

@@ -1,11 +1,18 @@
 """Monte-Carlo study mechanics: determinism, reduction, knobs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cablewatch
 from cablewatch.montecarlo import (
     accuracy_study_scenario,
+    percentile,
     run_study,
     run_trial,
 )
@@ -82,3 +89,23 @@ class TestStudy:
         res = run_study(base=base, trials=10, master_seed=5)
         assert res.failures == 0
         assert all(0 <= t.x_true_m <= 10.0 for t in res.trials)
+
+
+class TestPercentile:
+    def test_matches_numpy_on_the_acceptance_study(self):
+        res = run_study(trials=1000, master_seed=0, jitter_us=3.0)
+        errors = [t.abs_error_m for t in res.trials if not t.failed]
+        assert res.p50_m == float(np.percentile(errors, 50.0))
+        assert res.p99_m == float(np.percentile(errors, 99.0))
+        assert res.max_m == max(errors)
+
+    def test_one_value_is_every_percentile(self):
+        assert percentile([0.25], 50.0) == percentile([0.25], 99.0) == 0.25
+        res = run_study(trials=1, master_seed=5)
+        assert res.p50_m == res.p99_m == res.max_m
+
+    def test_import_leaves_numpy_out(self):
+        src = str(Path(cablewatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, cablewatch; assert 'numpy' not in sys.modules, 'numpy imported'"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -27,6 +27,18 @@ MINIMAL_YAML = textwrap.dedent(
 )
 
 
+@pytest.fixture
+def load_text(tmp_path):
+    """load_scenario on YAML text, written to a file first."""
+
+    def load(text):
+        p = tmp_path / "scene.yaml"
+        p.write_text(text)
+        return load_scenario(p)
+
+    return load
+
+
 class TestScenarioDefaults:
     def test_minimal_scenario_uses_documented_defaults(self):
         s = Scenario(geometry=GEOM)
@@ -151,8 +163,8 @@ class TestEffectiveDuration:
 
 
 class TestYamlLoading:
-    def test_minimal_text_loads_with_defaults(self):
-        s = load_scenario(MINIMAL_YAML)
+    def test_minimal_text_loads_with_defaults(self, load_text):
+        s = load_text(MINIMAL_YAML)
         assert s.geometry == GEOM
         assert s.sync_period_T_us == DEFAULT_SYNC_PERIOD_T_US
 
@@ -166,13 +178,16 @@ class TestYamlLoading:
     def test_missing_file_is_a_scenario_error(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
+        # a path without a YAML suffix is still a path, never YAML text
+        with pytest.raises(ScenarioError, match="not found"):
+            load_scenario(str(tmp_path / "scenes" / "missing"))
 
-    def test_unknown_field_is_named_with_its_path(self):
+    def test_unknown_field_is_named_with_its_path(self, load_text):
         text = MINIMAL_YAML + "\nnetwork:\n  colour: blue\n"
         with pytest.raises(ScenarioError, match="unknown field 'network.colour'"):
-            load_scenario(text)
+            load_text(text)
 
-    def test_unknown_nested_geometry_field(self):
+    def test_unknown_nested_geometry_field(self, load_text):
         text = textwrap.dedent(
             """
             geometry:
@@ -182,9 +197,9 @@ class TestYamlLoading:
             """
         )
         with pytest.raises(ScenarioError, match="unknown field 'geometry.colour'"):
-            load_scenario(text)
+            load_text(text)
 
-    def test_full_scenario_round_trip(self):
+    def test_full_scenario_round_trip(self, load_text):
         text = textwrap.dedent(
             """
             geometry:
@@ -205,7 +220,7 @@ class TestYamlLoading:
             seed: 42
             """
         )
-        s = load_scenario(text)
+        s = load_text(text)
         assert s.drift_ppm == {1: 50.0, 2: -50.0, 3: 12.5, 4: 0.0}
         assert s.wave_speed_m_s == 5400
         assert s.sync_period_T_us == 500_000
@@ -214,17 +229,17 @@ class TestYamlLoading:
         assert s.spurious_events[0] == SpuriousEvent(2, 900_000.0, 1.1)
         assert s.seed == 42
 
-    def test_drift_list_form_follows_geometry_order(self):
+    def test_drift_list_form_follows_geometry_order(self, load_text):
         text = MINIMAL_YAML + "\ndrift_ppm: [50, -50, 0, 10]\n"
-        s = load_scenario(text)
+        s = load_text(text)
         assert s.drift_ppm == {1: 50.0, 2: -50.0, 3: 0.0, 4: 10.0}
 
-    def test_drift_list_length_mismatch(self):
+    def test_drift_list_length_mismatch(self, load_text):
         text = MINIMAL_YAML + "\ndrift_ppm: [50, -50]\n"
         with pytest.raises(ScenarioError, match="2 entries for 4 sensors"):
-            load_scenario(text)
+            load_text(text)
 
-    def test_unsigned_exponent_notation_accepted(self):
+    def test_unsigned_exponent_notation_accepted(self, load_text):
         # YAML 1.1 resolves 1.5e6 (no exponent sign) as a string; the loader
         # has to take it anyway because every YAML author writes it
         text = MINIMAL_YAML + textwrap.dedent(
@@ -235,20 +250,20 @@ class TestYamlLoading:
             run_duration_us: 4e6
             """
         )
-        s = load_scenario(text)
+        s = load_text(text)
         assert s.ruptures[0].time_ref_us == 1_500_000.0
         assert s.run_duration_us == 4_000_000.0
         assert s.drift_ppm[1] == 10.0
 
-    def test_non_numeric_strings_still_rejected(self):
+    def test_non_numeric_strings_still_rejected(self, load_text):
         text = MINIMAL_YAML + "\ndrift_ppm: [fast, -50, 0, 10]\nthreshold_g: warm\n"
         with pytest.raises(ScenarioError) as e:
-            load_scenario(text)
+            load_text(text)
         msg = str(e.value)
-        assert "drift_ppm' entry for sensor 1 must be a number, got 'fast'" in msg
+        assert "field 'drift_ppm[0]' must be a number, got 'fast'" in msg
         assert "threshold_g' must be a number, got 'warm'" in msg
 
-    def test_loader_collects_errors_from_every_section(self):
+    def test_loader_collects_errors_from_every_section(self, load_text):
         text = textwrap.dedent(
             """
             geometry:
@@ -264,21 +279,45 @@ class TestYamlLoading:
             """
         )
         with pytest.raises(ScenarioError) as e:
-            load_scenario(text)
+            load_text(text)
         msgs = "\n".join(e.value.problems)
         assert "unknown field 'bogus_top'" in msgs
         assert "'wave_speed_m_s' must be a number" in msgs
-        assert "ruptures[0] needs position_m and time_ref_us" in msgs
+        assert "field 'ruptures[0].time_ref_us' is required" in msgs
         assert "unknown field 'ruptures[1].typo'" in msgs
-        assert "spurious_events[0] needs sensor_id and time_ref_us" in msgs
+        assert "field 'spurious_events[0].time_ref_us' is required" in msgs
 
-    def test_non_mapping_yaml_rejected(self):
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (MINIMAL_YAML + "ruptures: 5\n", "field 'ruptures' must be a list, got 5"),
+            (
+                "geometry: {sensor_ids: [1.5, 2, 3], positions_m: [0.0, 1.0, 2.0]}\n",
+                "field 'geometry.sensor_ids[0]' must be an integer, got 1.5",
+            ),
+            (
+                "geometry: {sensor_ids: [1, 2, 3], positions_m: [true, 1.0, 2.0]}\n",
+                "field 'geometry.positions_m[0]' must be a number, got True",
+            ),
+            (
+                MINIMAL_YAML + "drift_ppm: {1.5: 3.0}\n",
+                "field 'drift_ppm' must be keyed by integers, got key 1.5",
+            ),
+        ],
+        ids=["ruptures_scalar", "fractional_sensor_id", "bool_position", "fractional_drift_key"],
+    )
+    def test_bad_value_is_named_by_its_path(self, load_text, text, problem):
+        with pytest.raises(ScenarioError) as e:
+            load_text(text)
+        assert problem in e.value.problems
+
+    def test_non_mapping_yaml_rejected(self, load_text):
         with pytest.raises(ScenarioError, match="must be a mapping"):
-            load_scenario("- 1\n- 2\n")
+            load_text("- 1\n- 2\n")
 
-    def test_invalid_yaml_rejected(self):
+    def test_invalid_yaml_rejected(self, load_text):
         with pytest.raises(ScenarioError, match="not valid YAML"):
-            load_scenario("geometry: [unclosed\n")
+            load_text("geometry: [unclosed\n")
 
     def test_geometry_required(self):
         with pytest.raises(ScenarioError, match="'geometry' is required"):
