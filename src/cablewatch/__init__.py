@@ -39,7 +39,6 @@ from .network import EventLoop, NetworkModel, ScheduledDelivery
 from .protocol import (
     CompletedPeriod,
     SensorProtocol,
-    SensorSyncResult,
     SupervisorProtocol,
 )
 from .retiming import (
@@ -99,7 +98,6 @@ __all__ = [
     "encode_sensor_report",
     "decode_sensor_report",
     "SensorProtocol",
-    "SensorSyncResult",
     "SupervisorProtocol",
     "CompletedPeriod",
     "RetimeError",

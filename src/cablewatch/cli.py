@@ -24,7 +24,7 @@ from .clock import ClockState
 from .live import LiveSupervisor, SensorAgent, load_live_config
 from .localization import localize_cluster
 from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent, cluster_events, retime
-from .scenario import Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass
+from .scenario import Scenario, load_scenario, load_yaml_mapping, read_dataclass
 from .simulate import RETIMED_HEADER, export_csv, run
 from .wave import CableGeometry
 
@@ -48,12 +48,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_geometry(path: Path) -> CableGeometry:
-    """A bare sensor_ids/positions_m mapping, or a scenario file's geometry."""
+def _load_geometry(path: Path) -> tuple[CableGeometry, float]:
+    """The geometry and coincidence window of a scenario file, or a bare
+    sensor_ids/positions_m mapping and the default window."""
     raw = load_yaml_mapping(path, "geometry file")
     if "geometry" in raw:
-        return read_dataclass(Scenario, raw).geometry
-    return read_dataclass(CableGeometry, raw)
+        scenario = read_dataclass(Scenario, raw)
+        return scenario.geometry, scenario.coincidence_window_us
+    return read_dataclass(CableGeometry, raw), DEFAULT_COINCIDENCE_WINDOW_US
 
 
 def _load_retimed(path: Path) -> list[RetimedEvent]:
@@ -82,7 +84,9 @@ def _load_retimed(path: Path) -> list[RetimedEvent]:
 
 
 def cmd_localize(args) -> int:
-    geometry = _load_geometry(Path(args.geometry))
+    geometry, window_us = _load_geometry(Path(args.geometry))
+    if args.window_us is not None:
+        window_us = args.window_us
     events = _load_retimed(Path(args.retimed))
     if not events:
         print("no retimed events")
@@ -90,7 +94,7 @@ def cmd_localize(args) -> int:
     print(f"{'period':>6} {'cluster':>7} {'sensors':>7} {'x_est_m':>12} {'v_est_m_s':>12} flags")
     for period in sorted({e.period_index for e in events}):
         period_events = [e for e in events if e.period_index == period]
-        for ci, cluster in enumerate(cluster_events(period_events, args.window_us)):
+        for ci, cluster in enumerate(cluster_events(period_events, window_us)):
             est = localize_cluster(cluster, geometry)
             n = len({e.sensor_id for e in cluster})
             print(
@@ -206,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="YAML with sensor_ids/positions_m, or a scenario file",
     )
     p.add_argument(
-        "--window-us", type=float, default=DEFAULT_COINCIDENCE_WINDOW_US,
-        help="coincidence window for clustering (default %(default)s)",
+        "--window-us", type=float, default=None,
+        help="coincidence window for clustering (default: the scenario file's "
+        f"coincidence_window_us, {DEFAULT_COINCIDENCE_WINDOW_US:g} for a bare geometry)",
     )
     p.set_defaults(func=cmd_localize)
 
@@ -245,10 +250,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level))
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, OSError) as e:  # ScenarioError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -166,12 +166,12 @@ class SensorAgent:
             frame.period_index * t_us, frame.period_index, self.sensor_id
         )
         assert modeled is not None  # LiveConfig forbids modeled drops
-        result = self.node.receive_sync(frame, modeled)
+        report = self.node.receive_sync(frame, modeled)
         self.frames_seen += 1
-        if result.report is None:
+        if report is None:
             return
         try:
-            payload_out = encode_sensor_report(result.report)
+            payload_out = encode_sensor_report(report)
         except WireFormatError as e:
             log.error("sensor %d: report refused at send: %s", self.sensor_id, e)
             return
@@ -213,7 +213,6 @@ class LiveSupervisor:
             period_t_us=scenario.sync_period_T_us,
         )
         self.targets = config.resolved_sync_ports()
-        self.completed: dict[int, CompletedPeriod] = {}
         self.reports_received = 0
         self.decode_errors = 0
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -234,13 +233,12 @@ class LiveSupervisor:
             log.warning("supervisor: undecodable report datagram: %s", e)
             return
         self.reports_received += 1
-        done = self.protocol.on_report(report)
-        if done is not None:
-            self.completed[done.period_index] = done
+        self.protocol.on_report(report)
 
     def run(self) -> LiveRunResult:
         config = self.config
         t_us = config.scenario.sync_period_T_us
+        released = self.protocol.released
         out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         if config.broadcast_address is not None:
             out.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
@@ -259,21 +257,20 @@ class LiveSupervisor:
                     while time.monotonic() < end:
                         self._drain_one()
 
-            expected = set(range(config.periods - 1))
+            # the last frame closes period periods - 2
+            closing = range(config.periods - 1)
             deadline = time.monotonic() + config.timeout_s
-            while expected - set(self.completed) and time.monotonic() < deadline:
+            while any(k not in released for k in closing) and time.monotonic() < deadline:
                 self._drain_one()
-            for k in sorted(expected - set(self.completed)):
-                log.warning("supervisor: period %d timed out, releasing partial", k)
-                done = self.protocol.expire(k)
-                if done is not None:
-                    self.completed[k] = done
+            for k in closing:
+                if self.protocol.expire(k) is not None:
+                    log.warning("supervisor: period %d timed out, releasing partial", k)
         finally:
             out.close()
             self.sock.close()
-        retimed, estimates = postprocess_periods(config.scenario, self.completed)
+        retimed, estimates = postprocess_periods(config.scenario, released)
         return LiveRunResult(
-            completed_periods=[self.completed[k] for k in sorted(self.completed)],
+            completed_periods=[released[k] for k in sorted(released)],
             retimed=retimed,
             estimates=estimates,
             reports_received=self.reports_received,

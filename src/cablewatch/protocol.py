@@ -12,8 +12,16 @@ the counter and discards the pending events, which were stamped against a
 counter with no defined start. This is the one rule for simulated and live
 runs alike; nothing beyond the wire report ever leaves the sensor.
 
+The supervisor files reports per period and releases a period once every
+roster sensor has reported, or when the caller expires it. Its `released`
+map is the one record of released periods: simulated and live runs both
+post-process it as it stands.
+
 Both machines are single-owner and event-driven: callers deliver one message
-at a time and nothing here touches sockets or wall clocks.
+at a time and nothing here touches sockets or wall clocks. Each keeps its own
+diagnostic counters (duplicates, regressions, missed frames, reported,
+discarded and clamped events; late, duplicate and unknown reports), so
+drivers read outcomes there instead of keeping tallies of their own.
 """
 
 from __future__ import annotations
@@ -26,19 +34,6 @@ from .clock import ClockState
 from .wire import ReportEvent, SensorReport, SyncFrame
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SensorSyncResult:
-    """What one sync receipt did at the sensor.
-
-    action is one of "report", "first_sync", "duplicate", "regression",
-    "gap"; only "report" carries a report.
-    """
-
-    action: str
-    report: Optional[SensorReport] = None
-    clamped_events: int = 0
 
 
 class SensorProtocol:
@@ -55,6 +50,7 @@ class SensorProtocol:
         self.dropped_frames = 0
         self.reported_events = 0
         self.discarded_events = 0
+        self.clamped_events = 0
 
     @property
     def synced(self) -> bool:
@@ -73,7 +69,7 @@ class SensorProtocol:
             )
         )
 
-    def on_sync(self, frame: SyncFrame) -> SensorSyncResult:
+    def on_sync(self, frame: SyncFrame) -> Optional[SensorReport]:
         """Handle one sync receipt; returns the report to send, if any."""
         last = self.last_seen_period_index
         if frame.period_index == last:
@@ -81,55 +77,50 @@ class SensorProtocol:
             # again would zero the counter mid-period, so ignore it.
             self.duplicate_syncs += 1
             log.debug("sensor %d: duplicate sync for period %d", self.sensor_id, frame.period_index)
-            return SensorSyncResult(action="duplicate")
+            return None
 
         saved = self.clock.save_and_reset()
         self.last_seen_period_index = frame.period_index
         if last is not None and frame.period_index == last + 1:
             return self._report(last, round(saved))
 
-        if last is None:
-            action = "first_sync"
-        elif frame.period_index < last:
+        if last is not None and frame.period_index < last:
             # the broadcast sequence went backwards (supervisor restart)
-            action = "regression"
             self.regressions += 1
             log.warning(
                 "sensor %d: sync period regressed %d -> %d, resynchronizing",
                 self.sensor_id, last, frame.period_index,
             )
-        else:
-            action = "gap"
+        elif last is not None:
             missed = frame.period_index - last - 1
             self.dropped_frames += missed
             log.warning(
                 "sensor %d: %d sync frame(s) missed before period %d, resynchronizing",
                 self.sensor_id, missed, frame.period_index,
             )
-        # no announced period brackets these stamps, so none can be retimed
+        # first sync, regression or gap: no announced period brackets
+        # these stamps, so none can be retimed
         self.discarded_events += len(self.pending)
         self.pending.clear()
-        return SensorSyncResult(action=action)
+        return None
 
-    def _report(self, period_index: int, saved_ticks: int) -> SensorSyncResult:
+    def _report(self, period_index: int, saved_ticks: int) -> SensorReport:
         events = []
-        clamped = 0
         for ev in self.pending:
             if ev.timestamp_ticks > saved_ticks:
                 # ceiling quantization can push a detection sampled just
                 # before the sync past the period end; keep it in its period
                 ev = ReportEvent(timestamp_ticks=saved_ticks, amplitude_milli_g=ev.amplitude_milli_g)
-                clamped += 1
+                self.clamped_events += 1
             events.append(ev)
         self.pending.clear()
         self.reported_events += len(events)
-        report = SensorReport(
+        return SensorReport(
             sensor_id=self.sensor_id,
             period_index=period_index,
             saved_counter_ticks=saved_ticks,
             events=tuple(events),
         )
-        return SensorSyncResult(action="report", report=report, clamped_events=clamped)
 
 
 @dataclass(frozen=True)
@@ -154,12 +145,12 @@ class SupervisorProtocol:
         self.period_t_us = int(period_t_us)
         self.next_period_index = 0
         self._open: dict[int, dict[int, SensorReport]] = {}
-        self._released: set[int] = set()
+        # every period released so far, by index, in release order
+        self.released: dict[int, CompletedPeriod] = {}
         # diagnostics
         self.duplicate_reports = 0
         self.unknown_reports = 0
         self.late_reports = 0
-        self.frames_sent = 0
 
     def tick(self, now_ref_us: float) -> Optional[SyncFrame]:
         """Emit the next sync frame if its broadcast instant has been reached.
@@ -172,7 +163,6 @@ class SupervisorProtocol:
             return None
         frame = SyncFrame(period_index=self.next_period_index, period_T_us=self.period_t_us)
         self.next_period_index += 1
-        self.frames_sent += 1
         return frame
 
     def on_report(self, report: SensorReport) -> Optional[CompletedPeriod]:
@@ -181,7 +171,7 @@ class SupervisorProtocol:
             self.unknown_reports += 1
             log.warning("report from unknown sensor %d rejected", report.sensor_id)
             return None
-        if report.period_index in self._released:
+        if report.period_index in self.released:
             self.late_reports += 1
             log.warning(
                 "late report from sensor %d for closed period %d discarded",
@@ -203,17 +193,17 @@ class SupervisorProtocol:
 
     def expire(self, period_index: int) -> Optional[CompletedPeriod]:
         """Timeout path: release whatever the period has collected so far."""
-        if period_index in self._released:
+        if period_index in self.released:
             return None
         self._open.setdefault(period_index, {})
         return self._release(period_index, complete=False)
 
     def _release(self, period_index: int, complete: bool) -> CompletedPeriod:
         bucket = self._open.pop(period_index)
-        self._released.add(period_index)
-        return CompletedPeriod(
+        self.released[period_index] = CompletedPeriod(
             period_index=period_index,
             reports=tuple(sorted(bucket.values(), key=lambda r: r.sensor_id)),
             complete=complete,
             missing=tuple(sorted(self.roster - bucket.keys())),
         )
+        return self.released[period_index]

@@ -3,8 +3,9 @@
 Each sensor is a SensorNode, the socket-free driver live agents use too: a
 sync receipt stamps every wave that reached the sensor by then and closes
 the period. The run feeds each sensor its receipts in receipt-time order;
-the event loop carries only report deliveries and period timeouts. Closed
-periods are retimed, clustered, and localized after the loop drains.
+the event loop carries only report deliveries and period timeouts, handed
+straight to the supervisor's protocol. After the loop drains, the periods
+the supervisor released are retimed, clustered, and localized.
 Identical (scenario, seed) pairs produce identical output, down to the
 exported CSV bytes.
 """
@@ -20,11 +21,11 @@ from typing import Optional
 from .clock import ClockState
 from .localization import RuptureEstimate, localize_cluster
 from .network import EventLoop, SUPERVISOR_NODE
-from .protocol import CompletedPeriod, SensorProtocol, SensorSyncResult, SupervisorProtocol
+from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
 from .wave import WaveArrival, detect, quantize_to_sampling, simulate_rupture
-from .wire import SyncFrame, decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
+from .wire import SensorReport, SyncFrame, decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
 
 # period timeout, as a fraction of T after the next broadcast
 PERIOD_TIMEOUT_FRACTION = 0.5
@@ -109,7 +110,7 @@ class SensorNode:
             )
             self._next += 1
 
-    def receive_sync(self, frame: SyncFrame, receipt_ref_us: float) -> SensorSyncResult:
+    def receive_sync(self, frame: SyncFrame, receipt_ref_us: float) -> Optional[SensorReport]:
         """Handle one sync receipt; a wave arriving at the receipt instant
         is stamped first, so it rides the report of the period it closes."""
         # a replayed or reordered frame may be received earlier than the
@@ -151,13 +152,6 @@ def run(scenario: Scenario) -> RunReport:
     supervisor = SupervisorProtocol(roster=scenario.geometry.sensor_ids, period_t_us=t_us)
     loop = EventLoop()
 
-    completed: dict[int, CompletedPeriod] = {}
-    clamped_events = 0
-
-    def release(done: Optional[CompletedPeriod]) -> None:
-        if done is not None:
-            completed[done.period_index] = done
-
     # the broadcast calendar: frame k leaves at k*T, and period k-1 times
     # out half a period later
     receipts = []
@@ -169,7 +163,7 @@ def run(scenario: Scenario) -> RunReport:
         if k >= 1:
             loop.schedule(
                 now + PERIOD_TIMEOUT_FRACTION * t_us, "timer", SUPERVISOR_NODE,
-                lambda t, closing=k - 1: release(supervisor.expire(closing)),
+                lambda t, closing=k - 1: supervisor.expire(closing),
             )
         k += 1
 
@@ -177,17 +171,15 @@ def run(scenario: Scenario) -> RunReport:
     # broadcast order when jitter spans more than half a period
     receipts.sort(key=lambda d: d.deliver_at_ref_us)
     for d in receipts:
-        result = nodes[d.destination].receive_sync(decode_sync_frame(d.payload), d.deliver_at_ref_us)
-        if result.report is None:
+        report = nodes[d.destination].receive_sync(decode_sync_frame(d.payload), d.deliver_at_ref_us)
+        if report is None:
             continue
-        clamped_events += result.clamped_events
         delivery = net.report_delivery(
-            encode_sensor_report(result.report), d.deliver_at_ref_us, d.destination,
-            result.report.period_index,
+            encode_sensor_report(report), d.deliver_at_ref_us, d.destination, report.period_index
         )
         if delivery is not None:
             loop.schedule_delivery(
-                delivery, lambda t, p=delivery.payload: release(supervisor.on_report(decode_sensor_report(p)))
+                delivery, lambda t, p=delivery.payload: supervisor.on_report(decode_sensor_report(p))
             )
     # waves after a sensor's last receipt stay pending
     for node in nodes.values():
@@ -199,30 +191,28 @@ def run(scenario: Scenario) -> RunReport:
         (row for node in nodes.values() for row in node.detections),
         key=lambda row: (row.arrival_ref_us, row.sensor_id),
     )
-    retimed, estimates = postprocess_periods(scenario, completed)
-    summary = _summarize(
-        scenario, nodes, supervisor, detections, completed, retimed, estimates, clamped_events
-    )
+    released = supervisor.released
+    retimed, estimates = postprocess_periods(scenario, released)
     return RunReport(
         scenario=scenario,
         detections=detections,
         retimed=retimed,
         estimates=estimates,
-        completed_periods=[completed[k] for k in sorted(completed)],
-        summary=summary,
+        completed_periods=[released[k] for k in sorted(released)],
+        summary=_summarize(nodes, supervisor, detections, retimed, estimates),
     )
 
 
 def postprocess_periods(
-    scenario: Scenario, completed: dict[int, CompletedPeriod]
+    scenario: Scenario, released: dict[int, CompletedPeriod]
 ) -> tuple[list[RetimedEvent], list[EstimateRow]]:
     """Retime, cluster, and localize every released period, in index order."""
     geom = scenario.geometry
     t_us = scenario.sync_period_T_us
     retimed_all: list[RetimedEvent] = []
     estimates: list[EstimateRow] = []
-    for k in sorted(completed):
-        events = align_period(completed[k].reports, t_us)
+    for k in sorted(released):
+        events = align_period(released[k].reports, t_us)
         retimed_all.extend(events)
         clusters = cluster_events(events, scenario.coincidence_window_us)
         for ci, cluster in enumerate(clusters):
@@ -265,14 +255,15 @@ def _match_rupture(
     return "", math.nan
 
 
-def _summarize(scenario, nodes, supervisor, detections, completed, retimed, estimates, clamped_events):
+def _summarize(nodes, supervisor, detections, retimed, estimates):
     errors = [e.abs_error_m for e in estimates if not math.isnan(e.abs_error_m)]
     sensors = [n.protocol for n in nodes.values()]
+    released = supervisor.released.values()
     summary: dict[str, object] = {
         "sensors": len(sensors),
-        "sync_frames_sent": supervisor.frames_sent,
-        "periods_completed": sum(1 for p in completed.values() if p.complete),
-        "periods_timed_out": sum(1 for p in completed.values() if not p.complete),
+        "sync_frames_sent": supervisor.next_period_index,
+        "periods_completed": sum(1 for p in released if p.complete),
+        "periods_timed_out": sum(1 for p in released if not p.complete),
         "reports_late": supervisor.late_reports,
         "reports_duplicate": supervisor.duplicate_reports,
         "reports_unknown": supervisor.unknown_reports,
@@ -283,7 +274,7 @@ def _summarize(scenario, nodes, supervisor, detections, completed, retimed, esti
         "events_reported": sum(s.reported_events for s in sensors),
         "events_pending_at_end": sum(len(s.pending) for s in sensors),
         "events_discarded": sum(s.discarded_events for s in sensors),
-        "events_clamped_to_period_end": clamped_events,
+        "events_clamped_to_period_end": sum(s.clamped_events for s in sensors),
         "events_retimed_valid": sum(1 for e in retimed if e.valid),
         "events_flagged": sum(1 for e in retimed if not e.valid),
         "clusters_total": len(estimates),

@@ -87,6 +87,28 @@ class TestLocalize:
             if line.strip()
         )
 
+    @pytest.mark.parametrize(
+        "window_flag, rows", [([], 2), (["--window-us", "100000"], 1)], ids=["scenario", "flag"]
+    )
+    def test_clusters_with_the_scenario_files_window(self, tmp_path, capsys, window_flag, rows):
+        # two ruptures 20 ms apart: the file's 5 ms window keeps them apart,
+        # the 100 ms default would merge them; an explicit flag still wins
+        scenario = tmp_path / "scene.yaml"
+        scenario.write_text(
+            GEOMETRY_YAML
+            + "coincidence_window_us: 5000\n"
+            + "ruptures:\n"
+            + "  - {position_m: 14.0, time_ref_us: 1500000}\n"
+            + "  - {position_m: 24.0, time_ref_us: 1520000}\n"
+        )
+        out = tmp_path / "out"
+        main(["simulate", str(scenario), "--out", str(out)])
+        assert len((out / "estimates.csv").read_text().splitlines()) == 1 + 2
+        capsys.readouterr()
+        rc = main(["localize", str(out / "retimed.csv"), "--geometry", str(scenario), *window_flag])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
     def test_empty_csv_is_fine(self, tmp_path, capsys):
         p = tmp_path / "retimed.csv"
         p.write_text("period_index,sensor_id,retimed_us,raw_ticks,amplitude_g,flag\n")

@@ -1,5 +1,6 @@
 """Live datagram mode: real sockets, modeled time."""
 
+import logging
 import socket
 import threading
 
@@ -9,6 +10,7 @@ from cablewatch.live import (
     DEFAULT_REPORT_PORT,
     DEFAULT_SYNC_PORT,
     LiveConfig,
+    LiveSupervisor,
     SensorAgent,
     default_sync_ports,
     load_live_config,
@@ -231,6 +233,43 @@ class TestEndToEnd:
         result = run_live(cfg)
         assert len(result.completed_periods) == 2
         assert all(p.complete for p in result.completed_periods)
+
+    def test_silent_sensor_times_out_every_period(self, caplog):
+        # sensor 4's frames go to a bound socket that never answers, so no
+        # period completes: each is released partial when the wait runs out
+        periods = 4
+        scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
+        config = ephemeral_config(scenario, periods=periods, timeout_s=0.5)
+        supervisor = LiveSupervisor(config)
+        agents = [
+            SensorAgent(config, sid, sync_port=0, report_port=supervisor.port)
+            for sid in (1, 2, 3)
+        ]
+        silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        silent.bind(("127.0.0.1", 0))
+        supervisor.targets = {a.sensor_id: a.port for a in agents}
+        supervisor.targets[4] = silent.getsockname()[1]
+        threads = [threading.Thread(target=a.run, daemon=True) for a in agents]
+        for t in threads:
+            t.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="cablewatch.live"):
+                result = supervisor.run()
+        finally:
+            for t in threads:
+                t.join(timeout=10.0)
+            silent.close()
+
+        closed = range(periods - 1)
+        assert [p.period_index for p in result.completed_periods] == list(closed)
+        assert all(not p.complete and p.missing == (4,) for p in result.completed_periods)
+        twin = run(scenario).completed_periods
+        assert [p.reports for p in result.completed_periods] == [
+            tuple(r for r in p.reports if r.sensor_id != 4) for p in twin
+        ]
+        assert [r.getMessage() for r in caplog.records if r.name == "cablewatch.live"] == [
+            f"supervisor: period {k} timed out, releasing partial" for k in closed
+        ]
 
     def test_wall_pacing_does_not_change_modeled_values(self):
         periods = 4

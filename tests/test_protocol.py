@@ -18,13 +18,19 @@ def sensor(drift_ppm=0.0, sensor_id=2):
     return SensorProtocol(sensor_id=sensor_id, clock=ClockState(drift_ppm=drift_ppm))
 
 
+def resync_counters(s):
+    """(duplicate_syncs, regressions, dropped_frames): which non-reporting
+    branch a sync took, if any."""
+    return s.duplicate_syncs, s.regressions, s.dropped_frames
+
+
 class TestSensorOnSync:
     def test_first_sync_emits_nothing_and_resets_counter(self):
         s = sensor(drift_ppm=50.0)
         s.clock.advance(777)
         out = s.on_sync(frame(0))
-        assert out.action == "first_sync"
-        assert out.report is None
+        assert resync_counters(s) == (0, 0, 0)
+        assert out is None
         assert s.clock.read_counter() == 0.0
         assert s.last_seen_period_index == 0
 
@@ -33,8 +39,8 @@ class TestSensorOnSync:
         s.on_sync(frame(0))
         s.clock.advance(T_US)
         out = s.on_sync(frame(1))
-        assert out.action == "report"
-        assert out.report == SensorReport(
+        assert isinstance(out, SensorReport)
+        assert out == SensorReport(
             sensor_id=2, period_index=0, saved_counter_ticks=1_000_050, events=()
         )
         assert s.clock.read_counter() == 0.0
@@ -48,16 +54,16 @@ class TestSensorOnSync:
         s.on_detection(ticks, 1.2)
         s.clock.advance(T_US / 2)
         out = s.on_sync(frame(1))
-        assert out.report.events == (ReportEvent(500_025, 1200),)
-        assert out.report.saved_counter_ticks == 1_000_050
+        assert out.events == (ReportEvent(500_025, 1200),)
+        assert out.saved_counter_ticks == 1_000_050
 
     def test_consecutive_periods_carry_their_own_index(self):
         s = sensor()
         s.on_sync(frame(0))
         s.clock.advance(T_US)
-        assert s.on_sync(frame(1)).report.period_index == 0
+        assert s.on_sync(frame(1)).period_index == 0
         s.clock.advance(T_US)
-        assert s.on_sync(frame(2)).report.period_index == 1
+        assert s.on_sync(frame(2)).period_index == 1
 
     def test_detection_before_first_sync_is_discarded(self):
         # stamped on the power-on counter, which has no defined start
@@ -65,20 +71,20 @@ class TestSensorOnSync:
         s.clock.advance(300)
         s.on_detection(300, 0.9)
         out0 = s.on_sync(frame(0))
-        assert out0.action == "first_sync"
-        assert out0.report is None
+        assert resync_counters(s) == (0, 0, 0)
+        assert out0 is None
         assert s.pending == []
         assert s.discarded_events == 1
         s.clock.advance(T_US)
-        assert s.on_sync(frame(1)).report.events == ()
+        assert s.on_sync(frame(1)).events == ()
 
     def test_duplicate_sync_is_ignored_without_reset(self):
         s = sensor()
         s.on_sync(frame(0))
         s.clock.advance(400)
         out = s.on_sync(frame(0))
-        assert out.action == "duplicate"
-        assert out.report is None
+        assert resync_counters(s) == (1, 0, 0)
+        assert out is None
         assert s.clock.read_counter() == 400.0
         assert s.duplicate_syncs == 1
 
@@ -88,8 +94,8 @@ class TestSensorOnSync:
         s.clock.advance(100)
         s.on_detection(100, 1.0)
         out = s.on_sync(frame(3))
-        assert out.action == "regression"
-        assert out.report is None
+        assert resync_counters(s) == (0, 1, 0)
+        assert out is None
         assert s.regressions == 1
         assert s.clock.read_counter() == 0.0
         assert s.last_seen_period_index == 3
@@ -98,21 +104,21 @@ class TestSensorOnSync:
         assert s.discarded_events == 1
         s.clock.advance(T_US)
         out = s.on_sync(frame(4))
-        assert out.report.period_index == 3
-        assert out.report.events == ()
+        assert out.period_index == 3
+        assert out.events == ()
 
     def test_missed_frames_are_diagnosed(self):
         s = sensor()
         s.on_sync(frame(0))
         s.clock.advance(3 * T_US)
         out = s.on_sync(frame(3))
-        assert out.action == "gap"
-        assert out.report is None
+        assert resync_counters(s) == (0, 0, 2)
+        assert out is None
         assert s.dropped_frames == 2
         assert s.clock.read_counter() == 0.0
         # the next frame in sequence closes period 3 as usual
         s.clock.advance(T_US)
-        assert s.on_sync(frame(4)).report.period_index == 3
+        assert s.on_sync(frame(4)).period_index == 3
 
     def test_gap_discards_events_of_the_unbracketed_period(self):
         # frame 1 is lost, so an event at 1.5 T lies in period 1, whose
@@ -124,7 +130,7 @@ class TestSensorOnSync:
         s.on_detection(round(s.clock.read_counter()), 1.0)
         s.clock.advance(0.5 * T_US)
         out = s.on_sync(frame(2))
-        assert out.report is None
+        assert out is None
         assert s.pending == []
         assert s.discarded_events == 1
 
@@ -136,9 +142,9 @@ class TestSensorOnSync:
         s.clock.advance(10)
         s.on_detection(12, 1.0)
         out = s.on_sync(frame(1))
-        assert out.report.saved_counter_ticks == 10
-        assert out.report.events == (ReportEvent(10, 1000),)
-        assert out.clamped_events == 1
+        assert out.saved_counter_ticks == 10
+        assert out.events == (ReportEvent(10, 1000),)
+        assert s.clamped_events == 1
 
     def test_detection_rejects_bad_inputs(self):
         s = sensor()
@@ -172,8 +178,8 @@ class TestSensorProperties:
                 injected += 1
             s.clock.advance_to(period_start + T_US)
             out = s.on_sync(frame(k + 1))
-            assert out.report is not None
-            reported.append(out.report)
+            assert out is not None
+            reported.append(out)
         assert sum(len(r.events) for r in reported) == injected
         assert not s.pending
         for r in reported:
@@ -290,6 +296,15 @@ class TestSupervisorExpire:
         done = sup.expire(4)
         assert done.reports == ()
         assert done.missing == (1, 2)
+
+    def test_released_records_every_release_once(self):
+        sup = SupervisorProtocol(roster=[1, 2], period_t_us=T_US)
+        sup.on_report(rep(1, period=0))
+        expired = sup.expire(1)
+        completed = sup.on_report(rep(2, period=0))
+        assert sup.expire(0) is None
+        assert sup.released == {0: completed, 1: expired}
+        assert completed.complete and not expired.complete
 
     def test_report_after_expiry_is_late(self):
         sup = SupervisorProtocol(roster=[1, 2], period_t_us=T_US)
