@@ -6,6 +6,13 @@ and loss draws are keyed by (seed, message kind, period index, sensor id), so
 a run is a pure function of its scenario and seed; two runs never disagree
 because of dict ordering or shared RNG state.
 
+The draws come from a counter-based generator (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011): splitmix64 steps (Steele, Lea
+& Flood, OOPSLA 2014) absorb the message kind, period index and sensor id
+into a 64-bit key derived once per model from the seed, and two more steps
+give two 53-bit uniforms. Each step is a bijection of 64-bit integers, so
+keys that differ only in kind, period index or sensor id never share a hash.
+
 The event loop dispatches the supervisor's traffic, report deliveries and
 period timeouts, strictly in time order. Simultaneous events are ordered by
 kind (a report before a timeout), then by node, then by insertion.
@@ -14,6 +21,7 @@ kind (a report before a timeout), then by node, then by insertion.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
@@ -30,6 +38,19 @@ KIND_SYNC = "sync"
 KIND_REPORT = "report"
 KIND_TIMER = "timer"
 _KIND_RANK = {KIND_REPORT: 0, KIND_TIMER: 1}
+_KIND_CODE = {KIND_SYNC: 1, KIND_REPORT: 2}
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_UNIT_53 = 2.0 ** -53
+
+
+def _splitmix64(z: int) -> int:
+    """The splitmix64 output for state z: a bijection of 64-bit integers."""
+    z = (z + _GOLDEN_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,23 @@ class NetworkModel:
             raise ValueError("latency mean must be >= jitter half-width")
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop probability must be within [0, 1]")
+        for name in ("latency_mean_us", "latency_jitter_us", "supervisor_position_m"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for sid, pos in self.sensor_positions_m.items():
+            if not math.isfinite(pos):
+                raise ValueError(f"sensor {sid} position must be finite, got {pos!r}")
+        # one seeding per model; it separates every int seed, negative or wide
+        key = random.Random(f"{self.seed}|network").getrandbits(64)
+        object.__setattr__(
+            self, "_kind_keys", {k: _splitmix64(key ^ c) for k, c in _KIND_CODE.items()}
+        )
+        # RF delay to the supervisor, which is also the report's, in sensor-id order
+        object.__setattr__(self, "_supervisor_delay_us", {
+            sid: self.propagation_delay_us(SUPERVISOR_NODE, sid)
+            for sid in sorted(self.sensor_positions_m)
+        })
 
     def node_position(self, node: Node) -> float:
         if node == SUPERVISOR_NODE:
@@ -79,28 +117,35 @@ class NetworkModel:
         d = abs(self.node_position(node_a) - self.node_position(node_b))
         return d / self.rf_speed_m_s * 1e6
 
+    def _supervisor_delay(self, sensor_id: int) -> float:
+        try:
+            return self._supervisor_delay_us[sensor_id]
+        except KeyError:
+            raise ValueError(f"unknown node {sensor_id!r}") from None
+
     def _draws(self, kind: str, period_index: int, sensor_id: int) -> tuple[bool, float]:
         """(dropped, latency_us) for one receiver, fully keyed by inputs."""
-        rng = random.Random(f"{self.seed}|{kind}|{period_index}|{sensor_id}")
-        dropped = rng.uniform(0.0, 1.0) < self.drop_probability
-        latency = self.latency_mean_us + rng.uniform(
-            -self.latency_jitter_us, self.latency_jitter_us
-        )
-        return dropped, latency
+        h = _splitmix64(self._kind_keys[kind] ^ (period_index & _MASK64))
+        h = _splitmix64(h ^ (sensor_id & _MASK64))
+        dropped = (h >> 11) * _UNIT_53 < self.drop_probability
+        u = (_splitmix64(h) >> 11) * _UNIT_53
+        j = self.latency_jitter_us
+        return dropped, self.latency_mean_us + (-j + 2.0 * j * u)  # mean + uniform(-j, j)
 
     def sync_receipt_at(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:
         """Delivery instant of one sync broadcast at one sensor, None if lost."""
+        delay = self._supervisor_delay(sensor_id)
         dropped, latency = self._draws(KIND_SYNC, period_index, sensor_id)
         if dropped:
             return None
-        return now_ref_us + self.propagation_delay_us(SUPERVISOR_NODE, sensor_id) + latency
+        return now_ref_us + delay + latency
 
     def broadcast_sync(
         self, payload: bytes, now_ref_us: float, period_index: int
     ) -> list[ScheduledDelivery]:
         """Fan one sync frame out to every sensor, minus losses."""
         deliveries = []
-        for sid in sorted(self.sensor_positions_m):
+        for sid in self._supervisor_delay_us:
             at = self.sync_receipt_at(now_ref_us, period_index, sid)
             if at is None:
                 continue
@@ -118,10 +163,11 @@ class NetworkModel:
         self, payload: bytes, now_ref_us: float, sensor_id: int, period_index: int
     ) -> Optional[ScheduledDelivery]:
         """Unicast one report to the supervisor, None if lost."""
+        delay = self._supervisor_delay(sensor_id)
         dropped, latency = self._draws(KIND_REPORT, period_index, sensor_id)
         if dropped:
             return None
-        at = now_ref_us + self.propagation_delay_us(sensor_id, SUPERVISOR_NODE) + latency
+        at = now_ref_us + delay + latency
         return ScheduledDelivery(
             deliver_at_ref_us=at,
             kind=KIND_REPORT,

@@ -99,6 +99,14 @@ class Scenario:
     def problems(self) -> list[str]:
         """Every invariant violation in this scenario, exhaustively."""
         out: list[str] = []
+
+        def finite(path: str, value: float) -> bool:
+            """Whether value is finite; if not, record it: no run can schedule or reach it."""
+            if math.isfinite(value):
+                return True
+            out.append(f"{path} must be finite, got {value!r}")
+            return False
+
         ids = set(self.geometry.sensor_ids)
         if len(ids) < 3:
             out.append(
@@ -127,7 +135,7 @@ class Scenario:
             out.append(
                 f"coincidence_window_us must be > 0, got {self.coincidence_window_us!r}"
             )
-        if self.attenuation_per_m < 0:
+        if finite("attenuation_per_m", self.attenuation_per_m) and self.attenuation_per_m < 0:
             out.append(f"attenuation_per_m must be >= 0, got {self.attenuation_per_m!r}")
 
         lo, hi = self.geometry.extent_m
@@ -136,6 +144,8 @@ class Scenario:
                 out.append(
                     f"ruptures[{i}]: position {r.position_m} m outside cable extent [{lo}, {hi}] m"
                 )
+            if not finite(f"ruptures[{i}].time_ref_us", r.time_ref_us):
+                continue
             if r.time_ref_us < 0:
                 out.append(f"ruptures[{i}]: time must be >= 0, got {r.time_ref_us!r}")
             if self.run_duration_us is not None and (
@@ -148,7 +158,7 @@ class Scenario:
         for i, s in enumerate(self.spurious_events):
             if s.sensor_id not in ids:
                 out.append(f"spurious_events[{i}]: unknown sensor id {s.sensor_id}")
-            if s.time_ref_us < 0:
+            if finite(f"spurious_events[{i}].time_ref_us", s.time_ref_us) and s.time_ref_us < 0:
                 out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
             if not s.amplitude_g > 0:
                 out.append(
@@ -156,6 +166,10 @@ class Scenario:
                 )
 
         n = self.network
+        finite("network.latency_mean_us", n.latency_mean_us)
+        finite("network.latency_jitter_us", n.latency_jitter_us)
+        if n.supervisor_position_m is not None:
+            finite("network.supervisor_position_m", n.supervisor_position_m)
         if not n.rf_speed_m_s > 0:
             out.append(f"network.rf_speed_m_s must be > 0, got {n.rf_speed_m_s!r}")
         if n.latency_jitter_us < 0:
@@ -174,9 +188,12 @@ class Scenario:
                 out.append(f"network.radio_positions_m: missing sensors {sorted(missing)}")
             if extra:
                 out.append(f"network.radio_positions_m: unknown sensors {sorted(extra)}")
+            for sid, pos in sorted(n.radio_positions_m.items()):
+                finite(f"network.radio_positions_m[{sid}]", pos)
 
-        if self.run_duration_us is not None and not self.run_duration_us > 0:
-            out.append(f"run_duration_us must be > 0, got {self.run_duration_us!r}")
+        duration = self.run_duration_us
+        if duration is not None and finite("run_duration_us", duration) and not duration > 0:
+            out.append(f"run_duration_us must be > 0, got {duration!r}")
         return out
 
     def drift_for(self, sensor_id: int) -> float:

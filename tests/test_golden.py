@@ -30,8 +30,10 @@ def stress():
     and 10% loss, so periods time out, reports arrive late, sync frames are
     lost, events predate the first sync or are discarded, and one boundary
     sample is clamped to its period end; one event still reaches retiming
-    and one cluster. The values were drawn once from random.Random(46) and
-    are written at full precision, since rounding them loses the clamp."""
+    and one cluster. The drifts and the rupture were drawn once from
+    random.Random(46), the spurious hits from random.Random(44) as
+    (randint(1, 4), uniform(0, 1000), uniform(1, 2)); all are written at
+    full precision, since rounding them loses the clamp."""
     return Scenario(
         geometry=GEOM,
         drift_ppm={
@@ -43,14 +45,14 @@ def stress():
         network=NetworkConfig(latency_mean_us=80.0, latency_jitter_us=80.0, drop_probability=0.1),
         ruptures=(RuptureEvent(position_m=6.856176100938019, time_ref_us=464.14555562116783),),
         spurious_events=(
-            SpuriousEvent(1, 30.390501536009197, 1.761471864969228),
-            SpuriousEvent(1, 843.1495877420078, 1.0489302978182777),
-            SpuriousEvent(3, 527.7693445209782, 1.9646862528070241),
-            SpuriousEvent(1, 397.96724896404055, 1.6757426748172852),
-            SpuriousEvent(3, 156.1111395859973, 1.4121693649418234),
-            SpuriousEvent(1, 459.58514324482167, 1.6661082759414971),
-            SpuriousEvent(1, 432.66374041407494, 1.2702905800732187),
-            SpuriousEvent(4, 778.4954586353174, 1.202576645230132),
+            SpuriousEvent(4, 520.0204889623225, 1.7016142223927126),
+            SpuriousEvent(1, 176.66564419544383, 1.2251595205781467),
+            SpuriousEvent(1, 224.68644467480868, 1.5686891973674717),
+            SpuriousEvent(1, 156.69033508336383, 1.5137132085026757),
+            SpuriousEvent(3, 693.5102614314382, 1.3784265711232808),
+            SpuriousEvent(4, 766.0959190972866, 1.6700338000515094),
+            SpuriousEvent(3, 73.55343057826825, 1.8415228969062092),
+            SpuriousEvent(2, 112.00982712964758, 1.0700666873799172),
         ),
         seed=46,
         run_duration_us=1000.0,
@@ -60,14 +62,14 @@ def stress():
 GOLDEN = {
     "quick_start": (quick_start, {
         "detections.csv": "ecbe2b906a45d51d3f609b4f5e204c718da6ad40c91bb55a995f68c3b358ccfb",
-        "retimed.csv": "87ea0ca2d696c134d2e8641a0c98c7e8dbb2435079ba1fda9f60fa31f80ce1d3",
-        "estimates.csv": "d08bdc9bf79c6ce39877c6ae42cbe5439aa8ee1b9f39b2ae85e354e7334d1291",
-        "summary.csv": "d0e4bcbbd659eba67b9e10b83f073dd9bab7b1c961af95342edbaed4687ec71e",
+        "retimed.csv": "92648bdf3c8ee9cd29ddd4e582c0e7cfb023bc47db8b6a5e88ad78bd27f48499",
+        "estimates.csv": "1ece1ae68e20ee076606a9616edce64444a571fd1b98e33d090a192843a96645",
+        "summary.csv": "40f01b264175466989b874d737ddb7d2413a295af61a86f4a1422ed4e0ab0377",
     }),
     "stress": (stress, {
-        "detections.csv": "dd291e3a08d55cb5ca3e1c1eb230d1591d2bb2ab9b74b536482f872ead889bbd",
-        "retimed.csv": "02067fb7fb9207d830d806de91c4c39aff8fbf18cde91608b447a5eaeb2bf083",
-        "estimates.csv": "e9987974ad3c511562ea3445b271304e04581ed2e029cdb26b70a923659be116",
+        "detections.csv": "6a008a7d06f68db18ade20dd085beb14b89d38a722ecbfb9b2ba692c0e044b38",
+        "retimed.csv": "e8ea465e2bf6ed5658ee168e4e05c860a7d6b44876e94664d226b3b9e5a3ea75",
+        "estimates.csv": "4a62791a72d046363db6ebd5ab700ad7313c3eeb6e7b196bb9d85c80c03c10af",
         "summary.csv": "6bc6548c4148cb8b463d4618403ccd8cb25008ec01e27035cdb7b3b32f81ed25",
     }),
 }

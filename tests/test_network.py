@@ -1,9 +1,13 @@
 """Transport delays, deterministic jitter, and event-loop ordering."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cablewatch.network import (
+    KIND_REPORT,
+    KIND_SYNC,
     SUPERVISOR_NODE,
     EventLoop,
     NetworkModel,
@@ -101,6 +105,52 @@ class TestBroadcast:
             model(latency_mean_us=0.5, latency_jitter_us=1.0)
         with pytest.raises(ValueError):
             model(drop_probability=1.5)
+
+    @pytest.mark.parametrize("kw", [
+        dict(latency_jitter_us=math.nan),
+        dict(latency_mean_us=math.inf),
+        dict(supervisor_position_m=math.nan),
+        dict(sensor_positions_m={1: 0.0, 2: math.nan}),
+    ])
+    def test_non_finite_values_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            model(**kw)
+
+
+class TestKeyedDraws:
+    """The counter-based generator behind every jitter and loss draw."""
+
+    def test_drop_rate_and_jitter_moments_match_uniform(self):
+        # 100k keys; each statistic within 5 sigma of its uniform value
+        m = model(drop_probability=0.1, latency_mean_us=20.0, latency_jitter_us=1.0)
+        n, drops, total, squares = 0, 0, 0.0, 0.0
+        for kind in (KIND_SYNC, KIND_REPORT):
+            for k in range(12_500):
+                for sid in (1, 2, 3, 4):
+                    dropped, latency = m._draws(kind, k, sid)
+                    x = latency - 20.0  # uniform on [-1, 1]: mean 0, variance 1/3
+                    n, drops, total, squares = n + 1, drops + dropped, total + x, squares + x * x
+        assert n == 100_000
+        assert abs(drops - 0.1 * n) <= 5 * math.sqrt(n * 0.1 * 0.9)
+        assert abs(total / n) <= 5 * math.sqrt(1 / 3 / n)
+        assert abs(squares / n - 1 / 3) <= 5 * math.sqrt((1 / 5 - 1 / 9) / n)
+
+    def test_keys_differing_in_one_component_draw_differently(self):
+        base = model(seed=42)._draws(KIND_SYNC, 5, 3)
+        assert model(seed=43)._draws(KIND_SYNC, 5, 3) != base
+        assert model(seed=42)._draws(KIND_REPORT, 5, 3) != base
+        assert model(seed=42)._draws(KIND_SYNC, 6, 3) != base
+        assert model(seed=42)._draws(KIND_SYNC, 5, 4) != base
+
+    def test_wide_and_negative_seeds_are_separated(self):
+        draws = {model(seed=s)._draws(KIND_SYNC, 0, 1) for s in (-1, 2**64 - 1, 2**64)}
+        assert len(draws) == 3
+
+    def test_pinned_draw(self):
+        # a change to the generator changes every run's outputs: make it loud
+        m = model(seed=42, drop_probability=0.5)
+        assert m._draws(KIND_SYNC, 5, 3) == (False, 19.92399990367404)
+        assert m._draws(KIND_REPORT, 5, 3) == (False, 19.137441737333457)
 
 
 class TestEventLoop:

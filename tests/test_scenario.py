@@ -133,6 +133,25 @@ class TestScenarioValidation:
             assert fragment in msgs, fragment
         assert len(e.value.problems) >= 9
 
+    @pytest.mark.parametrize("name, kw", [
+        ("run_duration_us", dict(run_duration_us=math.inf)),
+        ("attenuation_per_m", dict(attenuation_per_m=math.nan)),
+        ("network.latency_jitter_us", dict(network=NetworkConfig(latency_jitter_us=math.nan))),
+        ("network.latency_mean_us", dict(network=NetworkConfig(latency_mean_us=math.inf))),
+        ("network.supervisor_position_m",
+         dict(network=NetworkConfig(supervisor_position_m=math.nan))),
+        ("network.radio_positions_m[2]", dict(network=NetworkConfig(
+            radio_positions_m={1: 0.0, 2: math.nan, 3: 17.0, 4: 27.0}))),
+        ("ruptures[1].time_ref_us", dict(ruptures=(
+            RuptureEvent(14.0, 1_500_000.0), RuptureEvent(14.0, math.nan)))),
+        ("spurious_events[0].time_ref_us", dict(spurious_events=(SpuriousEvent(1, math.nan),))),
+    ])
+    def test_non_finite_value_is_rejected_by_name(self, name, kw):
+        # each of these passed validation, then crashed or never ended a run
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=GEOM, **kw)
+        assert f"{name} must be finite" in "\n".join(e.value.problems)
+
     def test_radio_positions_must_match_roster(self):
         with pytest.raises(ScenarioError) as e:
             Scenario(

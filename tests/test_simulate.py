@@ -236,7 +236,7 @@ class TestSensorDriver:
             coincidence_window_us=50.0,
             network=NetworkConfig(latency_mean_us=80.0, latency_jitter_us=80.0),
             spurious_events=(SpuriousEvent(2, 120.0), SpuriousEvent(2, 135.0)),
-            seed=4,
+            seed=2,
             run_duration_us=300.0,
         )
         net = scenario.network_model()
