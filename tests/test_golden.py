@@ -1,4 +1,4 @@
-"""Pinned outputs: the four exported CSVs of two scenarios, by sha256.
+"""Pinned outputs: the four exported CSVs of three scenarios, by sha256.
 
 A refactor that claims to keep every output byte-identical must leave these
 digests as they are. A change that means to alter an output updates the
@@ -6,6 +6,7 @@ digest and says why.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -59,6 +60,30 @@ def stress():
     )
 
 
+def dense():
+    """A dense, lossy run: 16 sensors, 41 ruptures, 60 spurious hits, 1%
+    loss. Rupture times are whole milliseconds and the last rupture repeats
+    the first one's time, so clusters meet equidistant ruptures and the
+    tie rule of rupture matching shows in estimates.csv."""
+    rng = random.Random(6)
+    geometry = CableGeometry(tuple(range(1, 17)), tuple(10.0 * i for i in range(16)))
+    times = [1000.0 * rng.randrange(3000) for _ in range(40)]
+    times.append(times[0])
+    return Scenario(
+        geometry=geometry,
+        ruptures=tuple(RuptureEvent(position_m=rng.uniform(0.0, 150.0), time_ref_us=t) for t in times),
+        spurious_events=tuple(
+            SpuriousEvent(rng.choice(geometry.sensor_ids), rng.uniform(0.0, 3e6)) for _ in range(60)
+        ),
+        drift_ppm={sid: rng.uniform(-50.0, 50.0) for sid in geometry.sensor_ids},
+        attenuation_per_m=0.01,
+        coincidence_window_us=5000.0,
+        network=NetworkConfig(drop_probability=0.01),
+        seed=6,
+        run_duration_us=4e6,
+    )
+
+
 GOLDEN = {
     "quick_start": (quick_start, {
         "detections.csv": "ecbe2b906a45d51d3f609b4f5e204c718da6ad40c91bb55a995f68c3b358ccfb",
@@ -71,6 +96,12 @@ GOLDEN = {
         "retimed.csv": "e8ea465e2bf6ed5658ee168e4e05c860a7d6b44876e94664d226b3b9e5a3ea75",
         "estimates.csv": "4a62791a72d046363db6ebd5ab700ad7313c3eeb6e7b196bb9d85c80c03c10af",
         "summary.csv": "6bc6548c4148cb8b463d4618403ccd8cb25008ec01e27035cdb7b3b32f81ed25",
+    }),
+    "dense": (dense, {
+        "detections.csv": "ca7f14a872391da5c7c212ddd7b145c78e0ec37272e83d3255896b0ed6cab0d5",
+        "retimed.csv": "a5693564acda643363069099410ed375bb36f184d16d286aeb453f0c0a384e66",
+        "estimates.csv": "e21d2060cfa07bcd43e9a839e302a389672f52a680854e8428a06da2cfa2c277",
+        "summary.csv": "57a0fc3ffc937cac32883ba9feb8cf59f506befb01744ab907825a979db108b9",
     }),
 }
 
@@ -86,6 +117,16 @@ def test_stress_scenario_exercises_every_fault():
                 "events_discarded", "events_clamped_to_period_end",
                 "events_retimed_valid", "clusters_total"):
         assert s[key] > 0, key
+
+
+def test_dense_scenario_is_lossy_and_matches_tied_ruptures():
+    scenario = dense()
+    report = run(scenario)
+    assert report.summary["periods_timed_out"] > 0
+    assert report.summary["events_discarded"] > 0
+    tied = {i for i, r in enumerate(scenario.ruptures)
+            if sum(o.time_ref_us == r.time_ref_us for o in scenario.ruptures) > 1}
+    assert {f"rupture:{i}" for i in tied} & {e.matched for e in report.estimates}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
