@@ -17,7 +17,7 @@ discards every other stamp before it reaches a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .wire import SensorReport
@@ -98,33 +98,28 @@ def align_period(
     indices = {r.period_index for r in reports}
     if len(indices) > 1:
         raise ValueError(f"reports span several periods: {sorted(indices)}")
-    out: list[RetimedEvent] = []
+    # retime()'s checks, with T checked once: an event it would refuse is
+    # flagged zero_counter when T_i <= 0, out_of_period otherwise
+    t_ok = period_t_us > 0
+    valid: list[RetimedEvent] = []
+    flagged: list[RetimedEvent] = []
     for r in reports:
+        t_i = r.saved_counter_ticks
         for ev in r.events:
-            base = RetimedEvent(
-                sensor_id=r.sensor_id,
-                period_index=r.period_index,
-                retimed_us=math.nan,
-                raw_ticks=ev.timestamp_ticks,
-                amplitude_g=ev.amplitude_milli_g / 1000.0,
-            )
-            try:
-                mapped = retime(ev.timestamp_ticks, r.saved_counter_ticks, period_t_us)
-            except RetimeError:
-                flag = (
-                    FLAG_ZERO_COUNTER
-                    if r.saved_counter_ticks <= 0
-                    else FLAG_OUT_OF_PERIOD
-                )
-                out.append(replace(base, flag=flag))
+            ticks = ev.timestamp_ticks
+            amp = ev.amplitude_milli_g / 1000.0
+            if t_i <= 0:
+                flag = FLAG_ZERO_COUNTER
+            elif not t_ok or ticks < 0 or ticks > t_i:
+                flag = FLAG_OUT_OF_PERIOD
+            else:
+                valid.append(RetimedEvent(
+                    r.sensor_id, r.period_index, ticks * period_t_us / t_i, ticks, amp
+                ))
                 continue
-            out.append(replace(base, retimed_us=mapped))
-    valid = sorted(
-        (e for e in out if e.valid), key=lambda e: (e.retimed_us, e.sensor_id)
-    )
-    flagged = sorted(
-        (e for e in out if not e.valid), key=lambda e: (e.sensor_id, e.raw_ticks)
-    )
+            flagged.append(RetimedEvent(r.sensor_id, r.period_index, math.nan, ticks, amp, flag))
+    valid.sort(key=lambda e: (e.retimed_us, e.sensor_id))
+    flagged.sort(key=lambda e: (e.sensor_id, e.raw_ticks))
     return valid + flagged
 
 

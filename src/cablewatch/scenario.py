@@ -119,9 +119,9 @@ class Scenario:
                 out.append(
                     f"drift_ppm: sensor {sid} drift {ppm!r} outside +/-{MAX_DRIFT_PPM:g} ppm"
                 )
-        if not self.wave_speed_m_s > 0:
+        if finite("wave_speed_m_s", self.wave_speed_m_s) and not self.wave_speed_m_s > 0:
             out.append(f"wave_speed_m_s must be > 0, got {self.wave_speed_m_s!r}")
-        if not self.threshold_g > 0:
+        if finite("threshold_g", self.threshold_g) and not self.threshold_g > 0:
             out.append(f"threshold_g must be > 0, got {self.threshold_g!r}")
         if self.sampling_period_ticks < 1 or int(self.sampling_period_ticks) != self.sampling_period_ticks:
             out.append(
@@ -131,10 +131,9 @@ class Scenario:
             out.append(
                 f"sync_period_T_us must be a positive integer, got {self.sync_period_T_us!r}"
             )
-        if not self.coincidence_window_us > 0:
-            out.append(
-                f"coincidence_window_us must be > 0, got {self.coincidence_window_us!r}"
-            )
+        window = self.coincidence_window_us
+        if finite("coincidence_window_us", window) and not window > 0:
+            out.append(f"coincidence_window_us must be > 0, got {window!r}")
         if finite("attenuation_per_m", self.attenuation_per_m) and self.attenuation_per_m < 0:
             out.append(f"attenuation_per_m must be >= 0, got {self.attenuation_per_m!r}")
 

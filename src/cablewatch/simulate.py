@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -209,6 +210,7 @@ def postprocess_periods(
     """Retime, cluster, and localize every released period, in index order."""
     geom = scenario.geometry
     t_us = scenario.sync_period_T_us
+    times, by_time = _ruptures_by_time(scenario)
     retimed_all: list[RetimedEvent] = []
     estimates: list[EstimateRow] = []
     for k in sorted(released):
@@ -217,7 +219,7 @@ def postprocess_periods(
         clusters = cluster_events(events, scenario.coincidence_window_us)
         for ci, cluster in enumerate(clusters):
             est = localize_cluster(cluster, geom)
-            matched, x_true = _match_rupture(scenario, k, cluster)
+            matched, x_true = _match_rupture(scenario, times, by_time, k, cluster)
             err = math.nan
             if matched and not math.isnan(est.x_est_m):
                 err = abs(est.x_est_m - x_true)
@@ -235,18 +237,44 @@ def postprocess_periods(
     return retimed_all, estimates
 
 
+def _ruptures_by_time(scenario: Scenario) -> tuple[list[float], list[int]]:
+    """Rupture times in ascending order, and the rupture index of each;
+    equal times stay in index order."""
+    ruptures = scenario.ruptures
+    by_time = sorted(range(len(ruptures)), key=lambda i: ruptures[i].time_ref_us)
+    return [ruptures[i].time_ref_us for i in by_time], by_time
+
+
 def _match_rupture(
-    scenario: Scenario, period_index: int, cluster: list[RetimedEvent]
+    scenario: Scenario,
+    times: list[float],
+    by_time: list[int],
+    period_index: int,
+    cluster: list[RetimedEvent],
 ) -> tuple[str, float]:
-    """Attribute a cluster to the injected rupture nearest in absolute time."""
-    if not scenario.ruptures:
+    """Attribute a cluster to the injected rupture nearest in absolute time,
+    the lowest rupture index among equally near ones.
+
+    times and by_time come from _ruptures_by_time, so the nearest ruptures
+    lie around the bisection point.
+    """
+    if not times:
         return "", math.nan
-    t_abs = period_index * scenario.sync_period_T_us + min(e.retimed_us for e in cluster)
-    best_i, best_gap = None, math.inf
-    for i, r in enumerate(scenario.ruptures):
-        gap = abs(t_abs - r.time_ref_us)
-        if gap < best_gap:
-            best_i, best_gap = i, gap
+    # a cluster is in retimed-time order, so its first event is its earliest
+    t_abs = period_index * scenario.sync_period_T_us + cluster[0].retimed_us
+    pos = bisect_left(times, t_abs)
+    best_gap = min(
+        abs(t_abs - times[pos - 1]) if pos > 0 else math.inf,
+        abs(t_abs - times[pos]) if pos < len(times) else math.inf,
+    )
+    # gaps never shrink away from pos on either side, so the ruptures at best_gap
+    # (equal times, or gaps that round equal) are one run around pos
+    lo, hi = pos, pos
+    while lo > 0 and abs(t_abs - times[lo - 1]) == best_gap:
+        lo -= 1
+    while hi < len(times) and abs(t_abs - times[hi]) == best_gap:
+        hi += 1
+    best_i = min(by_time[lo:hi])
     # receipts lag arrivals by latency and travel; anything inside the
     # coincidence window is the same physical event
     travel = scenario.geometry.span_m / scenario.wave_speed_m_s * 1e6
@@ -287,15 +315,6 @@ def _summarize(nodes, supervisor, detections, retimed, estimates):
     return summary
 
 
-def _fmt(value) -> str:
-    """Full round-trip precision for floats; everything else as-is."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 DETECTIONS_HEADER = [
     "sensor_id", "period_index", "source", "arrival_ref_us",
     "local_timestamp_ticks", "max_amplitude_g", "pre_sync",
@@ -313,8 +332,9 @@ SUMMARY_HEADER = ["metric", "value"]
 def export_csv(report: RunReport, out_dir) -> list[Path]:
     """Write detections.csv, retimed.csv, estimates.csv, summary.csv.
 
-    Numeric cells use full double round-trip precision, so identical runs
-    export byte-identical files.
+    Numbers go to the csv writer as they are: it writes a float as
+    str(float), the shortest text that reads back as the same double, so
+    identical runs export byte-identical files. pre_sync is written true/false.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -333,8 +353,8 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
         DETECTIONS_HEADER,
         (
             [
-                d.sensor_id, d.period_index, d.source, _fmt(d.arrival_ref_us),
-                d.local_timestamp_ticks, _fmt(d.max_amplitude_g), _fmt(d.pre_sync),
+                d.sensor_id, d.period_index, d.source, d.arrival_ref_us,
+                d.local_timestamp_ticks, d.max_amplitude_g, "true" if d.pre_sync else "false",
             ]
             for d in report.detections
         ),
@@ -344,8 +364,8 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
         RETIMED_HEADER,
         (
             [
-                e.period_index, e.sensor_id, _fmt(e.retimed_us), e.raw_ticks,
-                _fmt(e.amplitude_g), e.flag or "",
+                e.period_index, e.sensor_id, e.retimed_us, e.raw_ticks,
+                e.amplitude_g, e.flag or "",
             ]
             for e in report.retimed
         ),
@@ -357,9 +377,9 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
             [
                 e.period_index, e.cluster_index, e.n_sensors,
                 *(e.estimate.triple if len(e.estimate.triple) == 3 else ("", "", "")),
-                _fmt(e.estimate.v_est_m_s), _fmt(e.estimate.x_est_m),
+                e.estimate.v_est_m_s, e.estimate.x_est_m,
                 "|".join(sorted(e.estimate.flags)), e.matched,
-                _fmt(e.x_true_m), _fmt(e.abs_error_m),
+                e.x_true_m, e.abs_error_m,
             ]
             for e in report.estimates
         ),
@@ -367,6 +387,6 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
     write(
         "summary.csv",
         SUMMARY_HEADER,
-        ([k, _fmt(v)] for k, v in report.summary.items()),
+        report.summary.items(),
     )
     return paths

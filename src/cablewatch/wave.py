@@ -39,18 +39,22 @@ class CableGeometry:
             )
         if len(self.sensor_ids) < 2:
             raise ValueError("geometry needs at least two sensors")
-        if len(set(self.sensor_ids)) != len(self.sensor_ids):
+        # id -> index, so that lookups stay O(1) however many sensors; an
+        # attribute, not a field, so readers and comparisons never see it
+        index = {sid: i for i, sid in enumerate(self.sensor_ids)}
+        if len(index) != len(self.sensor_ids):
             raise ValueError("sensor ids must be unique")
         for a, b in zip(self.positions_m, self.positions_m[1:]):
             if not b > a:
                 raise ValueError(
                     f"positions must be strictly increasing, got {a} then {b}"
                 )
+        object.__setattr__(self, "_index", index)
 
     def index_of(self, sensor_id: int) -> int:
         try:
-            return self.sensor_ids.index(sensor_id)
-        except ValueError:
+            return self._index[sensor_id]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise ValueError(f"unknown sensor id {sensor_id}") from None
 
     def position_of(self, sensor_id: int) -> float:
@@ -107,8 +111,7 @@ def arrival_time(
 
     arrival = rupture time + distance / speed, in microseconds.
     """
-    if not wave_speed_m_s > 0:
-        raise ValueError(f"wave speed must be > 0, got {wave_speed_m_s!r}")
+    _check_wave_speed(wave_speed_m_s)
     d = abs(geometry.position_of(sensor_id) - rupture.position_m)
     return rupture.time_ref_us + d / wave_speed_m_s * 1e6
 
@@ -117,9 +120,18 @@ def amplitude_at(
     rupture: RuptureEvent, distance_m: float, attenuation_per_m: float = 0.0
 ) -> float:
     """Wave amplitude after traveling distance_m; flat unless decay is enabled."""
+    _check_attenuation(attenuation_per_m)
+    return rupture.peak_amplitude_g * math.exp(-attenuation_per_m * distance_m)
+
+
+def _check_wave_speed(wave_speed_m_s: float) -> None:
+    if not wave_speed_m_s > 0:
+        raise ValueError(f"wave speed must be > 0, got {wave_speed_m_s!r}")
+
+
+def _check_attenuation(attenuation_per_m: float) -> None:
     if attenuation_per_m < 0:
         raise ValueError("attenuation coefficient must be >= 0")
-    return rupture.peak_amplitude_g * math.exp(-attenuation_per_m * distance_m)
 
 
 def detect(
@@ -176,24 +188,23 @@ def simulate_rupture(
     Only sensors whose received amplitude reaches the threshold appear.
 
     Raises:
-        ValueError: if the rupture lies outside the sensed cable extent.
+        ValueError: if the rupture lies outside the sensed cable extent, or
+            the wave speed or attenuation is out of range.
     """
     lo, hi = geometry.extent_m
-    if not lo <= rupture.position_m <= hi:
+    x = rupture.position_m
+    if not lo <= x <= hi:
         raise ValueError(
-            f"rupture at {rupture.position_m} m is outside the sensed extent "
-            f"[{lo}, {hi}] m"
+            f"rupture at {x} m is outside the sensed extent [{lo}, {hi}] m"
         )
+    _check_attenuation(attenuation_per_m)
+    _check_wave_speed(wave_speed_m_s)
+    # amplitude_at, detect and arrival_time, inlined per sensor
     arrivals = []
-    for sid in geometry.sensor_ids:
-        d = abs(geometry.position_of(sid) - rupture.position_m)
-        amp = amplitude_at(rupture, d, attenuation_per_m)
-        hit = detect(
-            sid,
-            arrival_time(geometry, rupture, sid, wave_speed_m_s),
-            amp,
-            threshold_g,
-        )
-        if hit is not None:
-            arrivals.append(hit)
+    for sid, pos in zip(geometry.sensor_ids, geometry.positions_m):
+        d = abs(pos - x)
+        amp = rupture.peak_amplitude_g * math.exp(-attenuation_per_m * d)
+        if amp < threshold_g:
+            continue
+        arrivals.append(WaveArrival(sid, rupture.time_ref_us + d / wave_speed_m_s * 1e6, amp))
     return arrivals

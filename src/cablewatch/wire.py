@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import starmap
 
 SYNC_MAGIC = b"CASC"
 _SYNC = struct.Struct("<4sII")
@@ -129,10 +130,7 @@ def decode_sensor_report(buf: bytes) -> SensorReport:
             f"report length {len(buf)} does not match event_count {count} "
             f"(expected {expected})"
         )
-    events = tuple(
-        ReportEvent(*_REPORT_EVENT.unpack_from(buf, REPORT_HEADER_BYTES + i * REPORT_EVENT_BYTES))
-        for i in range(count)
-    )
+    events = tuple(starmap(ReportEvent, _REPORT_EVENT.iter_unpack(buf[REPORT_HEADER_BYTES:])))
     return SensorReport(
         sensor_id=sensor_id,
         period_index=period_index,

@@ -71,7 +71,9 @@ def dense():
     times.append(times[0])
     return Scenario(
         geometry=geometry,
-        ruptures=tuple(RuptureEvent(position_m=rng.uniform(0.0, 150.0), time_ref_us=t) for t in times),
+        ruptures=tuple(
+            RuptureEvent(position_m=rng.uniform(0.0, 150.0), time_ref_us=t) for t in times
+        ),
         spurious_events=tuple(
             SpuriousEvent(rng.choice(geometry.sensor_ids), rng.uniform(0.0, 3e6)) for _ in range(60)
         ),

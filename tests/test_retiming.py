@@ -100,6 +100,43 @@ class TestAlignPeriod:
         assert out[2].flag == FLAG_OUT_OF_PERIOD
         assert math.isnan(out[1].retimed_us)
 
+    @pytest.mark.parametrize("period_t_us, saved, ticks, flag", [
+        (T_US, 1000, 1000, None),  # stamped at the sync instant
+        (T_US, 0, 10, FLAG_ZERO_COUNTER),
+        (T_US, -3, 10, FLAG_ZERO_COUNTER),
+        (T_US, 1000, -1, FLAG_OUT_OF_PERIOD),
+        (T_US, 1000, 1001, FLAG_OUT_OF_PERIOD),
+        (0, 1000, 10, FLAG_OUT_OF_PERIOD),
+        (-5, 1000, 10, FLAG_OUT_OF_PERIOD),
+        (math.nan, 1000, 10, FLAG_OUT_OF_PERIOD),
+        (0, 0, 10, FLAG_ZERO_COUNTER),
+    ])
+    def test_flag_of_each_refused_event(self, period_t_us, saved, ticks, flag):
+        # a bad period T flags every event instead of raising
+        [e] = align_period([report(1, saved, [(ticks, 900)])], period_t_us)
+        assert e.flag == flag
+        assert math.isnan(e.retimed_us) == (flag is not None)
+
+    @given(
+        st.sampled_from([T_US, 1, 0, -1]),
+        st.integers(-2, 2000),
+        st.lists(st.integers(-5, 2100), max_size=5),
+    )
+    def test_agrees_with_retime_event_by_event(self, period_t_us, saved, ticks):
+        out = align_period([report(1, saved, [(t, 900) for t in ticks])], period_t_us)
+        expected = []
+        for t in ticks:
+            try:
+                expected.append((retime(t, saved, period_t_us), None))
+            except RetimeError:
+                expected.append((None, FLAG_ZERO_COUNTER if saved <= 0 else FLAG_OUT_OF_PERIOD))
+        assert sorted((e.retimed_us, e.flag) for e in out if e.valid) == sorted(
+            x for x in expected if x[1] is None
+        )
+        assert sorted((e.raw_ticks, e.flag) for e in out if not e.valid) == sorted(
+            (t, x[1]) for t, x in zip(ticks, expected) if x[1] is not None
+        )
+
     def test_mixed_periods_rejected(self):
         with pytest.raises(ValueError, match="period"):
             align_period([report(1, T_US, [], period=0), report(2, T_US, [], period=1)], T_US)

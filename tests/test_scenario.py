@@ -145,9 +145,13 @@ class TestScenarioValidation:
         ("ruptures[1].time_ref_us", dict(ruptures=(
             RuptureEvent(14.0, 1_500_000.0), RuptureEvent(14.0, math.nan)))),
         ("spurious_events[0].time_ref_us", dict(spurious_events=(SpuriousEvent(1, math.nan),))),
+        ("wave_speed_m_s", dict(wave_speed_m_s=math.inf)),
+        ("threshold_g", dict(threshold_g=math.inf)),
+        ("coincidence_window_us", dict(coincidence_window_us=math.inf)),
     ])
     def test_non_finite_value_is_rejected_by_name(self, name, kw):
-        # each of these passed validation, then crashed or never ended a run
+        # each of these passed validation, then crashed, never ended a run
+        # or, like an infinite wave speed, gave a wrong unflagged estimate
         with pytest.raises(ScenarioError) as e:
             Scenario(geometry=GEOM, **kw)
         assert f"{name} must be finite" in "\n".join(e.value.problems)

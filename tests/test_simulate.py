@@ -4,14 +4,18 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cablewatch.localization import FLAG_INSUFFICIENT_SENSORS, FLAG_OUT_OF_SPAN
+from cablewatch.retiming import RetimedEvent
 from cablewatch.scenario import NetworkConfig, Scenario, SpuriousEvent
 from cablewatch.simulate import (
     DETECTIONS_HEADER,
     ESTIMATES_HEADER,
     RETIMED_HEADER,
     SUMMARY_HEADER,
+    _match_rupture,
+    _ruptures_by_time,
     export_csv,
     run,
 )
@@ -248,6 +252,63 @@ class TestSensorDriver:
         ]
         assert rep.summary["events_discarded"] == 2
         assert rep.retimed == []
+
+
+def match_rupture_by_scan(scenario, period_index, cluster):
+    """Reference: every rupture's gap, the first smallest one wins."""
+    if not scenario.ruptures:
+        return "", math.nan
+    t_abs = period_index * scenario.sync_period_T_us + min(e.retimed_us for e in cluster)
+    best_i, best_gap = None, math.inf
+    for i, r in enumerate(scenario.ruptures):
+        gap = abs(t_abs - r.time_ref_us)
+        if gap < best_gap:
+            best_i, best_gap = i, gap
+    travel = scenario.geometry.span_m / scenario.wave_speed_m_s * 1e6
+    if best_gap <= scenario.coincidence_window_us + travel:
+        return f"rupture:{best_i}", scenario.ruptures[best_i].position_m
+    return "", math.nan
+
+
+class TestRuptureMatching:
+    # few distinct values, so that equal rupture times and clusters midway
+    # between two ruptures are common; near 1e17 gaps of 1 us round equal
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, 1000.0, 1500.0, 2000.0, 2500.0, 1e17]),
+                      st.sampled_from([0.0, 14.0, 27.0])),
+            max_size=8,
+        ),
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from([0.0, 250.0, 500.0, 750.0, 1e17]),
+        st.sampled_from([1.0, 300.0, 1e18]),
+    )
+    def test_bisection_matches_a_full_scan(self, ruptures, period_index, retimed_us, window_us):
+        scenario = Scenario(
+            geometry=GEOM,
+            sync_period_T_us=1000,
+            coincidence_window_us=window_us,
+            ruptures=tuple(RuptureEvent(x, t) for t, x in ruptures),
+        )
+        cluster = [RetimedEvent(1, period_index, retimed_us, 0, 1.0)]
+        times, by_time = _ruptures_by_time(scenario)
+        got = _match_rupture(scenario, times, by_time, period_index, cluster)
+        want = match_rupture_by_scan(scenario, period_index, cluster)
+        assert got[0] == want[0]
+        assert got[1] == want[1] or math.isnan(got[1]) and math.isnan(want[1])
+
+    def test_equal_gaps_go_to_the_lowest_index(self):
+        scenario = Scenario(
+            geometry=GEOM,
+            sync_period_T_us=1000,
+            ruptures=(RuptureEvent(27.0, 2000.0), RuptureEvent(4.0, 1000.0),
+                      RuptureEvent(17.0, 2000.0), RuptureEvent(0.0, 1000.0)),
+        )
+        times, by_time = _ruptures_by_time(scenario)
+        midway = [RetimedEvent(1, 1, 500.0, 0, 1.0)]
+        assert _match_rupture(scenario, times, by_time, 1, midway) == ("rupture:0", 27.0)
+        at_first = [RetimedEvent(1, 1, 0.0, 0, 1.0)]
+        assert _match_rupture(scenario, times, by_time, 1, at_first) == ("rupture:1", 4.0)
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Wave arrival times, threshold detection, and sampling quantization."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,16 @@ class TestGeometry:
         assert g.span_m == 30.0
         with pytest.raises(ValueError, match="unknown sensor"):
             g.position_of(99)
+
+    @pytest.mark.parametrize("sensor_id, text", [(99, "99"), ([1], "[1]"), ({2: 3}, "{2: 3}")])
+    def test_unknown_or_unhashable_id_is_a_value_error(self, sensor_id, text):
+        with pytest.raises(ValueError) as e:
+            FOUR_AT_10M.index_of(sensor_id)
+        assert str(e.value) == f"unknown sensor id {text}"
+
+    def test_index_follows_replace(self):
+        g = replace(FOUR_AT_10M, sensor_ids=(4, 3, 2, 1))
+        assert [g.index_of(sid) for sid in (1, 2, 3, 4)] == [3, 2, 1, 0]
 
 
 class TestArrivalTime:
@@ -155,6 +166,34 @@ class TestSimulateRupture:
         r = RuptureEvent(position_m=14.0, time_ref_us=0.0, peak_amplitude_g=1.0)
         arrivals = simulate_rupture(FOUR_AT_10M, r, attenuation_per_m=0.05)
         assert [a.sensor_id for a in arrivals] == [2]
+
+    @given(
+        x=st.floats(min_value=0.0, max_value=30.0),
+        t0=st.floats(min_value=0.0, max_value=1e7),
+        speed=st.floats(min_value=100.0, max_value=1e5),
+        attenuation=st.sampled_from([0.0, 0.01, 0.05]),
+        threshold=st.sampled_from([0.5, 0.8, 1.0]),
+    )
+    def test_equals_the_per_sensor_functions(self, x, t0, speed, attenuation, threshold):
+        g, r = FOUR_AT_10M, RuptureEvent(position_m=x, time_ref_us=t0)
+        hits = (
+            detect(
+                sid,
+                arrival_time(g, r, sid, speed),
+                amplitude_at(r, abs(g.position_of(sid) - x), attenuation),
+                threshold,
+            )
+            for sid in g.sensor_ids
+        )
+        expected = [hit for hit in hits if hit is not None]
+        assert simulate_rupture(g, r, speed, threshold, attenuation) == expected
+
+    def test_bad_speed_or_attenuation_rejected(self):
+        r = RuptureEvent(position_m=14.0, time_ref_us=0.0)
+        with pytest.raises(ValueError, match="wave speed must be > 0"):
+            simulate_rupture(FOUR_AT_10M, r, wave_speed_m_s=0.0)
+        with pytest.raises(ValueError, match="attenuation coefficient must be >= 0"):
+            simulate_rupture(FOUR_AT_10M, r, attenuation_per_m=-0.1)
 
     def test_amplitude_decay_values(self):
         r = RuptureEvent(position_m=0.0, time_ref_us=0.0, peak_amplitude_g=2.0)
