@@ -8,7 +8,8 @@ stamp modeled wave arrivals on their drifting counters, and send back
 encoded report datagrams. Timestamps stay on the modeled timeline (real
 network latency never touches them), so a live run and a simulated run
 of the same scenario agree to the last bit while exercising the real
-wire format end to end.
+wire format end to end: run_live returns the same RunReport as run, down
+to the summary, and export_csv writes the same bytes for either.
 
 The same agents and supervisor are available as separate processes via
 `cablewatch agent` and `cablewatch supervise`.
@@ -40,15 +41,14 @@ live = run_live(LiveConfig(
     report_port=0,
     sync_ports={sid: 0 for sid in scenario.geometry.sensor_ids},
 ))
-print(f"live run: {live.reports_received} report datagrams, "
-      f"{len(live.completed_periods)} periods closed, "
-      f"{live.decode_errors} decode errors")
+print("live run summary:")
+for k, v in live.summary.items():
+    print(f"  {k}: {v}")
 for est in live.estimates:
-    print(f"  live estimate:      x = {est.estimate.x_est_m:.6f} m")
+    print(f"  live estimate:      x = {est.estimate.x_est_m:.6f} m ({est.matched})")
 
 sim = run(scenario)
 for est in sim.estimates:
-    print(f"  simulated estimate: x = {est.estimate.x_est_m:.6f} m")
+    print(f"  simulated estimate: x = {est.estimate.x_est_m:.6f} m ({est.matched})")
 
-match = live.retimed == sim.retimed
-print(f"retimed event lists identical: {match}")
+print(f"live report equals simulated report: {live == sim}")

@@ -17,13 +17,13 @@ Layers, bottom up:
     localization  sensor-triple selection, speed and position estimates
     network       deterministic transport model and event loop
     scenario      declarative run descriptions, YAML loading
-    simulate      end-to-end simulated runs, CSV export
+    simulate      simulated runs, the run report both modes share, scoring, CSV export
     montecarlo    randomized accuracy studies
     live          the same protocol over real UDP datagrams
 """
 
 from .clock import MAX_DRIFT_PPM, ClockState
-from .live import LiveConfig, LiveRunResult, load_live_config, run_live
+from .live import LiveConfig, load_live_config, run_live
 from .localization import (
     FLAG_DEGENERATE_DT,
     FLAG_INSUFFICIENT_SENSORS,
@@ -56,7 +56,7 @@ from .scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from .simulate import DetectionRow, EstimateRow, RunReport, export_csv, run
+from .simulate import DetectionRow, EstimateRow, RunReport, export_csv, run, score
 from .wave import (
     CableGeometry,
     RuptureEvent,
@@ -126,13 +126,13 @@ __all__ = [
     "EstimateRow",
     "RunReport",
     "run",
+    "score",
     "export_csv",
     "TrialResult",
     "StudyResult",
     "run_trial",
     "run_study",
     "LiveConfig",
-    "LiveRunResult",
     "run_live",
     "load_live_config",
     "__version__",

@@ -22,10 +22,9 @@ from pathlib import Path
 from . import montecarlo as mc
 from .clock import ClockState
 from .live import LiveSupervisor, SensorAgent, load_live_config
-from .localization import localize_cluster
-from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent, cluster_events, retime
+from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent, retime
 from .scenario import Scenario, load_scenario, load_yaml_mapping, read_dataclass
-from .simulate import RETIMED_HEADER, export_csv, run
+from .simulate import RETIMED_HEADER, export_csv, localize_periods, postprocess_periods, run
 from .wave import CableGeometry
 
 log = logging.getLogger(__name__)
@@ -92,15 +91,12 @@ def cmd_localize(args) -> int:
         print("no retimed events")
         return 0
     print(f"{'period':>6} {'cluster':>7} {'sensors':>7} {'x_est_m':>12} {'v_est_m_s':>12} flags")
-    for period in sorted({e.period_index for e in events}):
-        period_events = [e for e in events if e.period_index == period]
-        for ci, cluster in enumerate(cluster_events(period_events, window_us)):
-            est = localize_cluster(cluster, geometry)
-            n = len({e.sensor_id for e in cluster})
-            print(
-                f"{period:>6} {ci:>7} {n:>7} {est.x_est_m:>12.4f} {est.v_est_m_s:>12.2f} "
-                f"{_fmt_flags(est.flags)}"
-            )
+    for row in localize_periods(events, geometry, window_us):
+        est = row.estimate
+        print(
+            f"{row.period_index:>6} {row.cluster_index:>7} {row.n_sensors:>7} "
+            f"{est.x_est_m:>12.4f} {est.v_est_m_s:>12.2f} {_fmt_flags(est.flags)}"
+        )
     return 0
 
 
@@ -140,19 +136,25 @@ def cmd_sync_demo(args) -> int:
 
 def cmd_supervise(args) -> int:
     config = load_live_config(args.config)
-    result = LiveSupervisor(config).run()
-    print(f"reports received: {result.reports_received} (decode errors: {result.decode_errors})")
-    for p in result.completed_periods:
+    supervisor = LiveSupervisor(config).run()
+    print(
+        f"reports received: {supervisor.reports_received} "
+        f"(decode errors: {supervisor.decode_errors})"
+    )
+    released = supervisor.protocol.released
+    for k in sorted(released):
+        p = released[k]
         state = "complete" if p.complete else f"timeout, missing {list(p.missing)}"
         print(f"period {p.period_index}: {len(p.reports)} reports, {state}")
-    for row in result.estimates:
+    _, estimates = postprocess_periods(config.scenario, released)
+    for row in estimates:
         est = row.estimate
         print(
             f"period {row.period_index} cluster {row.cluster_index}: "
             f"x_est = {est.x_est_m:.4f} m, v_est = {est.v_est_m_s:.2f} m/s, "
             f"flags = {_fmt_flags(est.flags)}"
         )
-    if not result.estimates:
+    if not estimates:
         print("no event clusters")
     return 0
 

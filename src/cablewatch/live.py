@@ -6,7 +6,9 @@ derives its receipt instants from (scenario, seed, period, sensor) exactly
 like the simulated transport and hands each frame to the simulator's own
 sensor driver (simulate.SensorNode), which stamps the same ground-truth
 arrivals and returns the same report. The values flowing through real
-sockets are therefore reproducible and a live run equals its simulated twin.
+sockets are therefore reproducible. run_live ends with the simulator's own
+tail (simulate.report_run), so it returns the same RunReport as a simulated
+run of its scenario, equal field for field and exported to the same bytes.
 Wall pacing only spaces the datagrams out; it never enters a timestamp.
 """
 
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .protocol import CompletedPeriod, SupervisorProtocol
-from .retiming import RetimedEvent
+from .protocol import SupervisorProtocol
 from .scenario import (
     Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
 )
-from .simulate import EstimateRow, postprocess_periods, sensor_nodes
+from .simulate import RunReport, report_run, sensor_nodes
 from .wire import (
     WireFormatError,
     decode_sensor_report,
@@ -113,17 +114,6 @@ class LiveConfig:
         return default_sync_ports(
             self.scenario.geometry.sensor_ids, self.sync_port_base, self.report_port
         )
-
-
-@dataclass
-class LiveRunResult:
-    """What a live supervisor collected, post-processed like a simulated run."""
-
-    completed_periods: list[CompletedPeriod]
-    retimed: list[RetimedEvent]
-    estimates: list[EstimateRow]
-    reports_received: int
-    decode_errors: int
 
 
 class SensorAgent:
@@ -235,7 +225,10 @@ class LiveSupervisor:
         self.reports_received += 1
         self.protocol.on_report(report)
 
-    def run(self) -> LiveRunResult:
+    def run(self) -> LiveSupervisor:
+        """Send every frame and collect reports until periods 0 to
+        periods - 2 are released, by completion or timeout; the released
+        periods are left in self.protocol.released."""
         config = self.config
         t_us = config.scenario.sync_period_T_us
         released = self.protocol.released
@@ -268,18 +261,12 @@ class LiveSupervisor:
         finally:
             out.close()
             self.sock.close()
-        retimed, estimates = postprocess_periods(config.scenario, released)
-        return LiveRunResult(
-            completed_periods=[released[k] for k in sorted(released)],
-            retimed=retimed,
-            estimates=estimates,
-            reports_received=self.reports_received,
-            decode_errors=self.decode_errors,
-        )
+        return self
 
 
-def run_live(config: LiveConfig) -> LiveRunResult:
-    """Run supervisor and every agent in one process over real sockets.
+def run_live(config: LiveConfig) -> RunReport:
+    """Run supervisor and every agent in one process over real sockets, and
+    report the run through simulate.report_run, as simulate.run does.
 
     Agents bind before the first frame is sent; OS-assigned ports (0) are
     resolved automatically, which keeps parallel test runs from colliding.
@@ -298,11 +285,11 @@ def run_live(config: LiveConfig) -> LiveRunResult:
     for t in threads:
         t.start()
     try:
-        result = supervisor.run()
+        supervisor.run()
     finally:
         for t in threads:
             t.join(timeout=config.timeout_s)
-    return result
+    return report_run(config.scenario, (a.node for a in agents), supervisor.protocol)
 
 
 def load_live_config(source: Union[str, Path]) -> LiveConfig:

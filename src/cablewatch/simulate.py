@@ -4,8 +4,11 @@ Each sensor is a SensorNode, the socket-free driver live agents use too: a
 sync receipt stamps every wave that reached the sensor by then and closes
 the period. The run feeds each sensor its receipts in receipt-time order;
 the event loop carries only report deliveries and period timeouts, handed
-straight to the supervisor's protocol. After the loop drains, the periods
-the supervisor released are retimed, clustered, and localized.
+straight to the supervisor's protocol. After the loop drains, report_run
+turns the sensors and the supervisor into a RunReport, the same tail a
+live run ends with: the periods the supervisor released are retimed,
+clustered and localized without looking at ground truth, and only then
+does score attribute each estimate to an injected rupture.
 Identical (scenario, seed) pairs produce identical output, down to the
 exported CSV bytes.
 """
@@ -17,7 +20,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .clock import ClockState
 from .localization import RuptureEstimate, localize_cluster
@@ -25,7 +28,7 @@ from .network import EventLoop, SUPERVISOR_NODE
 from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
-from .wave import WaveArrival, detect, quantize_to_sampling, simulate_rupture
+from .wave import CableGeometry, WaveArrival, detect, quantize_to_sampling, simulate_rupture
 from .wire import SensorReport, SyncFrame, decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
 
 # period timeout, as a fraction of T after the next broadcast
@@ -47,15 +50,16 @@ class DetectionRow:
 
 @dataclass(frozen=True)
 class EstimateRow:
-    """One cluster's localization outcome, matched back to its cause."""
+    """One cluster's localization outcome; only score fills in its cause."""
 
     period_index: int
     cluster_index: int
     n_sensors: int
     estimate: RuptureEstimate
-    matched: str  # "rupture:<i>" or ""
-    x_true_m: float  # NaN when unmatched
-    abs_error_m: float  # NaN when unmatched or estimate invalid
+    first_retimed_us: float  # the cluster's earliest retimed time, not exported
+    matched: str = ""  # "rupture:<i>" or ""
+    x_true_m: float = math.nan  # NaN when unmatched
+    abs_error_m: float = math.nan  # NaN when unmatched or estimate invalid
 
 
 @dataclass
@@ -182,18 +186,26 @@ def run(scenario: Scenario) -> RunReport:
             loop.schedule_delivery(
                 delivery, lambda t, p=delivery.payload: supervisor.on_report(decode_sensor_report(p))
             )
-    # waves after a sensor's last receipt stay pending
-    for node in nodes.values():
-        node.stamp_until(math.inf)
-
     loop.run()
+    return report_run(scenario, nodes.values(), supervisor)
 
+
+def report_run(
+    scenario: Scenario, nodes: Iterable[SensorNode], supervisor: SupervisorProtocol
+) -> RunReport:
+    """The report of a finished run, simulated or live: stamp the waves left
+    pending after each sensor's last receipt, post-process the released
+    periods, score the estimates against the scenario and summarize."""
+    nodes = list(nodes)
+    for node in nodes:
+        node.stamp_until(math.inf)
     detections = sorted(
-        (row for node in nodes.values() for row in node.detections),
+        (row for node in nodes for row in node.detections),
         key=lambda row: (row.arrival_ref_us, row.sensor_id),
     )
     released = supervisor.released
     retimed, estimates = postprocess_periods(scenario, released)
+    estimates = score(scenario, estimates)
     return RunReport(
         scenario=scenario,
         detections=detections,
@@ -207,85 +219,81 @@ def run(scenario: Scenario) -> RunReport:
 def postprocess_periods(
     scenario: Scenario, released: dict[int, CompletedPeriod]
 ) -> tuple[list[RetimedEvent], list[EstimateRow]]:
-    """Retime, cluster, and localize every released period, in index order."""
-    geom = scenario.geometry
+    """Retime every released period in index order, then cluster and
+    localize; ground truth plays no part."""
     t_us = scenario.sync_period_T_us
-    times, by_time = _ruptures_by_time(scenario)
-    retimed_all: list[RetimedEvent] = []
-    estimates: list[EstimateRow] = []
-    for k in sorted(released):
-        events = align_period(released[k].reports, t_us)
-        retimed_all.extend(events)
-        clusters = cluster_events(events, scenario.coincidence_window_us)
-        for ci, cluster in enumerate(clusters):
-            est = localize_cluster(cluster, geom)
-            matched, x_true = _match_rupture(scenario, times, by_time, k, cluster)
-            err = math.nan
-            if matched and not math.isnan(est.x_est_m):
-                err = abs(est.x_est_m - x_true)
-            estimates.append(
-                EstimateRow(
-                    period_index=k,
-                    cluster_index=ci,
-                    n_sensors=len({e.sensor_id for e in cluster}),
-                    estimate=est,
-                    matched=matched,
-                    x_true_m=x_true,
-                    abs_error_m=err,
-                )
-            )
-    return retimed_all, estimates
+    retimed = [e for k in sorted(released) for e in align_period(released[k].reports, t_us)]
+    return retimed, localize_periods(retimed, scenario.geometry, scenario.coincidence_window_us)
 
 
-def _ruptures_by_time(scenario: Scenario) -> tuple[list[float], list[int]]:
-    """Rupture times in ascending order, and the rupture index of each;
-    equal times stay in index order."""
+def localize_periods(
+    events: Iterable[RetimedEvent], geometry: CableGeometry, window_us: float
+) -> list[EstimateRow]:
+    """Cluster each period's events and localize every cluster, periods in
+    index order and each period's events in the order given."""
+    by_period: dict[int, list[RetimedEvent]] = {}
+    for e in events:
+        by_period.setdefault(e.period_index, []).append(e)
+    return [
+        EstimateRow(
+            period_index=k,
+            cluster_index=ci,
+            n_sensors=len({e.sensor_id for e in cluster}),
+            estimate=localize_cluster(cluster, geometry),
+            # a cluster is in retimed-time order, so its first event is its earliest
+            first_retimed_us=cluster[0].retimed_us,
+        )
+        for k in sorted(by_period)
+        for ci, cluster in enumerate(cluster_events(by_period[k], window_us))
+    ]
+
+
+def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]:
+    """Attribute each estimate to the injected rupture nearest in absolute
+    time, the lowest rupture index among equally near ones, if it lies
+    within the coincidence window plus the wave's travel over the span."""
     ruptures = scenario.ruptures
     by_time = sorted(range(len(ruptures)), key=lambda i: ruptures[i].time_ref_us)
-    return [ruptures[i].time_ref_us for i in by_time], by_time
-
-
-def _match_rupture(
-    scenario: Scenario,
-    times: list[float],
-    by_time: list[int],
-    period_index: int,
-    cluster: list[RetimedEvent],
-) -> tuple[str, float]:
-    """Attribute a cluster to the injected rupture nearest in absolute time,
-    the lowest rupture index among equally near ones.
-
-    times and by_time come from _ruptures_by_time, so the nearest ruptures
-    lie around the bisection point.
-    """
-    if not times:
-        return "", math.nan
-    # a cluster is in retimed-time order, so its first event is its earliest
-    t_abs = period_index * scenario.sync_period_T_us + cluster[0].retimed_us
-    pos = bisect_left(times, t_abs)
-    best_gap = min(
-        abs(t_abs - times[pos - 1]) if pos > 0 else math.inf,
-        abs(t_abs - times[pos]) if pos < len(times) else math.inf,
-    )
-    # gaps never shrink away from pos on either side, so the ruptures at best_gap
-    # (equal times, or gaps that round equal) are one run around pos
-    lo, hi = pos, pos
-    while lo > 0 and abs(t_abs - times[lo - 1]) == best_gap:
-        lo -= 1
-    while hi < len(times) and abs(t_abs - times[hi]) == best_gap:
-        hi += 1
-    best_i = min(by_time[lo:hi])
+    times = [ruptures[i].time_ref_us for i in by_time]
     # receipts lag arrivals by latency and travel; anything inside the
     # coincidence window is the same physical event
     travel = scenario.geometry.span_m / scenario.wave_speed_m_s * 1e6
-    if best_gap <= scenario.coincidence_window_us + travel:
-        return f"rupture:{best_i}", scenario.ruptures[best_i].position_m
-    return "", math.nan
+    tolerance = scenario.coincidence_window_us + travel
+    scored = []
+    for row in estimates:
+        t_abs = row.period_index * scenario.sync_period_T_us + row.first_retimed_us
+        pos = bisect_left(times, t_abs)
+        best_gap = min(
+            abs(t_abs - times[pos - 1]) if pos > 0 else math.inf,
+            abs(t_abs - times[pos]) if pos < len(times) else math.inf,
+        )
+        if best_gap > tolerance:
+            scored.append(row)
+            continue
+        # gaps never shrink away from pos on either side, so the ruptures at
+        # best_gap (equal times, or gaps that round equal) are one run around pos
+        lo, hi = pos, pos
+        while lo > 0 and abs(t_abs - times[lo - 1]) == best_gap:
+            lo -= 1
+        while hi < len(times) and abs(t_abs - times[hi]) == best_gap:
+            hi += 1
+        best_i = min(by_time[lo:hi])
+        x_true = ruptures[best_i].position_m
+        x_est = row.estimate.x_est_m
+        # built directly: dataclasses.replace costs twice as much per row
+        scored.append(EstimateRow(
+            row.period_index, row.cluster_index, row.n_sensors, row.estimate,
+            row.first_retimed_us,
+            matched=f"rupture:{best_i}",
+            x_true_m=x_true,
+            abs_error_m=math.nan if math.isnan(x_est) else abs(x_est - x_true),
+        ))
+    return scored
 
 
 def _summarize(nodes, supervisor, detections, retimed, estimates):
     errors = [e.abs_error_m for e in estimates if not math.isnan(e.abs_error_m)]
-    sensors = [n.protocol for n in nodes.values()]
+    sensors = [n.protocol for n in nodes]
     released = supervisor.released.values()
     summary: dict[str, object] = {
         "sensors": len(sensors),

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import csv
 import re
 import textwrap
 import threading
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from cablewatch.cli import main
+from cablewatch.localization import FLAG_INSUFFICIENT_SENSORS
 
 SCENARIO_YAML = textwrap.dedent(
     """
@@ -108,6 +110,39 @@ class TestLocalize:
         rc = main(["localize", str(out / "retimed.csv"), "--geometry", str(scenario), *window_flag])
         assert rc == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
+    def test_reproduces_every_row_of_the_simulated_estimates(self, tmp_path, capsys):
+        # ruptures in two periods, two of them 20 ms apart, and a lone
+        # spurious hit that is flagged rather than localized
+        scenario = tmp_path / "scene.yaml"
+        scenario.write_text(
+            GEOMETRY_YAML
+            + "coincidence_window_us: 5000\n"
+            + "ruptures:\n"
+            + "  - {position_m: 14.0, time_ref_us: 1500000}\n"
+            + "  - {position_m: 24.0, time_ref_us: 1520000}\n"
+            + "  - {position_m: 3.5, time_ref_us: 2300000}\n"
+            + "spurious_events:\n"
+            + "  - {sensor_id: 2, time_ref_us: 2600000}\n"
+        )
+        out = tmp_path / "out"
+        main(["simulate", str(scenario), "--out", str(out)])
+        with open(out / "estimates.csv", newline="") as f:
+            want = [
+                [
+                    row["period_index"], row["cluster_index"], row["n_sensors"],
+                    f"{float(row['x_est_m']):.4f}", f"{float(row['v_est_m_s']):.2f}",
+                    row["flags"] or "-",
+                ]
+                for row in csv.DictReader(f)
+            ]
+        assert len(want) == 4
+        assert {w[5] for w in want} == {"-", FLAG_INSUFFICIENT_SENSORS}
+        capsys.readouterr()
+        rc = main(["localize", str(out / "retimed.csv"), "--geometry", str(scenario)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines[1:]] == want
 
     def test_empty_csv_is_fine(self, tmp_path, capsys):
         p = tmp_path / "retimed.csv"

@@ -17,7 +17,7 @@ from cablewatch.live import (
     run_live,
 )
 from cablewatch.scenario import NetworkConfig, Scenario, ScenarioError, SpuriousEvent
-from cablewatch.simulate import run
+from cablewatch.simulate import export_csv, run
 from cablewatch.wave import CableGeometry, RuptureEvent
 from cablewatch.wire import decode_sensor_report, encode_sync_frame, SyncFrame
 
@@ -193,32 +193,38 @@ class TestAgentLogic:
         assert periods == [0, 1]
 
 
+def csv_bytes(report, out_dir):
+    return {p.name: p.read_bytes() for p in export_csv(report, out_dir)}
+
+
 class TestEndToEnd:
-    def test_live_run_matches_simulated_twin_exactly(self):
+    def test_live_run_matches_simulated_twin_exactly(self, tmp_path):
         periods = 5
         duration = (periods - 1) * 1_000_000.0
-        for scenario in (
-            live_scenario(run_duration_us=duration),
+        for i, (spurious, pending) in enumerate([
+            ((), 0),
             # sensor 3 detects before its first sync receipt (~20 us)
-            live_scenario(
-                run_duration_us=duration, spurious_events=(SpuriousEvent(3, 5.0),)
-            ),
-        ):
+            ((SpuriousEvent(3, 5.0),), 0),
+            # sensor 2 detects after its last sync receipt (~4 s)
+            ((SpuriousEvent(2, 4_500_000.0),), 1),
+        ]):
+            scenario = live_scenario(run_duration_us=duration, spurious_events=spurious)
             live = run_live(ephemeral_config(scenario, periods=periods))
             sim = run(scenario)
 
+            # the same bytes flowed through real sockets: detections,
+            # reports, retimed events, scored estimates and summary are
+            # identical, not merely close; a lost or undecodable report
+            # would change completed_periods
+            assert live == sim
+            assert csv_bytes(live, tmp_path / f"live{i}") == csv_bytes(sim, tmp_path / f"sim{i}")
             assert len(live.completed_periods) == periods - 1
             assert all(p.complete for p in live.completed_periods)
-            # the same bytes flowed through real sockets: reports, retimed
-            # events, and estimates are identical, not merely close
-            assert live.completed_periods == sim.completed_periods
-            assert live.retimed == sim.retimed
-            assert [e.estimate for e in live.estimates] == [e.estimate for e in sim.estimates]
+            assert live.summary["events_pending_at_end"] == pending
 
             est = [e for e in live.estimates if e.matched == "rupture:0"]
             assert len(est) == 1
             assert abs(est[0].estimate.x_est_m - 14.0) <= 0.15
-            assert live.decode_errors == 0
 
     def test_live_broadcast_mode_completes_periods(self):
         scenario = live_scenario()
@@ -254,19 +260,22 @@ class TestEndToEnd:
             t.start()
         try:
             with caplog.at_level(logging.WARNING, logger="cablewatch.live"):
-                result = supervisor.run()
+                assert supervisor.run() is supervisor
         finally:
             for t in threads:
                 t.join(timeout=10.0)
             silent.close()
 
         closed = range(periods - 1)
-        assert [p.period_index for p in result.completed_periods] == list(closed)
-        assert all(not p.complete and p.missing == (4,) for p in result.completed_periods)
+        released = supervisor.protocol.released
+        assert sorted(released) == list(closed)
+        assert all(not released[k].complete and released[k].missing == (4,) for k in closed)
         twin = run(scenario).completed_periods
-        assert [p.reports for p in result.completed_periods] == [
+        assert [released[k].reports for k in closed] == [
             tuple(r for r in p.reports if r.sensor_id != 4) for p in twin
         ]
+        assert supervisor.reports_received == 3 * len(closed)
+        assert supervisor.decode_errors == 0
         assert [r.getMessage() for r in caplog.records if r.name == "cablewatch.live"] == [
             f"supervisor: period {k} timed out, releasing partial" for k in closed
         ]

@@ -2,11 +2,12 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cablewatch.localization import FLAG_INSUFFICIENT_SENSORS, FLAG_OUT_OF_SPAN
+from cablewatch.localization import FLAG_INSUFFICIENT_SENSORS, FLAG_OUT_OF_SPAN, RuptureEstimate
 from cablewatch.retiming import RetimedEvent
 from cablewatch.scenario import NetworkConfig, Scenario, SpuriousEvent
 from cablewatch.simulate import (
@@ -14,10 +15,11 @@ from cablewatch.simulate import (
     ESTIMATES_HEADER,
     RETIMED_HEADER,
     SUMMARY_HEADER,
-    _match_rupture,
-    _ruptures_by_time,
+    EstimateRow,
     export_csv,
+    postprocess_periods,
     run,
+    score,
 )
 from cablewatch.wave import CableGeometry, RuptureEvent
 
@@ -254,6 +256,19 @@ class TestSensorDriver:
         assert rep.retimed == []
 
 
+class TestGroundTruthStaysOutOfThePipeline:
+    def test_postprocessing_ignores_the_injected_ruptures(self):
+        scenario = canonical_scenario(
+            ruptures=(RuptureEvent(14.0, 1_500_000.0), RuptureEvent(20.0, 2_400_000.0)),
+            spurious_events=(SpuriousEvent(2, 2_700_000.0),),
+        )
+        released = {p.period_index: p for p in run(scenario).completed_periods}
+        got = postprocess_periods(scenario, released)
+        assert len(got[1]) == 3
+        assert got == postprocess_periods(replace(scenario, ruptures=()), released)
+        assert all(not row.matched for row in got[1])
+
+
 def match_rupture_by_scan(scenario, period_index, cluster):
     """Reference: every rupture's gap, the first smallest one wins."""
     if not scenario.ruptures:
@@ -268,6 +283,19 @@ def match_rupture_by_scan(scenario, period_index, cluster):
     if best_gap <= scenario.coincidence_window_us + travel:
         return f"rupture:{best_i}", scenario.ruptures[best_i].position_m
     return "", math.nan
+
+
+def one_event_row(period_index, retimed_us):
+    """The estimate row of a one-event cluster, and the cluster."""
+    cluster = [RetimedEvent(1, period_index, retimed_us, 0, 1.0)]
+    row = EstimateRow(
+        period_index=period_index,
+        cluster_index=0,
+        n_sensors=1,
+        estimate=RuptureEstimate(10.0, 5000.0, (1, 2, 3)),
+        first_retimed_us=cluster[0].retimed_us,
+    )
+    return row, cluster
 
 
 class TestRuptureMatching:
@@ -290,12 +318,15 @@ class TestRuptureMatching:
             coincidence_window_us=window_us,
             ruptures=tuple(RuptureEvent(x, t) for t, x in ruptures),
         )
-        cluster = [RetimedEvent(1, period_index, retimed_us, 0, 1.0)]
-        times, by_time = _ruptures_by_time(scenario)
-        got = _match_rupture(scenario, times, by_time, period_index, cluster)
+        row, cluster = one_event_row(period_index, retimed_us)
+        [got] = score(scenario, [row])
         want = match_rupture_by_scan(scenario, period_index, cluster)
-        assert got[0] == want[0]
-        assert got[1] == want[1] or math.isnan(got[1]) and math.isnan(want[1])
+        assert got.matched == want[0]
+        assert got.x_true_m == want[1] or math.isnan(got.x_true_m) and math.isnan(want[1])
+        if want[0]:
+            assert got.abs_error_m == abs(10.0 - want[1])
+        else:
+            assert got == row
 
     def test_equal_gaps_go_to_the_lowest_index(self):
         scenario = Scenario(
@@ -304,11 +335,11 @@ class TestRuptureMatching:
             ruptures=(RuptureEvent(27.0, 2000.0), RuptureEvent(4.0, 1000.0),
                       RuptureEvent(17.0, 2000.0), RuptureEvent(0.0, 1000.0)),
         )
-        times, by_time = _ruptures_by_time(scenario)
-        midway = [RetimedEvent(1, 1, 500.0, 0, 1.0)]
-        assert _match_rupture(scenario, times, by_time, 1, midway) == ("rupture:0", 27.0)
-        at_first = [RetimedEvent(1, 1, 0.0, 0, 1.0)]
-        assert _match_rupture(scenario, times, by_time, 1, at_first) == ("rupture:1", 4.0)
+        midway, _ = one_event_row(1, 500.0)
+        at_first, _ = one_event_row(1, 0.0)
+        assert [(r.matched, r.x_true_m) for r in score(scenario, [midway, at_first])] == [
+            ("rupture:0", 27.0), ("rupture:1", 4.0),
+        ]
 
 
 class TestDeterminism:
