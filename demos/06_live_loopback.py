@@ -2,14 +2,16 @@
 Live mode: real datagrams, modeled time
 =======================================
 
-The protocol also runs over actual UDP sockets. A supervisor thread
-broadcasts encoded sync frames; four sensor-agent threads decode them,
-stamp modeled wave arrivals on their drifting counters, and send back
-encoded report datagrams. Timestamps stay on the modeled timeline (real
-network latency never touches them), so a live run and a simulated run
-of the same scenario agree to the last bit while exercising the real
-wire format end to end: run_live returns the same RunReport as run, down
-to the summary, and export_csv writes the same bytes for either.
+The protocol also runs over actual UDP sockets. A supervisor sends encoded
+sync frames; four sensor agents decode them, stamp modeled wave arrivals on
+their drifting counters, and send back encoded report datagrams. No thread
+is started: one event loop serves the supervisor's socket and the agents'
+sockets, one datagram at a time, and serves every agent after each frame.
+Timestamps stay on the modeled timeline (real network latency never
+touches them), so a live run and a simulated run of the same scenario
+agree to the last bit while exercising the real wire format end to end:
+run_live returns the same RunReport as run, down to the summary, and
+export_csv writes the same bytes for either.
 
 The same agents and supervisor are available as separate processes via
 `cablewatch agent` and `cablewatch supervise`.

@@ -1,26 +1,26 @@
 """Live datagram mode: the same protocol over real UDP sockets.
 
 The supervisor and each sensor agent are separate endpoints exchanging the
-same wire bytes as the simulator. Time, however, stays modeled: every agent
-derives its receipt instants from (scenario, seed, period, sensor) exactly
-like the simulated transport and hands each frame to the simulator's own
-sensor driver (simulate.SensorNode), which stamps the same ground-truth
-arrivals and returns the same report. The values flowing through real
-sockets are therefore reproducible. run_live ends with the simulator's own
-tail (simulate.report_run), so it returns the same RunReport as a simulated
-run of its scenario, equal field for field and exported to the same bytes.
-Wall pacing only spaces the datagrams out; it never enters a timestamp.
+same wire bytes as the simulator, served by one event loop per process (a
+selector on one thread; run_live starts no thread). Time stays modeled:
+every agent derives its receipt instants from (scenario, seed, period,
+sensor) like the simulated transport and hands each frame to the simulator's
+sensor driver (simulate.SensorNode), which stamps the same arrivals and
+returns the same report. run_live ends with the simulator's own tail
+(simulate.report_run), so it returns the same RunReport as a simulated run,
+equal field for field. Wall pacing only spaces frames out, never timestamps.
 """
 
 from __future__ import annotations
 
 import logging
+import selectors
 import socket
-import threading
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .protocol import SupervisorProtocol
 from .scenario import (
@@ -28,10 +28,7 @@ from .scenario import (
 )
 from .simulate import RunReport, report_run, sensor_nodes
 from .wire import (
-    WireFormatError,
-    decode_sensor_report,
-    decode_sync_frame,
-    encode_sensor_report,
+    WireFormatError, decode_sensor_report, decode_sync_frame, encode_sensor_report,
     encode_sync_frame,
 )
 
@@ -40,7 +37,6 @@ log = logging.getLogger(__name__)
 DEFAULT_SYNC_PORT = 47801
 DEFAULT_REPORT_PORT = 47802
 _RECV_BYTES = 65536
-_POLL_S = 0.05
 
 
 def default_sync_ports(sensor_ids, base: int = DEFAULT_SYNC_PORT,
@@ -116,12 +112,41 @@ class LiveConfig:
         )
 
 
+@contextmanager
+def _socket_loop(endpoints: list):
+    """Yield a selector over the endpoints' sockets; close them all on exit."""
+    with selectors.DefaultSelector() as selector, ExitStack() as sockets:
+        for e in endpoints:
+            sockets.enter_context(e.sock)
+            selector.register(e.sock, selectors.EVENT_READ, e.on_datagram)
+        yield selector
+
+
+def _serve(selector, timeout: float) -> int:
+    """Hand one datagram to each endpoint ready within timeout seconds; count them."""
+    ready = selector.select(timeout)
+    for key, _ in ready:
+        try:
+            data = key.fileobj.recv(_RECV_BYTES)
+        except BlockingIOError:
+            continue
+        key.data(data)
+    return len(ready)
+
+
+def _serve_until(selector, done: Callable[[], bool], timeout_s: float) -> None:
+    """Serve until done() holds or timeout_s seconds have passed."""
+    deadline = time.monotonic() + timeout_s
+    while not done() and (left := deadline - time.monotonic()) > 0:
+        _serve(selector, left)
+
+
 class SensorAgent:
     """One sensor endpoint: listens for sync frames, sends reports.
 
     Binds its socket at construction so callers can start the supervisor
-    afterwards without losing frames; run() blocks until the last expected
-    frame or the wall deadline.
+    afterwards without losing frames; run() serves it alone until the last
+    expected frame or the wall deadline.
     """
 
     def __init__(
@@ -146,7 +171,7 @@ class SensorAgent:
         if config.broadcast_address is not None:
             self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         self.sock.bind((config.host if config.broadcast_address is None else "", port))
-        self.sock.settimeout(_POLL_S)
+        self.sock.setblocking(False)
         self.port = self.sock.getsockname()[1]
 
     def handle_sync(self, payload: bytes, out_sock: socket.socket) -> None:
@@ -168,24 +193,18 @@ class SensorAgent:
         out_sock.sendto(payload_out, (self.config.host, self.report_port))
         self.reports_sent += 1
 
-    def run(self) -> None:
-        deadline = time.monotonic() + self.config.timeout_s
-        out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    def on_datagram(self, data: bytes) -> None:
         try:
-            # duplicates and replays count as frames; only the last period ends the run
-            last = self.config.periods - 1
-            while self.node.protocol.last_seen_period_index != last and time.monotonic() < deadline:
-                try:
-                    data, _ = self.sock.recvfrom(_RECV_BYTES)
-                except socket.timeout:
-                    continue
-                try:
-                    self.handle_sync(data, out)
-                except WireFormatError as e:
-                    log.warning("sensor %d: undecodable datagram: %s", self.sensor_id, e)
-        finally:
-            out.close()
-            self.sock.close()
+            self.handle_sync(data, self.sock)
+        except WireFormatError as e:
+            log.warning("sensor %d: undecodable datagram: %s", self.sensor_id, e)
+
+    def run(self) -> None:
+        # duplicates and replays count as frames; only the last period ends the run
+        last = self.config.periods - 1
+        with _socket_loop([self]) as selector:
+            _serve_until(selector, lambda: self.node.protocol.last_seen_period_index == last,
+                         self.config.timeout_s)
 
 
 class LiveSupervisor:
@@ -207,15 +226,10 @@ class LiveSupervisor:
         self.decode_errors = 0
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind((config.host, config.report_port))
-        self.sock.settimeout(_POLL_S)
+        self.sock.setblocking(False)
         self.port = self.sock.getsockname()[1]
 
-    def _drain_one(self) -> None:
-        """Receive at most one report, waiting up to the socket poll timeout."""
-        try:
-            data, _ = self.sock.recvfrom(_RECV_BYTES)
-        except socket.timeout:
-            return
+    def on_datagram(self, data: bytes) -> None:
         try:
             report = decode_sensor_report(data)
         except WireFormatError as e:
@@ -225,17 +239,21 @@ class LiveSupervisor:
         self.reports_received += 1
         self.protocol.on_report(report)
 
-    def run(self) -> LiveSupervisor:
+    def run(self, agents: Iterable[SensorAgent] = ()) -> LiveSupervisor:
         """Send every frame and collect reports until periods 0 to
-        periods - 2 are released, by completion or timeout; the released
-        periods are left in self.protocol.released."""
+        periods - 2 are released, by completion or timeout, into
+        self.protocol.released. One loop serves this endpoint and the given
+        in-process agents, closing their sockets on return; after each frame
+        it serves until no endpoint is ready and pace_s has passed. Frames
+        leave from a blocking socket, which waits out a full send buffer."""
         config = self.config
         t_us = config.scenario.sync_period_T_us
         released = self.protocol.released
-        out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        if config.broadcast_address is not None:
-            out.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-        try:
+        closing = range(config.periods - 1)  # the last frame closes periods - 2
+        with _socket_loop([self, *agents]) as selector, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+            if config.broadcast_address is not None:
+                out.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
             for k in range(config.periods):
                 frame = self.protocol.tick(k * t_us)
                 assert frame is not None and frame.period_index == k
@@ -245,22 +263,13 @@ class LiveSupervisor:
                 else:
                     for sid in sorted(self.targets):
                         out.sendto(payload, (config.host, self.targets[sid]))
-                if config.pace_s:
-                    end = time.monotonic() + config.pace_s
-                    while time.monotonic() < end:
-                        self._drain_one()
-
-            # the last frame closes period periods - 2
-            closing = range(config.periods - 1)
-            deadline = time.monotonic() + config.timeout_s
-            while any(k not in released for k in closing) and time.monotonic() < deadline:
-                self._drain_one()
-            for k in closing:
-                if self.protocol.expire(k) is not None:
-                    log.warning("supervisor: period %d timed out, releasing partial", k)
-        finally:
-            out.close()
-            self.sock.close()
+                end = time.monotonic() + config.pace_s
+                while _serve(selector, end - time.monotonic()) or time.monotonic() < end:
+                    pass
+            _serve_until(selector, lambda: all(k in released for k in closing), config.timeout_s)
+        for k in closing:
+            if self.protocol.expire(k) is not None:
+                log.warning("supervisor: period %d timed out, releasing partial", k)
         return self
 
 
@@ -268,8 +277,9 @@ def run_live(config: LiveConfig) -> RunReport:
     """Run supervisor and every agent in one process over real sockets, and
     report the run through simulate.report_run, as simulate.run does.
 
-    Agents bind before the first frame is sent; OS-assigned ports (0) are
-    resolved automatically, which keeps parallel test runs from colliding.
+    Agents bind before the first frame and are served from the supervisor's
+    loop. OS-assigned ports (0) are resolved automatically, which keeps
+    parallel test runs from colliding.
     """
     ports = config.resolved_sync_ports()
     supervisor = LiveSupervisor(config)
@@ -278,17 +288,7 @@ def run_live(config: LiveConfig) -> RunReport:
         for sid in sorted(config.scenario.geometry.sensor_ids)
     ]
     supervisor.targets = {a.sensor_id: a.port for a in agents}
-    threads = [
-        threading.Thread(target=a.run, name=f"sensor-{a.sensor_id}", daemon=True)
-        for a in agents
-    ]
-    for t in threads:
-        t.start()
-    try:
-        supervisor.run()
-    finally:
-        for t in threads:
-            t.join(timeout=config.timeout_s)
+    supervisor.run(agents)
     return report_run(config.scenario, (a.node for a in agents), supervisor.protocol)
 
 

@@ -3,6 +3,7 @@
 import logging
 import socket
 import threading
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from cablewatch.live import (
     run_live,
 )
 from cablewatch.scenario import NetworkConfig, Scenario, ScenarioError, SpuriousEvent
-from cablewatch.simulate import export_csv, run
+from cablewatch.simulate import export_csv, report_run, run
 from cablewatch.wave import CableGeometry, RuptureEvent
 from cablewatch.wire import decode_sensor_report, encode_sync_frame, SyncFrame
 
@@ -192,6 +193,15 @@ class TestAgentLogic:
         )
         assert periods == [0, 1]
 
+    def test_agent_without_frames_waits_out_its_timeout(self):
+        cfg = ephemeral_config(live_scenario(), timeout_s=0.2)
+        agent = SensorAgent(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        start = time.monotonic()
+        agent.run()
+        assert time.monotonic() - start >= 0.2
+        assert agent.frames_seen == 0
+        assert agent.sock.fileno() == -1
+
 
 def csv_bytes(report, out_dir):
     return {p.name: p.read_bytes() for p in export_csv(report, out_dir)}
@@ -255,15 +265,10 @@ class TestEndToEnd:
         silent.bind(("127.0.0.1", 0))
         supervisor.targets = {a.sensor_id: a.port for a in agents}
         supervisor.targets[4] = silent.getsockname()[1]
-        threads = [threading.Thread(target=a.run, daemon=True) for a in agents]
-        for t in threads:
-            t.start()
         try:
             with caplog.at_level(logging.WARNING, logger="cablewatch.live"):
-                assert supervisor.run() is supervisor
+                assert supervisor.run(agents) is supervisor
         finally:
-            for t in threads:
-                t.join(timeout=10.0)
             silent.close()
 
         closed = range(periods - 1)
@@ -283,9 +288,60 @@ class TestEndToEnd:
     def test_wall_pacing_does_not_change_modeled_values(self):
         periods = 4
         scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
+        start = time.monotonic()
         paced = run_live(ephemeral_config(scenario, periods=periods, pace_s=0.05))
+        # every frame, the last included, is followed by its full pace
+        assert time.monotonic() - start >= periods * 0.05
         quick = run_live(ephemeral_config(scenario, periods=periods))
         assert paced.retimed == quick.retimed
+
+    def test_unpaced_long_run_loses_no_frame(self):
+        # the supervisor serves its agents between frames, so frames sent
+        # back to back never pile up in a socket until the kernel drops them
+        periods = 300
+        scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
+        live = run_live(ephemeral_config(scenario, periods=periods, timeout_s=5.0))
+        assert len(live.completed_periods) == periods - 1
+        assert all(p.complete for p in live.completed_periods)
+        assert live == run(scenario)
+
+    def test_run_live_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"run_live started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        scenario = live_scenario(run_duration_us=4_000_000.0)
+        assert run_live(ephemeral_config(scenario)) == run(scenario)
+
+    def test_undecodable_datagrams_are_logged_and_skipped(self, caplog):
+        # one junk datagram waits at the supervisor and one at sensor 1 before
+        # the first frame; each is dropped with a warning and the run goes on
+        periods = 4
+        scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
+        config = ephemeral_config(scenario, periods=periods)
+        supervisor = LiveSupervisor(config)
+        agents = [
+            SensorAgent(config, sid, sync_port=0, report_port=supervisor.port)
+            for sid in (1, 2, 3, 4)
+        ]
+        supervisor.targets = {a.sensor_id: a.port for a in agents}
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
+            junk.sendto(b"junk", ("127.0.0.1", supervisor.port))
+            junk.sendto(b"junk", ("127.0.0.1", agents[0].port))
+        with caplog.at_level(logging.WARNING, logger="cablewatch.live"):
+            supervisor.run(agents)
+
+        assert supervisor.decode_errors == 1
+        assert supervisor.reports_received == 4 * (periods - 1)
+        messages = [r.getMessage() for r in caplog.records if r.name == "cablewatch.live"]
+        assert len(messages) == 2
+        assert sum(m.startswith("supervisor: undecodable report datagram: ") for m in messages) == 1
+        assert sum(m.startswith("sensor 1: undecodable datagram: ") for m in messages) == 1
+        live = report_run(scenario, (a.node for a in agents), supervisor.protocol)
+        sim = run(scenario)
+        assert len(live.completed_periods) == periods - 1
+        assert all(p.complete for p in live.completed_periods)
+        assert live == sim  # retimed events, estimates and summary alike
 
 
 class TestLiveConfigFile:
