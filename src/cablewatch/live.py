@@ -112,6 +112,20 @@ class LiveConfig:
         )
 
 
+def _bound_socket(host: str, port: int, reuse_port: bool = False) -> socket.socket:
+    """A non-blocking UDP socket bound to (host, port), closed if binding fails."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        if reuse_port:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        sock.bind((host, port))
+    except BaseException:
+        sock.close()
+        raise
+    sock.setblocking(False)
+    return sock
+
+
 @contextmanager
 def _socket_loop(endpoints: list):
     """Yield a selector over the endpoints' sockets; close them all on exit."""
@@ -167,11 +181,10 @@ class SensorAgent:
         self.frames_seen = 0
         self.reports_sent = 0
         port = sync_port if sync_port is not None else config.resolved_sync_ports()[sensor_id]
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        if config.broadcast_address is not None:
-            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        self.sock.bind((config.host if config.broadcast_address is None else "", port))
-        self.sock.setblocking(False)
+        self.sock = _bound_socket(
+            config.host if config.broadcast_address is None else "", port,
+            reuse_port=config.broadcast_address is not None,
+        )
         self.port = self.sock.getsockname()[1]
 
     def handle_sync(self, payload: bytes, out_sock: socket.socket) -> None:
@@ -224,9 +237,7 @@ class LiveSupervisor:
         self.targets = config.resolved_sync_ports()
         self.reports_received = 0
         self.decode_errors = 0
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind((config.host, config.report_port))
-        self.sock.setblocking(False)
+        self.sock = _bound_socket(config.host, config.report_port)
         self.port = self.sock.getsockname()[1]
 
     def on_datagram(self, data: bytes) -> None:
@@ -282,13 +293,16 @@ def run_live(config: LiveConfig) -> RunReport:
     parallel test runs from colliding.
     """
     ports = config.resolved_sync_ports()
-    supervisor = LiveSupervisor(config)
-    agents = [
-        SensorAgent(config, sid, sync_port=ports[sid], report_port=supervisor.port)
-        for sid in sorted(config.scenario.geometry.sensor_ids)
-    ]
-    supervisor.targets = {a.sensor_id: a.port for a in agents}
-    supervisor.run(agents)
+    # every socket bound so far is closed if a later endpoint fails to bind
+    with ExitStack() as bound:
+        supervisor = LiveSupervisor(config)
+        bound.enter_context(supervisor.sock)
+        agents = []
+        for sid in sorted(config.scenario.geometry.sensor_ids):
+            agents.append(SensorAgent(config, sid, sync_port=ports[sid], report_port=supervisor.port))
+            bound.enter_context(agents[-1].sock)
+        supervisor.targets = {a.sensor_id: a.port for a in agents}
+        supervisor.run(agents)
     return report_run(config.scenario, (a.node for a in agents), supervisor.protocol)
 
 

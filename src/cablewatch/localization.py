@@ -18,8 +18,7 @@ a monitoring pipeline wants the bad cluster recorded, not a crash.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .retiming import RetimedEvent
 from .wave import CableGeometry
@@ -33,8 +32,7 @@ class DegenerateTimingError(ValueError):
     """Arrival-time differences that cannot yield a speed estimate."""
 
 
-@dataclass(frozen=True)
-class TripleSelection:
+class TripleSelection(NamedTuple):
     """The three sensors feeding one estimate.
 
     sensor_2 heard the wave first and sensor_3 second (they bracket the
@@ -53,8 +51,7 @@ class TripleSelection:
         return (self.sensor_1, self.sensor_2, self.sensor_3)
 
 
-@dataclass(frozen=True)
-class RuptureEstimate:
+class RuptureEstimate(NamedTuple):
     """Position/speed estimate for one event cluster, with diagnostics.
 
     x_est_m and v_est_m_s are NaN whenever flags prevented the estimate.

@@ -24,7 +24,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 DEFAULT_RF_SPEED_M_S = 180e6
 DEFAULT_LATENCY_MEAN_US = 20.0
@@ -53,8 +53,7 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class ScheduledDelivery:
+class ScheduledDelivery(NamedTuple):
     """One message en route: when and where it lands."""
 
     deliver_at_ref_us: float

@@ -27,8 +27,7 @@ drivers read outcomes there instead of keeping tallies of their own.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .clock import ClockState
 from .wire import ReportEvent, SensorReport, SyncFrame
@@ -123,8 +122,7 @@ class SensorProtocol:
         )
 
 
-@dataclass(frozen=True)
-class CompletedPeriod:
+class CompletedPeriod(NamedTuple):
     """A period released for retiming: every roster report, or a timeout cut."""
 
     period_index: int

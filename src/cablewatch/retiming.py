@@ -17,8 +17,7 @@ discards every other stamp before it reaches a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .wire import SensorReport
 
@@ -33,8 +32,7 @@ class RetimeError(ValueError):
     """An event timestamp cannot be mapped onto the reference timescale."""
 
 
-@dataclass(frozen=True)
-class RetimedEvent:
+class RetimedEvent(NamedTuple):
     """One detection after retiming.
 
     retimed_us is the event's offset from the period start on the reference

@@ -15,12 +15,11 @@ exported CSV bytes.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .clock import ClockState
 from .localization import RuptureEstimate, localize_cluster
@@ -35,8 +34,7 @@ from .wire import SensorReport, SyncFrame, decode_sensor_report, decode_sync_fra
 PERIOD_TIMEOUT_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class DetectionRow:
+class DetectionRow(NamedTuple):
     """One stamped detection, with the ground truth that produced it."""
 
     sensor_id: int
@@ -48,8 +46,7 @@ class DetectionRow:
     pre_sync: bool  # stamped before the first sync, so the sensor discards it
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class EstimateRow(NamedTuple):
     """One cluster's localization outcome; only score fills in its cause."""
 
     period_index: int
@@ -280,13 +277,11 @@ def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]
         best_i = min(by_time[lo:hi])
         x_true = ruptures[best_i].position_m
         x_est = row.estimate.x_est_m
-        # built directly: dataclasses.replace costs twice as much per row
+        # the row up to first_retimed_us, then the fields only score fills
+        # in; built directly, since _replace costs more than twice as much
         scored.append(EstimateRow(
-            row.period_index, row.cluster_index, row.n_sensors, row.estimate,
-            row.first_retimed_us,
-            matched=f"rupture:{best_i}",
-            x_true_m=x_true,
-            abs_error_m=math.nan if math.isnan(x_est) else abs(x_est - x_true),
+            *row[:5], f"rupture:{best_i}", x_true,
+            math.nan if math.isnan(x_est) else abs(x_est - x_true),
         ))
     return scored
 
@@ -340,9 +335,11 @@ SUMMARY_HEADER = ["metric", "value"]
 def export_csv(report: RunReport, out_dir) -> list[Path]:
     """Write detections.csv, retimed.csv, estimates.csv, summary.csv.
 
-    Numbers go to the csv writer as they are: it writes a float as
-    str(float), the shortest text that reads back as the same double, so
-    identical runs export byte-identical files. pre_sync is written true/false.
+    Each row is formatted directly, numbers as repr: a float's repr (which
+    is also its str) is the shortest text that reads back as the same
+    double, so identical runs export byte-identical files. No field ever
+    needs CSV quoting: sources, flags and labels hold no comma, quote or
+    line break. pre_sync is written true/false. Each file is one write.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -351,50 +348,28 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
     def write(name: str, header: list[str], rows) -> None:
         p = out / name
         with p.open("w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+            f.write("".join([",".join(header) + "\n", *rows]))
         paths.append(p)
 
-    write(
-        "detections.csv",
-        DETECTIONS_HEADER,
-        (
-            [
-                d.sensor_id, d.period_index, d.source, d.arrival_ref_us,
-                d.local_timestamp_ticks, d.max_amplitude_g, "true" if d.pre_sync else "false",
-            ]
-            for d in report.detections
-        ),
-    )
-    write(
-        "retimed.csv",
-        RETIMED_HEADER,
-        (
-            [
-                e.period_index, e.sensor_id, e.retimed_us, e.raw_ticks,
-                e.amplitude_g, e.flag or "",
-            ]
-            for e in report.retimed
-        ),
-    )
-    write(
-        "estimates.csv",
-        ESTIMATES_HEADER,
-        (
-            [
-                e.period_index, e.cluster_index, e.n_sensors,
-                *(e.estimate.triple if len(e.estimate.triple) == 3 else ("", "", "")),
-                e.estimate.v_est_m_s, e.estimate.x_est_m,
-                "|".join(sorted(e.estimate.flags)), e.matched,
-                e.x_true_m, e.abs_error_m,
-            ]
-            for e in report.estimates
-        ),
-    )
-    write(
-        "summary.csv",
-        SUMMARY_HEADER,
-        report.summary.items(),
-    )
+    write("detections.csv", DETECTIONS_HEADER, [
+        f"{d.sensor_id},{d.period_index},{d.source},{d.arrival_ref_us!r},"
+        f"{d.local_timestamp_ticks},{d.max_amplitude_g!r},{'true' if d.pre_sync else 'false'}\n"
+        for d in report.detections
+    ])
+    write("retimed.csv", RETIMED_HEADER, [
+        f"{e.period_index},{e.sensor_id},{e.retimed_us!r},{e.raw_ticks},"
+        f"{e.amplitude_g!r},{e.flag or ''}\n"
+        for e in report.retimed
+    ])
+    rows = []
+    for e in report.estimates:
+        est = e.estimate
+        triple = "{},{},{}".format(*est.triple) if len(est.triple) == 3 else ",,"
+        rows.append(
+            f"{e.period_index},{e.cluster_index},{e.n_sensors},{triple},"
+            f"{est.v_est_m_s!r},{est.x_est_m!r},{'|'.join(sorted(est.flags))},{e.matched},"
+            f"{e.x_true_m!r},{e.abs_error_m!r}\n"
+        )
+    write("estimates.csv", ESTIMATES_HEADER, rows)
+    write("summary.csv", SUMMARY_HEADER, [f"{k},{v!r}\n" for k, v in report.summary.items()])
     return paths

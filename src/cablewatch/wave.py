@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 DEFAULT_WAVE_SPEED_M_S = 5000.0
 DEFAULT_THRESHOLD_G = 0.8
@@ -92,8 +92,7 @@ class RuptureEvent:
             raise ValueError(f"peak amplitude must be > 0, got {self.peak_amplitude_g!r}")
 
 
-@dataclass(frozen=True)
-class WaveArrival:
+class WaveArrival(NamedTuple):
     """Wavefront as one sensor sees it: arrival instant and amplitude."""
 
     sensor_id: int

@@ -18,8 +18,8 @@ be refused at the sender rather than fragmented.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import starmap
+from typing import NamedTuple
 
 SYNC_MAGIC = b"CASC"
 _SYNC = struct.Struct("<4sII")
@@ -43,24 +43,21 @@ def _check_uint(name: str, value: int, bits: int) -> None:
         raise WireFormatError(f"{name}={value} does not fit in u{bits}")
 
 
-@dataclass(frozen=True)
-class SyncFrame:
+class SyncFrame(NamedTuple):
     """One synchronization broadcast: which period starts, and how long it is."""
 
     period_index: int
     period_T_us: int
 
 
-@dataclass(frozen=True)
-class ReportEvent:
+class ReportEvent(NamedTuple):
     """One detection inside a report: local ticks since period start, milli-g."""
 
     timestamp_ticks: int
     amplitude_milli_g: int
 
 
-@dataclass(frozen=True)
-class SensorReport:
+class SensorReport(NamedTuple):
     """Per-period sensor summary: the saved counter plus detected events."""
 
     sensor_id: int

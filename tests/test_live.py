@@ -1,9 +1,11 @@
 """Live datagram mode: real sockets, modeled time."""
 
+import gc
 import logging
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -342,6 +344,39 @@ class TestEndToEnd:
         assert len(live.completed_periods) == periods - 1
         assert all(p.complete for p in live.completed_periods)
         assert live == sim  # retimed events, estimates and summary alike
+
+
+def caught_resource_warnings(fn):
+    """Call fn, which must raise OSError, then collect garbage; return the
+    ResourceWarnings seen, such as one per socket left unclosed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError):
+            fn()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestFailedBind:
+    def test_run_live_closes_every_socket_when_an_agent_cannot_bind(self):
+        # sensor 3 asks for the port sensor 2 already holds, after the
+        # supervisor and sensors 1 and 2 have bound theirs
+        port = free_port()
+        config = ephemeral_config(live_scenario(), sync_ports={1: 0, 2: port, 3: port, 4: 0})
+        assert caught_resource_warnings(lambda: run_live(config)) == []
+
+    def test_run_live_closes_its_socket_when_the_supervisor_cannot_bind(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            config = ephemeral_config(live_scenario(), report_port=holder.getsockname()[1])
+            assert caught_resource_warnings(lambda: run_live(config)) == []
+
+    def test_agent_closes_its_socket_when_it_cannot_bind(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            config = ephemeral_config(live_scenario())
+            port = holder.getsockname()[1]
+            assert caught_resource_warnings(lambda: SensorAgent(config, 1, sync_port=port)) == []
 
 
 class TestLiveConfigFile:
