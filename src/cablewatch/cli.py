@@ -24,7 +24,9 @@ from .clock import ClockState
 from .live import LiveSupervisor, SensorAgent, load_live_config
 from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent, retime
 from .scenario import Scenario, load_scenario, load_yaml_mapping, read_dataclass
-from .simulate import RETIMED_HEADER, export_csv, localize_periods, postprocess_periods, run
+from .simulate import (
+    RETIMED_HEADER, export_csv, localize_periods, postprocess_periods, run, sensor_nodes,
+)
 from .wave import CableGeometry
 
 log = logging.getLogger(__name__)
@@ -161,7 +163,11 @@ def cmd_supervise(args) -> int:
 
 def cmd_agent(args) -> int:
     config = load_live_config(args.config)
-    agent = SensorAgent(config, args.sensor_id)
+    scenario = config.scenario
+    if args.sensor_id not in scenario.geometry.sensor_ids:
+        raise ValueError(f"unknown sensor id {args.sensor_id}")
+    node = sensor_nodes(scenario)[args.sensor_id]
+    agent = SensorAgent(config, node, scenario.network_model())
     # launch scripts sequence on this line, so it must not sit in a buffer
     print(
         f"sensor {args.sensor_id}: listening on {config.host}:{agent.port}",

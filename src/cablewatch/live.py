@@ -2,13 +2,17 @@
 
 The supervisor and each sensor agent are separate endpoints exchanging the
 same wire bytes as the simulator, served by one event loop per process (a
-selector on one thread; run_live starts no thread). Time stays modeled:
-every agent derives its receipt instants from (scenario, seed, period,
-sensor) like the simulated transport and hands each frame to the simulator's
-sensor driver (simulate.SensorNode), which stamps the same arrivals and
-returns the same report. run_live ends with the simulator's own tail
-(simulate.report_run), so it returns the same RunReport as a simulated run,
-equal field for field. Wall pacing only spaces frames out, never timestamps.
+selector on one thread; run_live starts no thread). Time stays modeled, and
+the model is built once per run: run_live calls simulate.sensor_nodes and
+Scenario.network_model once each, before binding any socket, and hands each
+agent its own SensorNode (the simulator's sensor driver) and the shared,
+frozen NetworkModel; `cablewatch agent` builds the same two pieces for its
+one sensor. An agent draws each frame's receipt instant from the model,
+keyed by (seed, period, sensor) like the simulated transport, and its node
+stamps the same arrivals and returns the same report. run_live ends with
+the simulator's own tail (simulate.report_run), so it returns the same
+RunReport as a simulated run, equal field for field. Wall pacing only
+spaces frames out, never timestamps.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Union
 
+from .network import NetworkModel
 from .protocol import SupervisorProtocol
 from .scenario import (
-    Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
+    MAX_RUN_PERIODS, Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
 )
-from .simulate import RunReport, report_run, sensor_nodes
+from .simulate import RunReport, SensorNode, report_run, sensor_nodes
 from .wire import (
     WireFormatError, decode_sensor_report, decode_sync_frame, encode_sensor_report,
     encode_sync_frame,
@@ -56,6 +61,7 @@ def default_sync_ports(sensor_ids, base: int = DEFAULT_SYNC_PORT,
 class LiveConfig:
     """Endpoint wiring for one live run.
 
+    periods counts the sync frames sent, from 2 up to MAX_RUN_PERIODS.
     sync_ports maps sensor id to its listening port; a port of 0 binds an
     OS-assigned one (in-process runs resolve it automatically; separate
     processes need fixed ports). broadcast_address switches the supervisor
@@ -79,6 +85,10 @@ class LiveConfig:
         if self.periods < 2:
             problems.append(
                 f"need at least 2 sync periods to close one, got {self.periods!r}"
+            )
+        elif self.periods > MAX_RUN_PERIODS:
+            problems.append(
+                f"periods must be at most MAX_RUN_PERIODS ({MAX_RUN_PERIODS}), got {self.periods!r}"
             )
         if self.scenario.network.drop_probability != 0.0:
             problems.append(
@@ -158,6 +168,8 @@ def _serve_until(selector, done: Callable[[], bool], timeout_s: float) -> None:
 class SensorAgent:
     """One sensor endpoint: listens for sync frames, sends reports.
 
+    Drives the given node, one of config.scenario's, with receipt instants
+    drawn from net, the scenario's network model, which agents may share.
     Binds its socket at construction so callers can start the supervisor
     afterwards without losing frames; run() serves it alone until the last
     expected frame or the wall deadline.
@@ -166,18 +178,16 @@ class SensorAgent:
     def __init__(
         self,
         config: LiveConfig,
-        sensor_id: int,
+        node: SensorNode,
+        net: NetworkModel,
         sync_port: Optional[int] = None,
         report_port: Optional[int] = None,
     ):
-        if sensor_id not in config.scenario.geometry.sensor_ids:
-            raise ValueError(f"unknown sensor id {sensor_id}")
         self.config = config
-        self.sensor_id = sensor_id
+        self.node = node
+        self.net = net
+        self.sensor_id = sensor_id = node.protocol.sensor_id
         self.report_port = report_port if report_port is not None else config.report_port
-        scenario = config.scenario
-        self.node = sensor_nodes(scenario)[sensor_id]
-        self.net = scenario.network_model()
         self.frames_seen = 0
         self.reports_sent = 0
         port = sync_port if sync_port is not None else config.resolved_sync_ports()[sensor_id]
@@ -198,12 +208,7 @@ class SensorAgent:
         self.frames_seen += 1
         if report is None:
             return
-        try:
-            payload_out = encode_sensor_report(report)
-        except WireFormatError as e:
-            log.error("sensor %d: report refused at send: %s", self.sensor_id, e)
-            return
-        out_sock.sendto(payload_out, (self.config.host, self.report_port))
+        out_sock.sendto(encode_sensor_report(report), (self.config.host, self.report_port))
         self.reports_sent += 1
 
     def on_datagram(self, data: bytes) -> None:
@@ -288,22 +293,28 @@ def run_live(config: LiveConfig) -> RunReport:
     """Run supervisor and every agent in one process over real sockets, and
     report the run through simulate.report_run, as simulate.run does.
 
-    Agents bind before the first frame and are served from the supervisor's
-    loop. OS-assigned ports (0) are resolved automatically, which keeps
-    parallel test runs from colliding.
+    The run's sensor nodes and network model are built once, before any
+    socket is bound, and handed to the agents. Agents bind before the first
+    frame and are served from the supervisor's loop. OS-assigned ports (0)
+    are resolved automatically, which keeps parallel test runs from colliding.
     """
+    scenario = config.scenario
+    nodes = sensor_nodes(scenario)
+    net = scenario.network_model()
     ports = config.resolved_sync_ports()
     # every socket bound so far is closed if a later endpoint fails to bind
     with ExitStack() as bound:
         supervisor = LiveSupervisor(config)
         bound.enter_context(supervisor.sock)
         agents = []
-        for sid in sorted(config.scenario.geometry.sensor_ids):
-            agents.append(SensorAgent(config, sid, sync_port=ports[sid], report_port=supervisor.port))
+        for sid in sorted(nodes):
+            agents.append(SensorAgent(
+                config, nodes[sid], net, sync_port=ports[sid], report_port=supervisor.port
+            ))
             bound.enter_context(agents[-1].sock)
         supervisor.targets = {a.sensor_id: a.port for a in agents}
         supervisor.run(agents)
-    return report_run(config.scenario, (a.node for a in agents), supervisor.protocol)
+    return report_run(scenario, nodes.values(), supervisor.protocol)
 
 
 def load_live_config(source: Union[str, Path]) -> LiveConfig:

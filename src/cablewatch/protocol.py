@@ -9,8 +9,10 @@ saw: retimed = T_evi * T / T_i needs T_i to span exactly one announced
 period. So a sync reports only when its index is the last one seen plus one.
 A first sync, a regressed index or a gap of missed frames instead restarts
 the counter and discards the pending events, which were stamped against a
-counter with no defined start. This is the one rule for simulated and live
-runs alike; nothing beyond the wire report ever leaves the sensor.
+counter with no defined start. A report is one datagram, so it carries the
+earliest MAX_EVENTS_PER_REPORT pending events and the sensor discards the
+rest. These are the rules for simulated and live runs alike; nothing beyond
+the wire report ever leaves the sensor.
 
 The supervisor files reports per period and releases a period once every
 roster sensor has reported, or when the caller expires it. Its `released`
@@ -30,7 +32,7 @@ import logging
 from typing import NamedTuple, Optional
 
 from .clock import ClockState
-from .wire import ReportEvent, SensorReport, SyncFrame
+from .wire import MAX_EVENTS_PER_REPORT, ReportEvent, SensorReport, SyncFrame
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +106,17 @@ class SensorProtocol:
         return None
 
     def _report(self, period_index: int, saved_ticks: int) -> SensorReport:
+        # a report is one datagram: the earliest stamps ride it, the rest
+        # are discarded here, where the sensor can still count them
+        excess = len(self.pending) - MAX_EVENTS_PER_REPORT
+        if excess > 0:
+            self.discarded_events += excess
+            del self.pending[MAX_EVENTS_PER_REPORT:]
+            log.warning(
+                "sensor %d: %d event(s) over the %d-event report limit "
+                "discarded from period %d",
+                self.sensor_id, excess, MAX_EVENTS_PER_REPORT, period_index,
+            )
         events = []
         for ev in self.pending:
             if ev.timestamp_ticks > saved_ticks:

@@ -37,6 +37,9 @@ from .wave import (
 )
 
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
+# sync periods (frames) one run may take: a bound on run length, against a
+# typo in a time that would run for days before any output
+MAX_RUN_PERIODS = 100_000
 
 T = TypeVar("T")
 
@@ -137,6 +140,24 @@ class Scenario:
         if finite("attenuation_per_m", self.attenuation_per_m) and self.attenuation_per_m < 0:
             out.append(f"attenuation_per_m must be >= 0, got {self.attenuation_per_m!r}")
 
+        t_us = self.sync_period_T_us
+        speed = self.wave_speed_m_s
+        travel = self.geometry.span_m / speed * 1e6 if math.isfinite(speed) and speed > 0 else 0.0
+
+        def bounded(path: str, duration_us: float) -> None:
+            """Record path if a run of duration_us would exceed MAX_RUN_PERIODS."""
+            if t_us < 1:
+                return  # no period length, already recorded
+            periods = math.floor(duration_us / t_us) + 1
+            if periods > MAX_RUN_PERIODS:
+                out.append(
+                    f"{path} needs a run of {periods} sync periods, more than "
+                    f"MAX_RUN_PERIODS ({MAX_RUN_PERIODS})"
+                )
+
+        # without run_duration_us, the latest rupture or spurious hit sets
+        # the run length
+        auto = self.run_duration_us is None
         lo, hi = self.geometry.extent_m
         for i, r in enumerate(self.ruptures):
             if not lo <= r.position_m <= hi:
@@ -147,6 +168,10 @@ class Scenario:
                 continue
             if r.time_ref_us < 0:
                 out.append(f"ruptures[{i}]: time must be >= 0, got {r.time_ref_us!r}")
+            elif auto:
+                bounded(
+                    f"ruptures[{i}].time_ref_us", self._closing_duration_us(r.time_ref_us + travel)
+                )
             if self.run_duration_us is not None and (
                 r.time_ref_us + self.sync_period_T_us > self.run_duration_us
             ):
@@ -157,8 +182,12 @@ class Scenario:
         for i, s in enumerate(self.spurious_events):
             if s.sensor_id not in ids:
                 out.append(f"spurious_events[{i}]: unknown sensor id {s.sensor_id}")
-            if finite(f"spurious_events[{i}].time_ref_us", s.time_ref_us) and s.time_ref_us < 0:
-                out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
+            path = f"spurious_events[{i}].time_ref_us"
+            if finite(path, s.time_ref_us):
+                if s.time_ref_us < 0:
+                    out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
+                elif auto:
+                    bounded(path, self._closing_duration_us(s.time_ref_us))
             if not s.amplitude_g > 0:
                 out.append(
                     f"spurious_events[{i}]: amplitude must be > 0, got {s.amplitude_g!r}"
@@ -191,8 +220,10 @@ class Scenario:
                 finite(f"network.radio_positions_m[{sid}]", pos)
 
         duration = self.run_duration_us
-        if duration is not None and finite("run_duration_us", duration) and not duration > 0:
-            out.append(f"run_duration_us must be > 0, got {duration!r}")
+        if duration is not None and finite("run_duration_us", duration):
+            if not duration > 0:
+                out.append(f"run_duration_us must be > 0, got {duration!r}")
+            bounded("run_duration_us", duration)
         return out
 
     def drift_for(self, sensor_id: int) -> float:
@@ -222,7 +253,6 @@ class Scenario:
         period that contains injected activity."""
         if self.run_duration_us is not None:
             return float(self.run_duration_us)
-        t = float(self.sync_period_T_us)
         latest = 0.0
         for r in self.ruptures:
             travel = self.geometry.span_m / self.wave_speed_m_s * 1e6
@@ -230,8 +260,13 @@ class Scenario:
         for s in self.spurious_events:
             latest = max(latest, s.time_ref_us)
         if latest == 0.0:
-            return 3.0 * t
-        return (math.floor(latest / t) + 2) * t
+            return 3.0 * self.sync_period_T_us
+        return self._closing_duration_us(latest)
+
+    def _closing_duration_us(self, latest_us: float) -> float:
+        """A run length that closes the period holding latest_us, and the next."""
+        t = float(self.sync_period_T_us)
+        return (math.floor(latest_us / t) + 2) * t
 
 
 _NO_VALUE = object()  # a field left to its default, or one whose problem is recorded

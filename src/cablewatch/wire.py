@@ -11,8 +11,9 @@ sensor report (16 + 12 * event_count bytes):
     event_count (u16) | event_count x [timestamp_ticks (u64),
     amplitude_milli_g (u32)]
 
-A report carries at most MAX_EVENTS_PER_REPORT events; anything larger must
-be refused at the sender rather than fragmented.
+A report carries at most MAX_EVENTS_PER_REPORT events and is never
+fragmented: the sending sensor keeps its earliest stamps and discards the
+rest (protocol.SensorProtocol), so encoding a larger report is an error.
 """
 
 from __future__ import annotations

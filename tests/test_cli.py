@@ -54,6 +54,19 @@ class TestSimulate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_far_rupture_is_refused_before_any_run(self, tmp_path, capsys):
+        # a typo of 1e13 us would mean ten million periods; the scenario
+        # check names the field at once and nothing is run or written
+        p = tmp_path / "far.yaml"
+        p.write_text(SCENARIO_YAML.replace("time_ref_us: 1500000", "time_ref_us: 1e13"))
+        out = tmp_path / "out"
+        start = time.monotonic()
+        rc = main(["simulate", str(p), "--out", str(out)])
+        assert time.monotonic() - start < 0.5
+        assert rc == 1
+        assert "ruptures[0].time_ref_us needs a run of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_scenario_reports_every_problem(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
         p.write_text("geometry:\n  sensor_ids: [1, 2]\n  positions_m: [0.0, 5.0]\ncolour: red\n")

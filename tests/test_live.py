@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from cablewatch import simulate
 from cablewatch.live import (
     DEFAULT_REPORT_PORT,
     DEFAULT_SYNC_PORT,
@@ -19,10 +20,14 @@ from cablewatch.live import (
     load_live_config,
     run_live,
 )
-from cablewatch.scenario import NetworkConfig, Scenario, ScenarioError, SpuriousEvent
-from cablewatch.simulate import export_csv, report_run, run
+from cablewatch.scenario import (
+    MAX_RUN_PERIODS, NetworkConfig, Scenario, ScenarioError, SpuriousEvent,
+)
+from cablewatch.simulate import export_csv, report_run, run, sensor_nodes
 from cablewatch.wave import CableGeometry, RuptureEvent
-from cablewatch.wire import decode_sensor_report, encode_sync_frame, SyncFrame
+from cablewatch.wire import (
+    MAX_EVENTS_PER_REPORT, SyncFrame, decode_sensor_report, encode_sync_frame,
+)
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 4.0, 17.0, 27.0))
 
@@ -50,6 +55,13 @@ def ephemeral_config(scenario, periods=5, **overrides):
     return LiveConfig(**kwargs)
 
 
+def agent_for(config, sensor_id, **ports):
+    """One sensor's agent, with its node and network model built as
+    `cablewatch agent` builds them."""
+    scenario = config.scenario
+    return SensorAgent(config, sensor_nodes(scenario)[sensor_id], scenario.network_model(), **ports)
+
+
 def free_port():
     s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     s.bind(("127.0.0.1", 0))
@@ -69,6 +81,12 @@ class TestConfig:
     def test_rejects_single_period(self):
         with pytest.raises(ValueError, match="at least 2"):
             LiveConfig(scenario=live_scenario(), periods=1)
+
+    def test_periods_share_the_scenario_run_length_bound(self):
+        at_bound = LiveConfig(scenario=live_scenario(), periods=MAX_RUN_PERIODS)
+        assert at_bound.periods == MAX_RUN_PERIODS
+        with pytest.raises(ScenarioError, match="periods must be at most MAX_RUN_PERIODS"):
+            LiveConfig(scenario=live_scenario(), periods=MAX_RUN_PERIODS + 1)
 
     def test_rejects_modeled_drops(self):
         s = live_scenario(network=NetworkConfig(drop_probability=0.5))
@@ -105,7 +123,7 @@ class TestAgentLogic:
         self.out.close()
 
     def make_agent(self, sensor_id=1):
-        agent = SensorAgent(
+        agent = agent_for(
             self.cfg, sensor_id, sync_port=0, report_port=self.rx.getsockname()[1]
         )
         return agent
@@ -154,7 +172,7 @@ class TestAgentLogic:
                 spurious_events=(SpuriousEvent(1, 5.0, 1.0),),
             )
         )
-        agent = SensorAgent(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
         # the event at 5 us predates the first sync receipt (~20 us)
         agent.handle_sync(self.frame(0), self.out)
         assert agent.node.protocol.discarded_events == 1
@@ -170,7 +188,7 @@ class TestAgentLogic:
             live_scenario(network=scenario.network, ruptures=(),
                           spurious_events=(SpuriousEvent(3, rx1),))
         )
-        agent = SensorAgent(cfg, 3, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 3, sync_port=0, report_port=self.rx.getsockname()[1])
         agent.handle_sync(self.frame(0), self.out)
         agent.handle_sync(self.frame(1), self.out)
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
@@ -180,7 +198,7 @@ class TestAgentLogic:
 
     def test_agent_stops_after_the_last_period_not_after_n_datagrams(self):
         cfg = ephemeral_config(live_scenario(), periods=3)
-        agent = SensorAgent(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
         worker = threading.Thread(target=agent.run, daemon=True)
         worker.start()
         # a replayed frame 0 must not stand in for frame 2
@@ -197,7 +215,7 @@ class TestAgentLogic:
 
     def test_agent_without_frames_waits_out_its_timeout(self):
         cfg = ephemeral_config(live_scenario(), timeout_s=0.2)
-        agent = SensorAgent(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
         start = time.monotonic()
         agent.run()
         assert time.monotonic() - start >= 0.2
@@ -209,34 +227,94 @@ def csv_bytes(report, out_dir):
     return {p.name: p.read_bytes() for p in export_csv(report, out_dir)}
 
 
+def dense_scenario(run_duration_us):
+    """32 sensors 10 m apart on an attenuating cable: ruptures 0 and 1 fall
+    within one coincidence window, and three spurious hits ride along."""
+    geometry = CableGeometry(tuple(range(1, 33)), tuple(10.0 * i for i in range(32)))
+    return Scenario(
+        geometry=geometry,
+        drift_ppm={sid: (sid * 37) % 101 - 50.0 for sid in geometry.sensor_ids},
+        attenuation_per_m=0.01,
+        ruptures=(
+            RuptureEvent(45.0, 1_200_000.0), RuptureEvent(203.0, 1_240_000.0),
+            RuptureEvent(131.0, 2_500_000.0), RuptureEvent(288.0, 2_900_000.0),
+        ),
+        spurious_events=(
+            SpuriousEvent(5, 1_700_000.0), SpuriousEvent(17, 2_050_000.0),
+            SpuriousEvent(30, 3_600_000.0),
+        ),
+        run_duration_us=run_duration_us,
+        seed=11,
+    )
+
+
 class TestEndToEnd:
     def test_live_run_matches_simulated_twin_exactly(self, tmp_path):
         periods = 5
         duration = (periods - 1) * 1_000_000.0
-        for i, (spurious, pending) in enumerate([
-            ((), 0),
-            # sensor 3 detects before its first sync receipt (~20 us)
-            ((SpuriousEvent(3, 5.0),), 0),
-            # sensor 2 detects after its last sync receipt (~4 s)
-            ((SpuriousEvent(2, 4_500_000.0),), 1),
-        ]):
-            scenario = live_scenario(run_duration_us=duration, spurious_events=spurious)
+
+        def twins(scenario, name):
             live = run_live(ephemeral_config(scenario, periods=periods))
             sim = run(scenario)
-
             # the same bytes flowed through real sockets: detections,
             # reports, retimed events, scored estimates and summary are
             # identical, not merely close; a lost or undecodable report
             # would change completed_periods
             assert live == sim
-            assert csv_bytes(live, tmp_path / f"live{i}") == csv_bytes(sim, tmp_path / f"sim{i}")
+            assert csv_bytes(live, tmp_path / f"live-{name}") == csv_bytes(
+                sim, tmp_path / f"sim-{name}"
+            )
             assert len(live.completed_periods) == periods - 1
             assert all(p.complete for p in live.completed_periods)
+            return live
+
+        for i, (spurious, pending, discarded) in enumerate([
+            ((), 0, 0),
+            # sensor 3 detects before its first sync receipt (~20 us)
+            ((SpuriousEvent(3, 5.0),), 0, 1),
+            # sensor 2 detects after its last sync receipt (~4 s)
+            ((SpuriousEvent(2, 4_500_000.0),), 1, 0),
+            # sensor 2 detects one event more in period 2 than a report carries
+            (tuple(SpuriousEvent(2, 2_100_000.0 + 100.0 * j)
+                   for j in range(MAX_EVENTS_PER_REPORT + 1)), 0, 1),
+        ]):
+            scenario = live_scenario(run_duration_us=duration, spurious_events=spurious)
+            live = twins(scenario, str(i))
             assert live.summary["events_pending_at_end"] == pending
+            assert live.summary["events_discarded"] == discarded
 
             est = [e for e in live.estimates if e.matched == "rupture:0"]
             assert len(est) == 1
             assert abs(est[0].estimate.x_est_m - 14.0) <= 0.15
+
+        live = twins(dense_scenario(duration), "dense")
+        assert live.summary["sensors"] == 32
+        assert {d.source for d in live.detections} >= {f"rupture:{k}" for k in range(4)}
+
+    def test_run_live_builds_the_model_once(self, monkeypatch):
+        # one wave simulation per rupture and one network model per run,
+        # however many agents there are
+        calls = {"simulate_rupture": 0, "network_model": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            simulate, "simulate_rupture", counted("simulate_rupture", simulate.simulate_rupture)
+        )
+        monkeypatch.setattr(
+            Scenario, "network_model", counted("network_model", Scenario.network_model)
+        )
+        scenario = live_scenario(
+            ruptures=(RuptureEvent(14.0, 1_500_000.0), RuptureEvent(5.0, 2_300_000.0)),
+            run_duration_us=4_000_000.0,
+        )
+        live = run_live(ephemeral_config(scenario))
+        assert calls == {"simulate_rupture": 2, "network_model": 1}
+        assert len(live.detections) == 8
 
     def test_live_broadcast_mode_completes_periods(self):
         scenario = live_scenario()
@@ -259,8 +337,9 @@ class TestEndToEnd:
         scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
         config = ephemeral_config(scenario, periods=periods, timeout_s=0.5)
         supervisor = LiveSupervisor(config)
+        nodes, net = sensor_nodes(scenario), scenario.network_model()
         agents = [
-            SensorAgent(config, sid, sync_port=0, report_port=supervisor.port)
+            SensorAgent(config, nodes[sid], net, sync_port=0, report_port=supervisor.port)
             for sid in (1, 2, 3)
         ]
         silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -322,8 +401,9 @@ class TestEndToEnd:
         scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
         config = ephemeral_config(scenario, periods=periods)
         supervisor = LiveSupervisor(config)
+        nodes, net = sensor_nodes(scenario), scenario.network_model()
         agents = [
-            SensorAgent(config, sid, sync_port=0, report_port=supervisor.port)
+            SensorAgent(config, nodes[sid], net, sync_port=0, report_port=supervisor.port)
             for sid in (1, 2, 3, 4)
         ]
         supervisor.targets = {a.sensor_id: a.port for a in agents}
@@ -376,7 +456,7 @@ class TestFailedBind:
             holder.bind(("127.0.0.1", 0))
             config = ephemeral_config(live_scenario())
             port = holder.getsockname()[1]
-            assert caught_resource_warnings(lambda: SensorAgent(config, 1, sync_port=port)) == []
+            assert caught_resource_warnings(lambda: agent_for(config, 1, sync_port=port)) == []
 
 
 class TestLiveConfigFile:

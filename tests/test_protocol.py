@@ -1,11 +1,15 @@
 """Sensor save/reset state machine and supervisor period bookkeeping."""
 
+import logging
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cablewatch.clock import ClockState
 from cablewatch.protocol import SensorProtocol, SupervisorProtocol
-from cablewatch.wire import ReportEvent, SensorReport, SyncFrame
+from cablewatch.wire import (
+    MAX_EVENTS_PER_REPORT, ReportEvent, SensorReport, SyncFrame, encode_sensor_report,
+)
 
 T_US = 1_000_000
 
@@ -145,6 +149,27 @@ class TestSensorOnSync:
         assert out.saved_counter_ticks == 10
         assert out.events == (ReportEvent(10, 1000),)
         assert s.clamped_events == 1
+
+    def test_over_limit_report_keeps_the_first_events_and_discards_the_rest(self, caplog):
+        # one event past the datagram limit: the report carries the earliest
+        # MAX_EVENTS_PER_REPORT stamps and the sensor counts the excess
+        s = sensor()
+        s.on_sync(frame(0))
+        for _ in range(MAX_EVENTS_PER_REPORT + 1):
+            s.clock.advance(10)
+            s.on_detection(round(s.clock.read_counter()), 1.0)
+        s.clock.advance_to(T_US)
+        with caplog.at_level(logging.WARNING, logger="cablewatch.protocol"):
+            out = s.on_sync(frame(1))
+        assert [ev.timestamp_ticks for ev in out.events] == [
+            10 * (i + 1) for i in range(MAX_EVENTS_PER_REPORT)
+        ]
+        assert s.reported_events == MAX_EVENTS_PER_REPORT
+        assert s.discarded_events == 1
+        assert s.pending == []
+        assert len(caplog.records) == 1
+        assert "1 event(s) over the 1000-event report limit" in caplog.records[0].getMessage()
+        encode_sensor_report(out)  # fits one datagram
 
     def test_detection_rejects_bad_inputs(self):
         s = sensor()

@@ -7,6 +7,7 @@ import pytest
 
 from cablewatch.scenario import (
     DEFAULT_SYNC_PERIOD_T_US,
+    MAX_RUN_PERIODS,
     NetworkConfig,
     Scenario,
     ScenarioError,
@@ -183,6 +184,55 @@ class TestEffectiveDuration:
         # arrivals spill past a period boundary: floor moves with them
         s2 = Scenario(geometry=GEOM, ruptures=(RuptureEvent(0.0, 1_999_000.0),))
         assert s2.effective_duration_us() == 4_000_000.0
+
+
+def sync_frames(scenario):
+    """Sync frames a run of scenario sends: one at every k*T up to its end."""
+    return math.floor(scenario.effective_duration_us() / scenario.sync_period_T_us) + 1
+
+
+class TestRunLengthBound:
+    @pytest.mark.parametrize("path, line", [
+        ("ruptures[0].time_ref_us", "ruptures: [{position_m: 14.0, time_ref_us: 1e13}]"),
+        ("spurious_events[0].time_ref_us", "spurious_events: [{sensor_id: 2, time_ref_us: 1e13}]"),
+        ("run_duration_us", "run_duration_us: 1e13"),
+    ], ids=["rupture", "spurious", "run_duration"])
+    def test_far_time_is_rejected_by_name(self, load_text, path, line):
+        # 1e13 us is 116 days: ten million periods
+        with pytest.raises(ScenarioError) as e:
+            load_text(MINIMAL_YAML + line + "\n")
+        assert [p for p in e.value.problems if p.startswith(path)] == [
+            f"{path} needs a run of {10**7 + (1 if path == 'run_duration_us' else 3)} "
+            f"sync periods, more than MAX_RUN_PERIODS ({MAX_RUN_PERIODS})"
+        ]
+
+    def test_a_run_exactly_at_the_bound_is_accepted(self):
+        t = DEFAULT_SYNC_PERIOD_T_US
+        # the period holding the last activity and the next one close the run
+        at = [
+            Scenario(geometry=GEOM, run_duration_us=(MAX_RUN_PERIODS - 1) * t),
+            Scenario(geometry=GEOM, ruptures=(RuptureEvent(14.0, (MAX_RUN_PERIODS - 3) * t),)),
+            Scenario(geometry=GEOM, spurious_events=(SpuriousEvent(2, (MAX_RUN_PERIODS - 3) * t),)),
+        ]
+        assert [sync_frames(s) for s in at] == [MAX_RUN_PERIODS] * 3
+        for kw in (
+            dict(run_duration_us=MAX_RUN_PERIODS * t),
+            dict(ruptures=(RuptureEvent(14.0, (MAX_RUN_PERIODS - 2) * t),)),
+            dict(spurious_events=(SpuriousEvent(2, (MAX_RUN_PERIODS - 2) * t),)),
+        ):
+            with pytest.raises(ScenarioError, match=f"needs a run of {MAX_RUN_PERIODS + 1} sync"):
+                Scenario(geometry=GEOM, **kw)
+
+    def test_explicit_duration_alone_sets_the_run_length(self):
+        # a late rupture inside an explicit duration needs no more periods
+        # than the duration gives
+        t = DEFAULT_SYNC_PERIOD_T_US
+        s = Scenario(
+            geometry=GEOM,
+            ruptures=(RuptureEvent(14.0, (MAX_RUN_PERIODS - 2) * t),),
+            run_duration_us=(MAX_RUN_PERIODS - 1) * t,
+        )
+        assert sync_frames(s) == MAX_RUN_PERIODS
 
 
 class TestYamlLoading:

@@ -22,6 +22,7 @@ from cablewatch.simulate import (
     score,
 )
 from cablewatch.wave import CableGeometry, RuptureEvent
+from cablewatch.wire import MAX_EVENTS_PER_REPORT
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 4.0, 17.0, 27.0))
 
@@ -72,6 +73,20 @@ class TestCanonicalRun:
         assert s["periods_timed_out"] == 0
         assert s["sync_frames_sent"] == 4
         assert s["reports_late"] == 0
+
+    def test_over_limit_report_is_cut_to_the_datagram_limit(self):
+        # one spurious hit too many on sensor 2 in period 2: the run goes on,
+        # the excess is discarded at the sensor and every period completes
+        scenario = canonical_scenario(spurious_events=tuple(
+            SpuriousEvent(2, 2_100_000.0 + 100.0 * i) for i in range(MAX_EVENTS_PER_REPORT + 1)
+        ))
+        rep = run(scenario)
+        s = rep.summary
+        assert s["events_discarded"] == 1
+        assert s["events_reported"] == s["detections_total"] - 1
+        assert s["periods_timed_out"] == 0
+        period_2 = rep.completed_periods[2].reports
+        assert [len(r.events) for r in period_2] == [0, MAX_EVENTS_PER_REPORT, 0, 0]
 
     def test_noise_free_run_is_exact(self):
         rep = run(
@@ -300,10 +315,11 @@ def one_event_row(period_index, retimed_us):
 
 class TestRuptureMatching:
     # few distinct values, so that equal rupture times and clusters midway
-    # between two ruptures are common; near 1e17 gaps of 1 us round equal
+    # between two ruptures are common; near 1e17 gaps of 1 us round equal.
+    # The latest rupture, 9e7 us, keeps the run within MAX_RUN_PERIODS.
     @given(
         st.lists(
-            st.tuples(st.sampled_from([0.0, 1.0, 1000.0, 1500.0, 2000.0, 2500.0, 1e17]),
+            st.tuples(st.sampled_from([0.0, 1.0, 1000.0, 1500.0, 2000.0, 2500.0, 9e7]),
                       st.sampled_from([0.0, 14.0, 27.0])),
             max_size=8,
         ),
