@@ -29,10 +29,8 @@ from .localization import (
     FLAG_INSUFFICIENT_SENSORS,
     FLAG_OUT_OF_SPAN,
     RuptureEstimate,
-    TripleSelection,
     localize,
     localize_cluster,
-    select_triple,
 )
 from .montecarlo import StudyResult, TrialResult, run_study, run_trial
 from .network import EventLoop, NetworkModel, ScheduledDelivery
@@ -108,9 +106,7 @@ __all__ = [
     "FLAG_OUT_OF_SPAN",
     "FLAG_DEGENERATE_DT",
     "FLAG_INSUFFICIENT_SENSORS",
-    "TripleSelection",
     "RuptureEstimate",
-    "select_triple",
     "localize",
     "localize_cluster",
     "NetworkModel",

@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import math
 import sys
 import typing
 from pathlib import Path
@@ -74,7 +75,10 @@ def _load_retimed(path: Path) -> list[RetimedEvent]:
                 if column == "flag":
                     continue
                 try:
-                    values[column] = kinds[column](row[column])
+                    values[column] = value = kinds[column](row[column])
+                    # only a flagged event may lack a time
+                    if column == "retimed_us" and not (values["flag"] or math.isfinite(value)):
+                        raise ValueError
                 except (TypeError, ValueError):
                     raise ValueError(
                         f"{path}, line {rows.line_num}, column {column}: "

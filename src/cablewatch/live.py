@@ -180,7 +180,6 @@ class SensorAgent:
         config: LiveConfig,
         node: SensorNode,
         net: NetworkModel,
-        sync_port: Optional[int] = None,
         report_port: Optional[int] = None,
     ):
         self.config = config
@@ -190,9 +189,9 @@ class SensorAgent:
         self.report_port = report_port if report_port is not None else config.report_port
         self.frames_seen = 0
         self.reports_sent = 0
-        port = sync_port if sync_port is not None else config.resolved_sync_ports()[sensor_id]
         self.sock = _bound_socket(
-            config.host if config.broadcast_address is None else "", port,
+            config.host if config.broadcast_address is None else "",
+            config.resolved_sync_ports()[sensor_id],
             reuse_port=config.broadcast_address is not None,
         )
         self.port = self.sock.getsockname()[1]
@@ -301,16 +300,13 @@ def run_live(config: LiveConfig) -> RunReport:
     scenario = config.scenario
     nodes = sensor_nodes(scenario)
     net = scenario.network_model()
-    ports = config.resolved_sync_ports()
     # every socket bound so far is closed if a later endpoint fails to bind
     with ExitStack() as bound:
         supervisor = LiveSupervisor(config)
         bound.enter_context(supervisor.sock)
         agents = []
         for sid in sorted(nodes):
-            agents.append(SensorAgent(
-                config, nodes[sid], net, sync_port=ports[sid], report_port=supervisor.port
-            ))
+            agents.append(SensorAgent(config, nodes[sid], net, report_port=supervisor.port))
             bound.enter_context(agents[-1].sock)
         supervisor.targets = {a.sensor_id: a.port for a in agents}
         supervisor.run(agents)

@@ -166,6 +166,14 @@ class TestLocalize:
         assert rc == 0
         assert "no retimed events" in capsys.readouterr().out
 
+    def test_flagged_row_keeps_its_nan(self, tmp_path, capsys):
+        p = tmp_path / "retimed.csv"
+        p.write_text(RETIMED_CSV + "1,2,nan,77,0.9,out_of_period\n")
+        geom = tmp_path / "geom.yaml"
+        geom.write_text(GEOMETRY_YAML)
+        rc = main(["localize", str(p), "--geometry", str(geom)])
+        assert rc == 0
+        assert FLAG_INSUFFICIENT_SENSORS in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "text, problem",
@@ -200,8 +208,15 @@ class TestLocalize:
                 RETIMED_CSV + "2,two,512.0,512,1.0,\n",
                 "retimed.csv, line 3, column sensor_id: bad value 'two'",
             ),
+            *(
+                (
+                    RETIMED_CSV + f"1,2,{time},1500000,1.0,\n",
+                    f"retimed.csv, line 3, column retimed_us: bad value '{time}'",
+                )
+                for time in ("nan", "inf", "-inf")
+            ),
         ],
-        ids=["missing_column", "bad_cell"],
+        ids=["missing_column", "bad_cell", "unflagged_nan", "unflagged_inf", "unflagged_-inf"],
     )
     def test_malformed_retimed_csv_is_named_by_line_and_column(
         self, tmp_path, capsys, text, problem

@@ -55,11 +55,13 @@ def ephemeral_config(scenario, periods=5, **overrides):
     return LiveConfig(**kwargs)
 
 
-def agent_for(config, sensor_id, **ports):
+def agent_for(config, sensor_id, report_port=None):
     """One sensor's agent, with its node and network model built as
     `cablewatch agent` builds them."""
     scenario = config.scenario
-    return SensorAgent(config, sensor_nodes(scenario)[sensor_id], scenario.network_model(), **ports)
+    return SensorAgent(
+        config, sensor_nodes(scenario)[sensor_id], scenario.network_model(), report_port
+    )
 
 
 def free_port():
@@ -123,10 +125,7 @@ class TestAgentLogic:
         self.out.close()
 
     def make_agent(self, sensor_id=1):
-        agent = agent_for(
-            self.cfg, sensor_id, sync_port=0, report_port=self.rx.getsockname()[1]
-        )
-        return agent
+        return agent_for(self.cfg, sensor_id, report_port=self.rx.getsockname()[1])
 
     def frame(self, k):
         return encode_sync_frame(SyncFrame(period_index=k, period_T_us=1_000_000))
@@ -172,7 +171,7 @@ class TestAgentLogic:
                 spurious_events=(SpuriousEvent(1, 5.0, 1.0),),
             )
         )
-        agent = agent_for(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 1, report_port=self.rx.getsockname()[1])
         # the event at 5 us predates the first sync receipt (~20 us)
         agent.handle_sync(self.frame(0), self.out)
         assert agent.node.protocol.discarded_events == 1
@@ -188,7 +187,7 @@ class TestAgentLogic:
             live_scenario(network=scenario.network, ruptures=(),
                           spurious_events=(SpuriousEvent(3, rx1),))
         )
-        agent = agent_for(cfg, 3, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 3, report_port=self.rx.getsockname()[1])
         agent.handle_sync(self.frame(0), self.out)
         agent.handle_sync(self.frame(1), self.out)
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
@@ -198,7 +197,7 @@ class TestAgentLogic:
 
     def test_agent_stops_after_the_last_period_not_after_n_datagrams(self):
         cfg = ephemeral_config(live_scenario(), periods=3)
-        agent = agent_for(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 1, report_port=self.rx.getsockname()[1])
         worker = threading.Thread(target=agent.run, daemon=True)
         worker.start()
         # a replayed frame 0 must not stand in for frame 2
@@ -215,7 +214,7 @@ class TestAgentLogic:
 
     def test_agent_without_frames_waits_out_its_timeout(self):
         cfg = ephemeral_config(live_scenario(), timeout_s=0.2)
-        agent = agent_for(cfg, 1, sync_port=0, report_port=self.rx.getsockname()[1])
+        agent = agent_for(cfg, 1, report_port=self.rx.getsockname()[1])
         start = time.monotonic()
         agent.run()
         assert time.monotonic() - start >= 0.2
@@ -339,7 +338,7 @@ class TestEndToEnd:
         supervisor = LiveSupervisor(config)
         nodes, net = sensor_nodes(scenario), scenario.network_model()
         agents = [
-            SensorAgent(config, nodes[sid], net, sync_port=0, report_port=supervisor.port)
+            SensorAgent(config, nodes[sid], net, report_port=supervisor.port)
             for sid in (1, 2, 3)
         ]
         silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -403,7 +402,7 @@ class TestEndToEnd:
         supervisor = LiveSupervisor(config)
         nodes, net = sensor_nodes(scenario), scenario.network_model()
         agents = [
-            SensorAgent(config, nodes[sid], net, sync_port=0, report_port=supervisor.port)
+            SensorAgent(config, nodes[sid], net, report_port=supervisor.port)
             for sid in (1, 2, 3, 4)
         ]
         supervisor.targets = {a.sensor_id: a.port for a in agents}
@@ -454,9 +453,10 @@ class TestFailedBind:
     def test_agent_closes_its_socket_when_it_cannot_bind(self):
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
             holder.bind(("127.0.0.1", 0))
-            config = ephemeral_config(live_scenario())
-            port = holder.getsockname()[1]
-            assert caught_resource_warnings(lambda: agent_for(config, 1, sync_port=port)) == []
+            config = ephemeral_config(
+                live_scenario(), sync_ports={1: holder.getsockname()[1], 2: 0, 3: 0, 4: 0}
+            )
+            assert caught_resource_warnings(lambda: agent_for(config, 1)) == []
 
 
 class TestLiveConfigFile:

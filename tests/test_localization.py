@@ -9,12 +9,8 @@ from cablewatch.localization import (
     FLAG_DEGENERATE_DT,
     FLAG_INSUFFICIENT_SENSORS,
     FLAG_OUT_OF_SPAN,
-    DegenerateTimingError,
-    estimate_position,
-    estimate_speed,
     localize,
     localize_cluster,
-    select_triple,
 )
 from cablewatch.retiming import RetimedEvent
 from cablewatch.wave import CableGeometry, RuptureEvent, arrival_time, quantize_to_sampling
@@ -28,78 +24,86 @@ def arrival_times(geometry, x_m, v_m_s=5000.0, t0_us=0.0):
     return {sid: arrival_time(geometry, r, sid, v_m_s) for sid in geometry.sensor_ids}
 
 
+# a rupture at 14 m at 5000 m/s: sensor_1 = 1 pairs with sensor_2 = 2 for
+# the speed, and the bracket pair 2, 3 is 10 m long
+AT_14M = {1: 2800.0, 2: 800.0, 3: 1200.0, 4: 3200.0}
+
+
 class TestSelectTriple:
     def test_rupture_at_14m_picks_expected_roles(self):
-        sel = select_triple(arrival_times(FOUR_AT_10M, 14.0), FOUR_AT_10M)
-        assert (sel.sensor_1, sel.sensor_2, sel.sensor_3) == (1, 2, 3)
-        assert sel.speed_anchor == 2
+        times = arrival_times(FOUR_AT_10M, 14.0)
+        est = localize(times, FOUR_AT_10M)
+        assert est.triple == (1, 2, 3)
+        assert est.dt_speed_us == times[1] - times[2]
 
     def test_end_span_rupture_swaps_to_far_side_of_s3(self):
-        sel = select_triple(arrival_times(FOUR_AT_10M, 27.0), FOUR_AT_10M)
-        assert sel.sensor_2 == 4
-        assert sel.sensor_3 == 3
-        assert sel.sensor_1 == 2
-        assert sel.speed_anchor == 3
+        # sensor 4 is an end sensor, so the speed pair lies beyond sensor 3
+        times = arrival_times(FOUR_AT_10M, 27.0)
+        est = localize(times, FOUR_AT_10M)
+        assert est.triple == (2, 4, 3)
+        assert est.dt_speed_us == times[2] - times[3]
 
     def test_tie_resolves_to_lower_sensor_id(self):
         # rupture exactly midway: sensors 2 and 3 hear it simultaneously
-        sel = select_triple(arrival_times(FOUR_AT_10M, 15.0), FOUR_AT_10M)
-        assert sel.sensor_2 == 2
-        assert sel.sensor_3 == 3
-
-    def test_too_few_sensors_raises(self):
-        with pytest.raises(ValueError, match=">= 3"):
-            select_triple({1: 0.0, 2: 1.0}, FOUR_AT_10M)
+        est = localize(arrival_times(FOUR_AT_10M, 15.0), FOUR_AT_10M)
+        assert est.triple[1:] == (2, 3)
 
     def test_selection_depends_only_on_time_order(self):
         times = arrival_times(FOUR_AT_10M, 14.0)
         warped = {sid: 3.0 * t + 12345.0 for sid, t in times.items()}
-        assert select_triple(times, FOUR_AT_10M) == select_triple(warped, FOUR_AT_10M)
+        assert localize(times, FOUR_AT_10M).triple == localize(warped, FOUR_AT_10M).triple
 
 
 class TestEstimateSpeed:
     def test_10m_in_2000us_is_5000_m_s(self):
-        assert estimate_speed(2800.0, 800.0, 10.0) == pytest.approx(5000.0, rel=1e-12)
+        est = localize(AT_14M, FOUR_AT_10M)
+        assert est.dt_speed_us == 2000.0
+        assert est.v_est_m_s == pytest.approx(5000.0, rel=1e-12)
 
     def test_20m_in_4000us_is_5000_m_s(self):
-        assert estimate_speed(4000.0, 0.0, 20.0) == pytest.approx(5000.0, rel=1e-12)
+        geometry = CableGeometry((1, 2, 3), (0.0, 20.0, 30.0))
+        est = localize({1: 4000.0, 2: 0.0, 3: 1000.0}, geometry)
+        assert est.triple == (1, 2, 3)
+        assert est.v_est_m_s == pytest.approx(5000.0, rel=1e-12)
 
     def test_zero_lag_is_degenerate(self):
-        with pytest.raises(DegenerateTimingError):
-            estimate_speed(800.0, 800.0, 10.0)
+        # sensor 3 ties sensor 2, the speed anchor beyond the end sensor 1
+        est = localize({1: 1000.0, 2: 1500.0, 3: 1500.0}, FOUR_AT_10M)
+        assert est.flags == {FLAG_DEGENERATE_DT}
+        assert est.triple == (3, 1, 2)
+        assert est.dt_speed_us == 0.0
+        assert math.isnan(est.v_est_m_s) and math.isnan(est.dt_position_us)
 
-    def test_negative_lag_is_degenerate(self):
-        with pytest.raises(DegenerateTimingError):
-            estimate_speed(700.0, 800.0, 10.0)
-
-    def test_bad_separation_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_speed(2800.0, 800.0, 0.0)
+    def test_lag_too_short_for_a_finite_speed_is_degenerate(self):
+        # a subnormal lag underflows to 0 s, which no speed can be divided by
+        est = localize({1: 5e-324, 2: 0.0, 3: 0.0}, FOUR_AT_10M)
+        assert est.flags == {FLAG_DEGENERATE_DT}
+        assert est.dt_speed_us == 5e-324
+        assert math.isnan(est.v_est_m_s) and math.isnan(est.x_est_m)
 
 
 class TestEstimatePosition:
     def test_worked_case_4m_from_bracket_start(self):
         # rupture 4 m past the first bracket sensor of a 10 m span
-        assert estimate_position(800.0, 1200.0, 10.0, 5000.0) == pytest.approx(4.0, rel=1e-12)
+        est = localize(AT_14M, FOUR_AT_10M)
+        assert est.x_est_m - 10.0 == pytest.approx(4.0, rel=1e-12)
 
     def test_simultaneous_arrivals_mean_midspan(self):
-        assert estimate_position(1000.0, 1000.0, 10.0, 5000.0) == pytest.approx(5.0)
+        est = localize({1: 3000.0, 2: 1000.0, 3: 1000.0, 4: 3000.0}, FOUR_AT_10M)
+        assert est.clean
+        assert est.x_est_m == pytest.approx(15.0)
 
     def test_full_lag_means_rupture_at_first_sensor(self):
         # v * dt == L23: the whole span's travel time separates the arrivals
-        assert estimate_position(0.0, 2000.0, 10.0, 5000.0) == pytest.approx(0.0, abs=1e-12)
+        est = localize({1: 2000.0, 2: 0.0, 3: 2000.0, 4: 4000.0}, FOUR_AT_10M)
+        assert est.clean
+        assert est.x_est_m == pytest.approx(10.0, abs=1e-12)
 
     def test_sensitivity_is_minus_half_v(self):
         # 6 us of dt23 error moves X by 1.5 cm at 5000 m/s
-        base = estimate_position(800.0, 1200.0, 10.0, 5000.0)
-        moved = estimate_position(800.0, 1206.0, 10.0, 5000.0)
-        assert moved - base == pytest.approx(-0.015, rel=1e-9)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            estimate_position(0.0, 1.0, -10.0, 5000.0)
-        with pytest.raises(ValueError):
-            estimate_position(0.0, 1.0, 10.0, 0.0)
+        base = localize(AT_14M, FOUR_AT_10M)
+        moved = localize({**AT_14M, 3: 1206.0}, FOUR_AT_10M)
+        assert moved.x_est_m - base.x_est_m == pytest.approx(-0.015, rel=1e-9)
 
 
 class TestLocalize:
@@ -147,6 +151,12 @@ class TestLocalize:
     def test_unknown_sensor_is_a_caller_bug(self):
         with pytest.raises(ValueError, match="unknown sensor"):
             localize({1: 0.0, 2: 1.0, 99: 2.0}, FOUR_AT_10M)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sensor_id", [1, 2, 3, 4])
+    def test_non_finite_time_is_a_caller_bug(self, sensor_id, value):
+        with pytest.raises(ValueError, match=f"sensor {sensor_id}: .* finite"):
+            localize({**AT_14M, sensor_id: value}, FOUR_AT_10M)
 
     def test_localize_cluster_uses_earliest_valid_per_sensor(self):
         times = arrival_times(FOUR_AT_10M, 14.0)
@@ -204,6 +214,19 @@ class TestProperties:
         e1 = localize(arrival_times(g1, x + shift), g1)
         assert e1.x_est_m - e0.x_est_m == pytest.approx(shift, abs=1e-6)
         assert e0.v_est_m_s == pytest.approx(e1.v_est_m_s, rel=1e-9)
+
+    @given(
+        times=st.dictionaries(
+            st.sampled_from(FOUR_AT_10M.sensor_ids),
+            st.floats(min_value=0.0, max_value=1e4),
+            min_size=3,
+        )
+    )
+    def test_speed_lag_is_never_negative(self, times):
+        # sensor_1 is never among the two earliest arrivals, so only a zero
+        # lag flags DEGENERATE_DT
+        est = localize(times, FOUR_AT_10M)
+        assert not est.dt_speed_us < 0
 
     @settings(max_examples=100)
     @given(frac=st.floats(min_value=0.02, max_value=0.98))

@@ -12,8 +12,9 @@ import pickle
 
 import pytest
 
+import cablewatch
 from cablewatch.clock import ClockState
-from cablewatch.localization import FLAG_OUT_OF_SPAN, RuptureEstimate, TripleSelection
+from cablewatch.localization import FLAG_OUT_OF_SPAN, RuptureEstimate
 from cablewatch.live import LiveConfig
 from cablewatch.montecarlo import StudyResult, TrialResult
 from cablewatch.network import KIND_REPORT, SUPERVISOR_NODE, NetworkModel, ScheduledDelivery
@@ -39,7 +40,6 @@ RECORDS = [
     (RetimedEvent,
      ("sensor_id", "period_index", "retimed_us", "raw_ticks", "amplitude_g", "flag"),
      (2, 3, 120.0, 120, 0.95, None)),
-    (TripleSelection, ("sensor_1", "sensor_2", "sensor_3", "speed_anchor"), (1, 2, 3, 2)),
     (RuptureEstimate,
      ("x_est_m", "v_est_m_s", "triple", "flags", "dt_speed_us", "dt_position_us"),
      ESTIMATE_VALUES),
@@ -102,7 +102,6 @@ def test_defaults_and_properties_are_kept():
     assert bare.flags == frozenset() and bare.clean
     assert math.isnan(bare.dt_speed_us) and math.isnan(bare.dt_position_us)
     assert not ESTIMATE.clean
-    assert TripleSelection(1, 2, 3, 2).ids == (1, 2, 3)
     row = EstimateRow(1, 0, 4, ESTIMATE, 500.0)
     assert row.matched == "" and math.isnan(row.x_true_m) and math.isnan(row.abs_error_m)
 
@@ -113,3 +112,9 @@ def test_defaults_and_properties_are_kept():
 ])
 def test_configuration_and_result_types_stay_dataclasses(cls):
     assert dataclasses.is_dataclass(cls)
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from cablewatch import *", namespace)
+    assert all(namespace[name] is getattr(cablewatch, name) for name in cablewatch.__all__)

@@ -239,6 +239,22 @@ class TestQuietAndDegradedRuns:
         assert not est.estimate.clean
 
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: cluster_events groups by time alone")
+    @pytest.mark.parametrize("second_us", [1_500_000.0, 1_540_000.0], ids=["same_time", "40ms_apart"])
+    def test_ruptures_far_apart_on_the_cable_are_each_localized(self, second_us):
+        # with 0.01/m attenuation each rupture reaches only the sensors within
+        # ~22 m, so the two hit disjoint sensor groups inside one window
+        geometry = CableGeometry(tuple(range(1, 17)), tuple(10.0 * i for i in range(16)))
+        ruptures = (RuptureEvent(25.0, 1_500_000.0), RuptureEvent(125.0, second_us))
+        rep = run(Scenario(geometry=geometry, attenuation_per_m=0.01, ruptures=ruptures, seed=3))
+        for r in ruptures:
+            near = [
+                e for e in rep.estimates
+                if e.estimate.clean and abs(e.estimate.x_est_m - r.position_m) <= 0.15
+            ]
+            assert len(near) == 1
+
+
 class TestSensorDriver:
     def test_arrival_at_the_receipt_instant_rides_the_closing_report(self):
         rx1 = Scenario(geometry=GEOM).network_model().sync_receipt_at(1_000_000.0, 1, 3)
