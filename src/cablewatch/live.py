@@ -1,30 +1,27 @@
 """Live datagram mode: the same protocol over real UDP sockets.
 
 The supervisor and each sensor agent are separate endpoints exchanging the
-same wire bytes as the simulator, served by one event loop per process (a
-selector on one thread; run_live starts no thread). Time stays modeled, and
-the model is built once per run: run_live calls simulate.sensor_nodes and
-Scenario.network_model once each, before binding any socket, and hands each
-agent its own SensorNode (the simulator's sensor driver) and the shared,
-frozen NetworkModel; `cablewatch agent` builds the same two pieces for its
-one sensor. An agent draws each frame's receipt instant from the model,
-keyed by (seed, period, sensor) like the simulated transport, and its node
-stamps the same arrivals and returns the same report. run_live ends with
-the simulator's own tail (simulate.report_run), so it returns the same
-RunReport as a simulated run, equal field for field. Wall pacing only
-spaces frames out, never timestamps.
+simulator's wire bytes, served by one event loop per process (a selector on
+one thread; run_live starts no thread). Time stays modeled: each agent
+drives its sensor's SensorNode (the simulator's sensor driver) with receipt
+instants drawn from the run's NetworkModel, keyed by (seed, period, sensor)
+like the simulated transport, and run_live ends with the simulator's own
+tail (simulate.report_run), so it returns the same RunReport as a simulated
+run, equal field for field. Wall pacing only spaces frames out, never
+timestamps, and no endpoint waits out more than timeout_s of silence.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import selectors
 import socket
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .network import NetworkModel
 from .protocol import SupervisorProtocol
@@ -68,6 +65,13 @@ class LiveConfig:
     to a single broadcast datagram per frame, with every agent sharing
     sync_port_base. Every port, given or counted up from sync_port_base,
     must lie in 0-65535.
+
+    pace_s is the least wall time between frames; timeout_s, the longest
+    silence any endpoint waits out, must exceed it, or a remote agent would
+    give up between two frames; both are finite. Any datagram counts, junk
+    too: a steady stream of it keeps an endpoint waiting, but an agent still
+    stops at its last frame, and the supervisor once every closing period
+    is released.
     """
 
     scenario: Scenario
@@ -83,19 +87,18 @@ class LiveConfig:
     def __post_init__(self) -> None:
         problems = []
         if self.periods < 2:
-            problems.append(
-                f"need at least 2 sync periods to close one, got {self.periods!r}"
-            )
+            problems.append(f"need at least 2 sync periods to close one, got {self.periods!r}")
         elif self.periods > MAX_RUN_PERIODS:
             problems.append(
                 f"periods must be at most MAX_RUN_PERIODS ({MAX_RUN_PERIODS}), got {self.periods!r}"
             )
         if self.scenario.network.drop_probability != 0.0:
-            problems.append(
-                "live mode sends real datagrams; modeled drop_probability must be 0"
-            )
-        if self.pace_s < 0 or self.timeout_s <= 0:
-            problems.append("pace_s must be >= 0 and timeout_s > 0")
+            problems.append("live mode sends real datagrams; modeled drop_probability must be 0")
+        waits = {"pace_s": self.pace_s, "timeout_s": self.timeout_s}
+        bad = [f"{k} must be finite, got {v!r}" for k, v in waits.items() if not math.isfinite(v)]
+        problems.extend(bad)
+        if not bad and not 0 <= self.pace_s < self.timeout_s:
+            problems.append(f"need 0 <= pace_s < timeout_s, got {waits}")
         if self.sync_ports is not None:
             missing = set(self.scenario.geometry.sensor_ids) - set(self.sync_ports)
             if missing:
@@ -158,13 +161,6 @@ def _serve(selector, timeout: float) -> int:
     return len(ready)
 
 
-def _serve_until(selector, done: Callable[[], bool], timeout_s: float) -> None:
-    """Serve until done() holds or timeout_s seconds have passed."""
-    deadline = time.monotonic() + timeout_s
-    while not done() and (left := deadline - time.monotonic()) > 0:
-        _serve(selector, left)
-
-
 class SensorAgent:
     """One sensor endpoint: listens for sync frames, sends reports.
 
@@ -172,7 +168,7 @@ class SensorAgent:
     drawn from net, the scenario's network model, which agents may share.
     Binds its socket at construction so callers can start the supervisor
     afterwards without losing frames; run() serves it alone until the last
-    expected frame or the wall deadline.
+    expected frame, or until timeout_s passes with no datagram.
     """
 
     def __init__(
@@ -220,8 +216,9 @@ class SensorAgent:
         # duplicates and replays count as frames; only the last period ends the run
         last = self.config.periods - 1
         with _socket_loop([self]) as selector:
-            _serve_until(selector, lambda: self.node.protocol.last_seen_period_index == last,
-                         self.config.timeout_s)
+            while (self.node.protocol.last_seen_period_index != last
+                   and _serve(selector, self.config.timeout_s)):
+                pass
 
 
 class LiveSupervisor:
@@ -255,12 +252,13 @@ class LiveSupervisor:
         self.protocol.on_report(report)
 
     def run(self, agents: Iterable[SensorAgent] = ()) -> LiveSupervisor:
-        """Send every frame and collect reports until periods 0 to
-        periods - 2 are released, by completion or timeout, into
-        self.protocol.released. One loop serves this endpoint and the given
-        in-process agents, closing their sockets on return; after each frame
-        it serves until no endpoint is ready and pace_s has passed. Frames
-        leave from a blocking socket, which waits out a full send buffer."""
+        """Send every frame, then collect reports until periods 0 to
+        periods - 2 are in self.protocol.released, or timeout_s passes with
+        no datagram and the rest are released partial. One loop serves this
+        endpoint and the given in-process agents, closing their sockets on
+        return; after each frame it serves until no endpoint is ready and
+        pace_s has passed. Frames leave from a blocking socket, which waits
+        out a full send buffer."""
         config = self.config
         t_us = config.scenario.sync_period_T_us
         released = self.protocol.released
@@ -281,7 +279,8 @@ class LiveSupervisor:
                 end = time.monotonic() + config.pace_s
                 while _serve(selector, end - time.monotonic()) or time.monotonic() < end:
                     pass
-            _serve_until(selector, lambda: all(k in released for k in closing), config.timeout_s)
+            while not all(k in released for k in closing) and _serve(selector, config.timeout_s):
+                pass
         for k in closing:
             if self.protocol.expire(k) is not None:
                 log.warning("supervisor: period %d timed out, releasing partial", k)

@@ -188,7 +188,7 @@ class Scenario:
                     out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
                 elif auto:
                     bounded(path, self._closing_duration_us(s.time_ref_us))
-            if not s.amplitude_g > 0:
+            if finite(f"spurious_events[{i}].amplitude_g", s.amplitude_g) and not s.amplitude_g > 0:
                 out.append(
                     f"spurious_events[{i}]: amplitude must be > 0, got {s.amplitude_g!r}"
                 )

@@ -22,7 +22,7 @@ DEFAULT_SAMPLING_PERIOD_TICKS = 4
 class CableGeometry:
     """Sensor ids and their positions along the cable axis.
 
-    Positions are meters from the cable origin and must be strictly
+    Positions are finite meters from the cable origin and must be strictly
     increasing; ids must be unique. At least two sensors make a geometry;
     localization needs at least three.
     """
@@ -39,6 +39,9 @@ class CableGeometry:
             )
         if len(self.sensor_ids) < 2:
             raise ValueError("geometry needs at least two sensors")
+        for i, p in enumerate(self.positions_m):
+            if not math.isfinite(p):
+                raise ValueError(f"positions_m[{i}] must be finite, got {p!r}")
         # id -> index, so that lookups stay O(1) however many sensors; an
         # attribute, not a field, so readers and comparisons never see it
         index = {sid: i for i, sid in enumerate(self.sensor_ids)}
@@ -80,7 +83,7 @@ class RuptureEvent:
     Attributes:
         position_m: break position along the cable axis.
         time_ref_us: reference time of the break.
-        peak_amplitude_g: wave amplitude at the source, in g.
+        peak_amplitude_g: wave amplitude at the source, in g; finite, > 0.
     """
 
     position_m: float
@@ -88,6 +91,8 @@ class RuptureEvent:
     peak_amplitude_g: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.peak_amplitude_g):
+            raise ValueError(f"peak_amplitude_g must be finite, got {self.peak_amplitude_g!r}")
         if not self.peak_amplitude_g > 0:
             raise ValueError(f"peak amplitude must be > 0, got {self.peak_amplitude_g!r}")
 

@@ -2,6 +2,7 @@
 
 import gc
 import logging
+import math
 import socket
 import threading
 import time
@@ -94,6 +95,18 @@ class TestConfig:
         s = live_scenario(network=NetworkConfig(drop_probability=0.5))
         with pytest.raises(ValueError, match="drop_probability"):
             LiveConfig(scenario=s, periods=5)
+
+    def test_waits_must_be_finite_and_timeout_must_exceed_pace(self):
+        with pytest.raises(ScenarioError) as e:
+            LiveConfig(scenario=live_scenario(), periods=5, pace_s=math.nan, timeout_s=math.inf)
+        assert e.value.problems == ["pace_s must be finite, got nan",
+                                    "timeout_s must be finite, got inf"]
+        # a remote agent would give up between two frames
+        with pytest.raises(ScenarioError) as e:
+            LiveConfig(scenario=live_scenario(), periods=5, pace_s=1.0, timeout_s=1.0)
+        assert e.value.problems == [
+            "need 0 <= pace_s < timeout_s, got {'pace_s': 1.0, 'timeout_s': 1.0}"
+        ]
 
     def test_rejects_incomplete_port_map(self):
         with pytest.raises(ValueError, match=r"missing sensors \[3, 4\]"):
@@ -220,6 +233,24 @@ class TestAgentLogic:
         assert time.monotonic() - start >= 0.2
         assert agent.frames_seen == 0
         assert agent.sock.fileno() == -1
+
+    def test_agent_waits_out_its_timeout_after_its_last_frame(self):
+        # the wait counts from the last datagram, not from the agent's start
+        cfg = ephemeral_config(live_scenario(), timeout_s=0.5)
+        agent = agent_for(cfg, 1, report_port=self.rx.getsockname()[1])
+        returned = []
+        worker = threading.Thread(
+            target=lambda: (agent.run(), returned.append(time.monotonic())), daemon=True
+        )
+        worker.start()
+        self.out.sendto(self.frame(0), ("127.0.0.1", agent.port))
+        time.sleep(0.25)
+        sent_last = time.monotonic()
+        self.out.sendto(self.frame(1), ("127.0.0.1", agent.port))
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert returned[0] - sent_last >= 0.5
+        assert agent.frames_seen == 2
 
 
 def csv_bytes(report, out_dir):
@@ -385,6 +416,34 @@ class TestEndToEnd:
         assert all(p.complete for p in live.completed_periods)
         assert live == run(scenario)
 
+    def test_paced_agents_in_their_own_loops_see_every_frame(self):
+        # agents serve themselves, as `cablewatch agent` processes do, and
+        # the run lasts longer than timeout_s: each agent keeps waiting as
+        # long as frames keep coming
+        periods = 8
+        scenario = live_scenario(run_duration_us=(periods - 1) * 1_000_000.0)
+        config = ephemeral_config(scenario, periods=periods, pace_s=0.2, timeout_s=1.0)
+        supervisor = LiveSupervisor(config)
+        nodes, net = sensor_nodes(scenario), scenario.network_model()
+        agents = [
+            SensorAgent(config, nodes[sid], net, report_port=supervisor.port)
+            for sid in (1, 2, 3, 4)
+        ]
+        supervisor.targets = {a.sensor_id: a.port for a in agents}
+        workers = [threading.Thread(target=a.run, daemon=True) for a in agents]
+        for w in workers:
+            w.start()
+        supervisor.run()
+        for w in workers:
+            w.join(timeout=10.0)
+        assert not any(w.is_alive() for w in workers)
+
+        assert [a.frames_seen for a in agents] == [periods] * 4
+        released = supervisor.protocol.released
+        assert sorted(released) == list(range(periods - 1))
+        assert all(p.complete for p in released.values())
+        assert [released[k] for k in sorted(released)] == run(scenario).completed_periods
+
     def test_run_live_starts_no_thread(self, monkeypatch):
         def refuse(thread):
             raise AssertionError(f"run_live started thread {thread.name!r}")
@@ -543,6 +602,28 @@ class TestLiveConfigFile:
         ids=["report_port", "sync_port_base", "sync_ports", "sync_port_counted_from_base"],
     )
     def test_port_out_of_range_is_rejected_by_name(self, tmp_path, line, problem):
+        assert problem in self.problems_with(tmp_path, line)
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            # YAML floats, which a selector cannot wait on
+            ("pace_s: .inf", "pace_s must be finite, got inf"),
+            ("pace_s: .nan", "pace_s must be finite, got nan"),
+            ("timeout_s: .inf", "timeout_s must be finite, got inf"),
+            ("timeout_s: .nan", "timeout_s must be finite, got nan"),
+            # the default timeout_s is 5.0
+            ("pace_s: 5.0", "need 0 <= pace_s < timeout_s, got {'pace_s': 5.0, 'timeout_s': 5.0}"),
+            ("pace_s: -0.5", "need 0 <= pace_s < timeout_s, got {'pace_s': -0.5, 'timeout_s': 5.0}"),
+        ],
+        ids=["pace_s_inf", "pace_s_nan", "timeout_s_inf", "timeout_s_nan",
+             "timeout_s_not_above_pace_s", "pace_s_negative"],
+    )
+    def test_bad_wait_is_rejected_by_name(self, tmp_path, line, problem):
+        assert self.problems_with(tmp_path, line) == [problem]
+
+    def problems_with(self, tmp_path, line):
+        """The problems load_live_config finds in a minimal config plus line."""
         p = tmp_path / "live.yaml"
         p.write_text(
             "periods: 2\nscenario: {geometry: {sensor_ids: [1,2,3], positions_m: [0,1,2]}}\n"
@@ -550,4 +631,4 @@ class TestLiveConfigFile:
         )
         with pytest.raises(ScenarioError) as e:
             load_live_config(p)
-        assert problem in e.value.problems
+        return e.value.problems

@@ -149,6 +149,8 @@ class TestScenarioValidation:
         ("wave_speed_m_s", dict(wave_speed_m_s=math.inf)),
         ("threshold_g", dict(threshold_g=math.inf)),
         ("coincidence_window_us", dict(coincidence_window_us=math.inf)),
+        ("spurious_events[0].amplitude_g",
+         dict(spurious_events=(SpuriousEvent(1, 1_000_000.0, math.inf),))),
     ])
     def test_non_finite_value_is_rejected_by_name(self, name, kw):
         # each of these passed validation, then crashed, never ended a run
@@ -376,8 +378,24 @@ class TestYamlLoading:
                 MINIMAL_YAML + "drift_ppm: {1.5: 3.0}\n",
                 "field 'drift_ppm' must be keyed by integers, got key 1.5",
             ),
+            # YAML's .inf is a float; each record refuses it by name
+            (
+                "geometry: {sensor_ids: [1, 2, 3, 4], positions_m: [0.0, 10.0, 20.0, .inf]}\n"
+                "ruptures: [{position_m: 14.0, time_ref_us: 1500000}]\n",
+                "geometry: positions_m[3] must be finite, got inf",
+            ),
+            (
+                MINIMAL_YAML
+                + "ruptures: [{position_m: 14.0, time_ref_us: 1500000, peak_amplitude_g: .inf}]\n",
+                "ruptures[0]: peak_amplitude_g must be finite, got inf",
+            ),
+            (
+                MINIMAL_YAML + "spurious_events: [{sensor_id: 2, time_ref_us: 1500000, amplitude_g: .inf}]\n",
+                "spurious_events[0].amplitude_g must be finite, got inf",
+            ),
         ],
-        ids=["ruptures_scalar", "fractional_sensor_id", "bool_position", "fractional_drift_key"],
+        ids=["ruptures_scalar", "fractional_sensor_id", "bool_position", "fractional_drift_key",
+             "infinite_position", "infinite_peak_amplitude", "infinite_spurious_amplitude"],
     )
     def test_bad_value_is_named_by_its_path(self, load_text, text, problem):
         with pytest.raises(ScenarioError) as e:

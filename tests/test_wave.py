@@ -42,6 +42,12 @@ class TestGeometry:
         with pytest.raises(ValueError, match="unique"):
             CableGeometry((1, 1, 3), (0.0, 10.0, 20.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_position_is_rejected_by_index(self, bad):
+        # an infinite span overflowed the run-length arithmetic downstream
+        with pytest.raises(ValueError, match=rf"^positions_m\[3\] must be finite, got {bad!r}$"):
+            CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, bad))
+
     def test_single_sensor_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             CableGeometry((1,), (0.0,))
@@ -204,6 +210,12 @@ class TestSimulateRupture:
     def test_nonpositive_peak_amplitude_rejected(self):
         with pytest.raises(ValueError, match="amplitude"):
             RuptureEvent(position_m=1.0, time_ref_us=0.0, peak_amplitude_g=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_peak_amplitude_rejected_by_name(self, bad):
+        # an infinite amplitude overflowed the detection's milli-g rounding
+        with pytest.raises(ValueError, match=rf"^peak_amplitude_g must be finite, got {bad!r}$"):
+            RuptureEvent(position_m=1.0, time_ref_us=0.0, peak_amplitude_g=bad)
 
 
 uniform_grids = st.tuples(
