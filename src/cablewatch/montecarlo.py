@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .clock import MAX_DRIFT_PPM
 from .scenario import NetworkConfig, Scenario
 from .simulate import run
-from .wave import CableGeometry, RuptureEvent
+from .wave import CableGeometry, RuptureEvent, frozen_slotted
 
 DEFAULT_TRIALS = 1000
 DEFAULT_JITTER_US = 3.0
@@ -24,7 +24,7 @@ DEFAULT_DRIFT_RANGE_PPM = 50.0
 EDGE_MARGIN_FRACTION = 0.01
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class TrialResult:
     trial: int
     x_true_m: float

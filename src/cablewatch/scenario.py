@@ -10,6 +10,7 @@ fix-one-rerun loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -34,6 +35,7 @@ from .wave import (
     DEFAULT_WAVE_SPEED_M_S,
     CableGeometry,
     RuptureEvent,
+    frozen_slotted,
 )
 
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
@@ -52,7 +54,7 @@ class ScenarioError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class SpuriousEvent:
     """A wave-like trigger at a single sensor that is not a rupture."""
 
@@ -103,11 +105,13 @@ class Scenario:
         """Every invariant violation in this scenario, exhaustively."""
         out: list[str] = []
 
-        def finite(path: str, value: float) -> bool:
-            """Whether value is finite; if not, record it: no run can schedule or reach it."""
+        def finite(path: str, value: float, *args) -> bool:
+            """Whether value is finite; if not, record it: no run can schedule
+            or reach it. path is formatted with args only then, so a valid
+            event costs no string."""
             if math.isfinite(value):
                 return True
-            out.append(f"{path} must be finite, got {value!r}")
+            out.append(f"{path.format(*args)} must be finite, got {value!r}")
             return False
 
         ids = set(self.geometry.sensor_ids)
@@ -115,7 +119,13 @@ class Scenario:
             out.append(
                 f"geometry: localization needs at least 3 sensors, got {len(ids)}"
             )
-        for sid, ppm in sorted(self.drift_ppm.items()):
+        drift = []
+        for sid, ppm in self.drift_ppm.items():
+            if isinstance(sid, bool) or not isinstance(sid, int):
+                out.append(f"drift_ppm: sensor id must be an int, got {sid!r}")
+            else:
+                drift.append((sid, ppm))
+        for sid, ppm in sorted(drift):
             if sid not in ids:
                 out.append(f"drift_ppm: unknown sensor id {sid}")
             if not abs(ppm) <= MAX_DRIFT_PPM:
@@ -144,14 +154,15 @@ class Scenario:
         speed = self.wave_speed_m_s
         travel = self.geometry.span_m / speed * 1e6 if math.isfinite(speed) and speed > 0 else 0.0
 
-        def bounded(path: str, duration_us: float) -> None:
-            """Record path if a run of duration_us would exceed MAX_RUN_PERIODS."""
+        def bounded(path: str, duration_us: float, *args) -> None:
+            """Record path, formatted with args, if a run of duration_us would
+            exceed MAX_RUN_PERIODS."""
             if t_us < 1:
                 return  # no period length, already recorded
             periods = math.floor(duration_us / t_us) + 1
             if periods > MAX_RUN_PERIODS:
                 out.append(
-                    f"{path} needs a run of {periods} sync periods, more than "
+                    f"{path.format(*args)} needs a run of {periods} sync periods, more than "
                     f"MAX_RUN_PERIODS ({MAX_RUN_PERIODS})"
                 )
 
@@ -164,13 +175,13 @@ class Scenario:
                 out.append(
                     f"ruptures[{i}]: position {r.position_m} m outside cable extent [{lo}, {hi}] m"
                 )
-            if not finite(f"ruptures[{i}].time_ref_us", r.time_ref_us):
+            if not finite("ruptures[{}].time_ref_us", r.time_ref_us, i):
                 continue
             if r.time_ref_us < 0:
                 out.append(f"ruptures[{i}]: time must be >= 0, got {r.time_ref_us!r}")
             elif auto:
                 bounded(
-                    f"ruptures[{i}].time_ref_us", self._closing_duration_us(r.time_ref_us + travel)
+                    "ruptures[{}].time_ref_us", self._closing_duration_us(r.time_ref_us + travel), i
                 )
             if self.run_duration_us is not None and (
                 r.time_ref_us + self.sync_period_T_us > self.run_duration_us
@@ -180,15 +191,18 @@ class Scenario:
                     f"full sync period ({r.time_ref_us} + {self.sync_period_T_us})"
                 )
         for i, s in enumerate(self.spurious_events):
-            if s.sensor_id not in ids:
+            if isinstance(s.sensor_id, bool) or not isinstance(s.sensor_id, int):
+                out.append(f"spurious_events[{i}].sensor_id must be an int, got {s.sensor_id!r}")
+            elif s.sensor_id not in ids:
                 out.append(f"spurious_events[{i}]: unknown sensor id {s.sensor_id}")
-            path = f"spurious_events[{i}].time_ref_us"
-            if finite(path, s.time_ref_us):
+            if finite("spurious_events[{}].time_ref_us", s.time_ref_us, i):
                 if s.time_ref_us < 0:
                     out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
                 elif auto:
-                    bounded(path, self._closing_duration_us(s.time_ref_us))
-            if finite(f"spurious_events[{i}].amplitude_g", s.amplitude_g) and not s.amplitude_g > 0:
+                    bounded(
+                        "spurious_events[{}].time_ref_us", self._closing_duration_us(s.time_ref_us), i
+                    )
+            if finite("spurious_events[{}].amplitude_g", s.amplitude_g, i) and not s.amplitude_g > 0:
                 out.append(
                     f"spurious_events[{i}]: amplitude must be > 0, got {s.amplitude_g!r}"
                 )
@@ -217,7 +231,7 @@ class Scenario:
             if extra:
                 out.append(f"network.radio_positions_m: unknown sensors {sorted(extra)}")
             for sid, pos in sorted(n.radio_positions_m.items()):
-                finite(f"network.radio_positions_m[{sid}]", pos)
+                finite("network.radio_positions_m[{}]", pos, sid)
 
         duration = self.run_duration_us
         if duration is not None and finite("run_duration_us", duration):
@@ -368,6 +382,13 @@ def _per_sensor_drift(raw: Mapping[str, Any], path: str, errors: list[str]) -> d
     return given
 
 
+@functools.cache
+def _type_hints(cls) -> dict[str, Any]:
+    """cls's resolved field types: resolved once per class, not once per
+    list item read."""
+    return get_type_hints(cls)
+
+
 def _read(cls, raw, path: str, errors: list[str], given: Optional[Mapping[str, Any]] = None):
     """The dataclass cls built from a YAML mapping, or _NO_VALUE.
 
@@ -386,7 +407,7 @@ def _read(cls, raw, path: str, errors: list[str], given: Optional[Mapping[str, A
     declared = fields(cls)
     names = {f.name for f in declared}
     errors.extend(f"unknown field '{_err_path(path, str(k))}'" for k in raw if k not in names)
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     values, complete = {}, True
     for f in declared:
         required = f.default is MISSING and f.default_factory is MISSING

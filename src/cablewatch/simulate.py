@@ -129,6 +129,7 @@ def sensor_nodes(scenario: Scenario) -> dict[int, SensorNode]:
     hit, in scenario order."""
     shares = {sid: [] for sid in scenario.geometry.sensor_ids}
     for i, rupture in enumerate(scenario.ruptures):
+        source = f"rupture:{i}"
         for arr in simulate_rupture(
             scenario.geometry,
             rupture,
@@ -136,7 +137,7 @@ def sensor_nodes(scenario: Scenario) -> dict[int, SensorNode]:
             threshold_g=scenario.threshold_g,
             attenuation_per_m=scenario.attenuation_per_m,
         ):
-            shares[arr.sensor_id].append((f"rupture:{i}", arr))
+            shares[arr.sensor_id].append((source, arr))
     for i, sp in enumerate(scenario.spurious_events):
         hit = detect(sp.sensor_id, sp.time_ref_us, sp.amplitude_g, scenario.threshold_g)
         if hit is not None:

@@ -10,12 +10,36 @@ per meter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple, Optional, TypeVar
 
 DEFAULT_WAVE_SPEED_M_S = 5000.0
 DEFAULT_THRESHOLD_G = 0.8
 DEFAULT_SAMPLING_PERIOD_TICKS = 4
+
+T = TypeVar("T")
+
+
+def frozen_slotted(cls: type[T]) -> type[T]:
+    """cls as dataclass(frozen=True, slots=True): a frozen dataclass whose
+    instances carry no dict, for records a run holds one of per event or per
+    trial.
+
+    Assigning or deleting any attribute raises FrozenInstanceError, as on a
+    frozen dataclass without slots. The methods that dataclass generates for
+    this check against the class as it was before slots were added, so for a
+    name that is not a field they raise a TypeError from super() instead.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -39,6 +63,9 @@ class CableGeometry:
             )
         if len(self.sensor_ids) < 2:
             raise ValueError("geometry needs at least two sensors")
+        for i, sid in enumerate(self.sensor_ids):
+            if isinstance(sid, bool) or not isinstance(sid, int):
+                raise ValueError(f"sensor_ids[{i}] must be an int, got {sid!r}")
         for i, p in enumerate(self.positions_m):
             if not math.isfinite(p):
                 raise ValueError(f"positions_m[{i}] must be finite, got {p!r}")
@@ -76,7 +103,7 @@ class CableGeometry:
         return self.positions_m[-1] - self.positions_m[0]
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class RuptureEvent:
     """A wire break: where, when, and how hard it rings.
 

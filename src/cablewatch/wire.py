@@ -19,7 +19,7 @@ rest (protocol.SensorProtocol), so encoding a larger report is an error.
 from __future__ import annotations
 
 import struct
-from itertools import starmap
+from itertools import chain, starmap
 from typing import NamedTuple
 
 SYNC_MAGIC = b"CASC"
@@ -88,28 +88,36 @@ def decode_sync_frame(buf: bytes) -> SyncFrame:
     return SyncFrame(period_index=period_index, period_T_us=period_t_us)
 
 
-def encode_sensor_report(report: SensorReport) -> bytes:
+def _check_report(report: SensorReport) -> None:
+    """Raise WireFormatError naming the first field that the layout refuses."""
     _check_uint("sensor_id", report.sensor_id, 16)
     _check_uint("period_index", report.period_index, 32)
     _check_uint("saved_counter_ticks", report.saved_counter_ticks, 64)
-    if len(report.events) > MAX_EVENTS_PER_REPORT:
-        raise WireFormatError(
-            f"{len(report.events)} events exceed the {MAX_EVENTS_PER_REPORT}-event "
-            "datagram limit"
-        )
-    parts = [
-        _REPORT_HEADER.pack(
-            report.sensor_id,
-            report.period_index,
-            report.saved_counter_ticks,
-            len(report.events),
-        )
-    ]
     for ev in report.events:
         _check_uint("timestamp_ticks", ev.timestamp_ticks, 64)
         _check_uint("amplitude_milli_g", ev.amplitude_milli_g, 32)
-        parts.append(_REPORT_EVENT.pack(ev.timestamp_ticks, ev.amplitude_milli_g))
-    return b"".join(parts)
+
+
+def encode_sensor_report(report: SensorReport) -> bytes:
+    n = len(report.events)
+    if n > MAX_EVENTS_PER_REPORT:
+        raise WireFormatError(
+            f"{n} events exceed the {MAX_EVENTS_PER_REPORT}-event datagram limit"
+        )
+    values = (
+        report.sensor_id, report.period_index, report.saved_counter_ticks, n,
+        *chain.from_iterable(report.events),
+    )
+    # one pack for the whole datagram, the header then n events; struct
+    # refuses a plain int out of range but packs a bool or another int-like
+    # as a number, so those get the per-field check first
+    if not set(map(type, values)) <= {int}:
+        _check_report(report)
+    try:
+        return struct.pack("<HIQH" + n * "QI", *values)
+    except struct.error:
+        _check_report(report)  # names the plain int out of range
+        raise
 
 
 def decode_sensor_report(buf: bytes) -> SensorReport:

@@ -1,7 +1,8 @@
-"""Per-message and per-event value records: immutable, comparable, picklable.
+"""Per-message, per-event and per-trial records: immutable, comparable, picklable.
 
-A record that validates itself is a dataclass; a plain value is a
-NamedTuple. Either way a record keeps its field names and order, its
+A record that validates itself or holds an outcome is a dataclass, slotted
+when a run holds one per event or per trial; a plain value is a NamedTuple.
+Either way a record keeps its field names and order, its
 Name(field=value, ...) repr, equality and hashing by value, and survives a
 pickle round trip, since Monte-Carlo trials may run in other processes.
 """
@@ -9,6 +10,8 @@ pickle round trip, since Monte-Carlo trials may run in other processes.
 import dataclasses
 import math
 import pickle
+import sys
+import tracemalloc
 
 import pytest
 
@@ -55,6 +58,10 @@ RECORDS = [
      (1.5, KIND_REPORT, SUPERVISOR_NODE, b"\x01\x02")),
     (CompletedPeriod, ("period_index", "reports", "complete", "missing"),
      (3, (REPORT,), False, (1, 4))),
+    (RuptureEvent, ("position_m", "time_ref_us", "peak_amplitude_g"), (14.0, 1.5e6, 0.9)),
+    (SpuriousEvent, ("sensor_id", "time_ref_us", "amplitude_g"), (2, 1.5e6, 1.2)),
+    (TrialResult, ("trial", "x_true_m", "x_est_m", "v_est_m_s", "abs_error_m", "flags"),
+     (3, 14.0, 14.001, 5000.0, 0.001, frozenset({FLAG_OUT_OF_SPAN}))),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -112,6 +119,30 @@ def test_defaults_and_properties_are_kept():
 ])
 def test_configuration_and_result_types_stay_dataclasses(cls):
     assert dataclasses.is_dataclass(cls)
+
+
+@pytest.mark.parametrize("record", [
+    RuptureEvent(14.0, 1.5e6), SpuriousEvent(2, 1.5e6),
+    TrialResult(3, 14.0, 14.001, 5000.0, 0.001, frozenset()),
+], ids=type)
+def test_per_event_and_per_trial_dataclasses_carry_no_instance_dict(record):
+    # a run holds one of these per injected event or per trial
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        vars(record)
+
+
+def test_a_spurious_event_takes_at_most_64_bytes():
+    # a dict per instance took 88-152 B, by Python version; three slots take 56 B
+    times = [float(t) for t in range(10_000)]  # made before tracing starts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = [SpuriousEvent(2, t) for t in times]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (grown - sys.getsizeof(events)) / len(events) <= 64
 
 
 def test_star_import_resolves_every_public_name():

@@ -1,10 +1,13 @@
 """Scenario validation and YAML loading."""
 
+import collections
 import math
 import textwrap
+import typing
 
 import pytest
 
+from cablewatch import scenario as scenario_module
 from cablewatch.scenario import (
     DEFAULT_SYNC_PERIOD_T_US,
     MAX_RUN_PERIODS,
@@ -159,6 +162,25 @@ class TestScenarioValidation:
             Scenario(geometry=GEOM, **kw)
         assert f"{name} must be finite" in "\n".join(e.value.problems)
 
+    @pytest.mark.parametrize("kw, problem", [
+        (dict(drift_ppm={True: 5.0}), "drift_ppm: sensor id must be an int, got True"),
+        (dict(drift_ppm={2: 1.0, "1": 5.0, 1.0: 2.0}),
+         "drift_ppm: sensor id must be an int, got '1'\n"
+         "drift_ppm: sensor id must be an int, got 1.0"),
+        (dict(spurious_events=(SpuriousEvent(True, 1_500_000.0),)),
+         "spurious_events[0].sensor_id must be an int, got True"),
+        (dict(spurious_events=(SpuriousEvent(2, 1_000_000.0), SpuriousEvent(3.0, 1_500_000.0))),
+         "spurious_events[1].sensor_id must be an int, got 3.0"),
+        (dict(spurious_events=(SpuriousEvent([1], 1_500_000.0),)),
+         "spurious_events[0].sensor_id must be an int, got [1]"),
+    ])
+    def test_non_int_sensor_id_is_rejected_by_path(self, kw, problem):
+        # each of these equals or hashes like a real id, so it passed the
+        # roster check: SpuriousEvent(True, ...) was exported as sensor True
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=GEOM, **kw)
+        assert "\n".join(e.value.problems) == problem
+
     def test_radio_positions_must_match_roster(self):
         with pytest.raises(ScenarioError) as e:
             Scenario(
@@ -256,6 +278,24 @@ class TestYamlLoading:
         # a path without a YAML suffix is still a path, never YAML text
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(str(tmp_path / "scenes" / "missing"))
+
+    def test_type_hints_are_resolved_once_per_class(self, monkeypatch):
+        # resolving them once per list item took most of the time of
+        # reading a 12,000-event mapping
+        calls = collections.Counter()
+
+        def counting(cls):
+            calls[cls] += 1
+            return typing.get_type_hints(cls)
+
+        monkeypatch.setattr(scenario_module, "get_type_hints", counting)
+        s = scenario_from_dict({
+            "geometry": {"sensor_ids": [1, 2, 3, 4], "positions_m": [0.0, 4.0, 17.0, 27.0]},
+            "ruptures": [{"position_m": 14.0, "time_ref_us": 1e5 * i} for i in range(50)],
+            "spurious_events": [{"sensor_id": 2, "time_ref_us": 1e5 * i} for i in range(50)],
+        })
+        assert len(s.ruptures) == len(s.spurious_events) == 50
+        assert max(calls.values(), default=0) <= 1, calls
 
     def test_unknown_field_is_named_with_its_path(self, load_text):
         text = MINIMAL_YAML + "\nnetwork:\n  colour: blue\n"

@@ -1,6 +1,7 @@
 """Wave arrival times, threshold detection, and sampling quantization."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -47,6 +48,13 @@ class TestGeometry:
         # an infinite span overflowed the run-length arithmetic downstream
         with pytest.raises(ValueError, match=rf"^positions_m\[3\] must be finite, got {bad!r}$"):
             CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, bad))
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None, [1]])
+    def test_non_int_sensor_id_is_rejected_by_index(self, bad):
+        # a float id was accepted here, and a run on it died with a
+        # TypeError in the network draws
+        with pytest.raises(ValueError, match=rf"^sensor_ids\[2\] must be an int, got {re.escape(repr(bad))}$"):
+            CableGeometry((1, 2, bad, 4), (0.0, 10.0, 20.0, 30.0))
 
     def test_single_sensor_rejected(self):
         with pytest.raises(ValueError, match="at least two"):

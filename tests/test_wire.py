@@ -91,6 +91,15 @@ class TestSensorReportCodec:
         assert len(buf) == REPORT_HEADER_BYTES + 2 * REPORT_EVENT_BYTES == 40
         assert decode_sensor_report(buf) == r
 
+    def test_layout_golden_bytes(self):
+        buf = encode_sensor_report(SensorReport(
+            7, 5, 999_950, (ReportEvent(2800, 1000), ReportEvent(2**64 - 1, 2**32 - 1)),
+        ))
+        assert buf == b"".join(v.to_bytes(n, "little") for v, n in (
+            (7, 2), (5, 4), (999_950, 8), (2, 2),
+            (2800, 8), (1000, 4), (2**64 - 1, 8), (2**32 - 1, 4),
+        ))
+
     def test_truncated_header_rejected(self):
         buf = encode_sensor_report(SensorReport(1, 0, 10))
         with pytest.raises(WireFormatError, match="truncated"):
@@ -137,6 +146,23 @@ class TestSensorReportCodec:
             encode_sensor_report(SensorReport(1, 0, -5))
         with pytest.raises(WireFormatError):
             encode_sensor_report(SensorReport(1, 0, 10, (ReportEvent(0, 1 << 32),)))
+
+    @pytest.mark.parametrize("field, bits", [
+        ("sensor_id", 16), ("period_index", 32), ("saved_counter_ticks", 64),
+        ("timestamp_ticks", 64), ("amplitude_milli_g", 32),
+    ])
+    @pytest.mark.parametrize("kind", ["negative", "too wide", "float", "bool", "str"])
+    def test_every_refused_field_is_named(self, field, bits, kind):
+        bad = {"negative": -1, "too wide": 1 << bits, "float": 3.0, "bool": True,
+               "str": "3"}[kind]
+        header = {"sensor_id": 1, "period_index": 0, "saved_counter_ticks": 10}
+        event = {"timestamp_ticks": 4, "amplitude_milli_g": 900}
+        for values in (header, event):
+            if field in values:
+                values[field] = bad
+        events = (ReportEvent(8, 800), ReportEvent(**event), ReportEvent(12, 700))
+        with pytest.raises(WireFormatError, match=rf"^{field}( must be an int|=.* does not fit)"):
+            encode_sensor_report(SensorReport(**header, events=events))
 
     @given(report=reports_strategy)
     def test_round_trip_property(self, report):
