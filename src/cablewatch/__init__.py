@@ -33,7 +33,7 @@ from .localization import (
     localize_cluster,
 )
 from .montecarlo import StudyResult, TrialResult, run_study, run_trial
-from .network import EventLoop, NetworkModel, ScheduledDelivery
+from .network import EventLoop, NetworkModel
 from .protocol import (
     CompletedPeriod,
     SensorProtocol,
@@ -110,7 +110,6 @@ __all__ = [
     "localize",
     "localize_cluster",
     "NetworkModel",
-    "ScheduledDelivery",
     "EventLoop",
     "NetworkConfig",
     "Scenario",

@@ -107,12 +107,21 @@ def cmd_localize(args) -> int:
 
 
 def cmd_sync_demo(args) -> int:
-    drifts = [float(d) for d in args.drifts.split(",") if d.strip()]
+    try:
+        drifts = [float(d) for d in args.drifts.split(",") if d.strip()]
+        clocks = [ClockState(drift_ppm=d) for d in drifts]
+    except ValueError as e:
+        raise ValueError(f"--drifts: {e}") from None
+    if not drifts:
+        raise ValueError("--drifts needs at least one ppm value")
+    if args.periods < 1:
+        raise ValueError(f"--periods must be >= 1, got {args.periods}")
     t_us = args.t_us
+    if not (math.isfinite(t_us) and t_us > 0):
+        raise ValueError(f"--t-us must be finite and > 0, got {t_us!r}")
     offset = args.event_offset_us
     if not 0 < offset < t_us:
-        print(f"event offset must be inside (0, {t_us})", file=sys.stderr)
-        return 1
+        raise ValueError(f"--event-offset-us must be inside (0, {t_us:g}), got {offset!r}")
     print(
         f"ratiometric retiming: event at +{offset:g} us into each {t_us:g} us period,"
         f" drifts {drifts} ppm"
@@ -120,7 +129,6 @@ def cmd_sync_demo(args) -> int:
     print(f"{'period':>6}" + "".join(f" {'raw_' + str(i):>14}" for i in range(len(drifts)))
           + "".join(f" {'retimed_' + str(i):>14}" for i in range(len(drifts)))
           + f" {'raw_spread_us':>14} {'retimed_spread_us':>18}")
-    clocks = [ClockState(drift_ppm=d) for d in drifts]
     for k in range(args.periods):
         start = k * t_us
         raws, retimeds = [], []

@@ -1,10 +1,11 @@
-"""Deterministic message transport for simulation.
+"""Deterministic link timing for simulation.
 
-Sync broadcasts and report unicasts take propagation delay (distance over RF
-speed) plus a per-receiver processing latency with bounded jitter. All jitter
-and loss draws are keyed by (seed, message kind, period index, sensor id), so
-a run is a pure function of its scenario and seed; two runs never disagree
-because of dict ordering or shared RNG state.
+The model says when each datagram lands, or that it is lost; it never holds
+the datagram. Sync broadcasts and report unicasts take propagation delay
+(distance over RF speed) plus a per-receiver processing latency with bounded
+jitter. All jitter and loss draws are keyed by (seed, message kind, period
+index, sensor id), so a run is a pure function of its scenario and seed; two
+runs never disagree because of dict ordering or shared RNG state.
 
 The draws come from a counter-based generator (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011): splitmix64 steps (Steele, Lea
@@ -24,7 +25,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 DEFAULT_RF_SPEED_M_S = 180e6
 DEFAULT_LATENCY_MEAN_US = 20.0
@@ -51,15 +52,6 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-class ScheduledDelivery(NamedTuple):
-    """One message en route: when and where it lands."""
-
-    deliver_at_ref_us: float
-    kind: str
-    destination: Node
-    payload: bytes
 
 
 @dataclass(frozen=True)
@@ -131,48 +123,34 @@ class NetworkModel:
         j = self.latency_jitter_us
         return dropped, self.latency_mean_us + (-j + 2.0 * j * u)  # mean + uniform(-j, j)
 
-    def sync_receipt_at(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:
-        """Delivery instant of one sync broadcast at one sensor, None if lost."""
+    def _receipt(
+        self, kind: str, now_ref_us: float, period_index: int, sensor_id: int
+    ) -> Optional[float]:
+        """When one datagram between the supervisor and a sensor lands, None
+        if lost: the RF delay, plus the keyed latency draw, minus a drop."""
         delay = self._supervisor_delay(sensor_id)
-        dropped, latency = self._draws(KIND_SYNC, period_index, sensor_id)
+        dropped, latency = self._draws(kind, period_index, sensor_id)
         if dropped:
             return None
         return now_ref_us + delay + latency
 
-    def broadcast_sync(
-        self, payload: bytes, now_ref_us: float, period_index: int
-    ) -> list[ScheduledDelivery]:
-        """Fan one sync frame out to every sensor, minus losses."""
-        deliveries = []
+    def sync_receipt_at(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:
+        """Receipt instant of one sync broadcast at one sensor, None if lost."""
+        return self._receipt(KIND_SYNC, now_ref_us, period_index, sensor_id)
+
+    def broadcast_sync(self, now_ref_us: float, period_index: int) -> list[tuple[float, int]]:
+        """(receipt instant, sensor id) of one sync frame at every sensor that
+        receives it, in sensor-id order."""
+        receipts = []
         for sid in self._supervisor_delay_us:
             at = self.sync_receipt_at(now_ref_us, period_index, sid)
-            if at is None:
-                continue
-            deliveries.append(
-                ScheduledDelivery(
-                    deliver_at_ref_us=at,
-                    kind=KIND_SYNC,
-                    destination=sid,
-                    payload=payload,
-                )
-            )
-        return deliveries
+            if at is not None:
+                receipts.append((at, sid))
+        return receipts
 
-    def report_delivery(
-        self, payload: bytes, now_ref_us: float, sensor_id: int, period_index: int
-    ) -> Optional[ScheduledDelivery]:
-        """Unicast one report to the supervisor, None if lost."""
-        delay = self._supervisor_delay(sensor_id)
-        dropped, latency = self._draws(KIND_REPORT, period_index, sensor_id)
-        if dropped:
-            return None
-        at = now_ref_us + delay + latency
-        return ScheduledDelivery(
-            deliver_at_ref_us=at,
-            kind=KIND_REPORT,
-            destination=SUPERVISOR_NODE,
-            payload=payload,
-        )
+    def report_delivery(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:
+        """Delivery instant of one sensor's report at the supervisor, None if lost."""
+        return self._receipt(KIND_REPORT, now_ref_us, period_index, sensor_id)
 
 
 class EventLoop:
@@ -202,11 +180,6 @@ class EventLoop:
             (at_ref_us, _KIND_RANK[kind], self._node_rank(node), self._seq, action),
         )
         self._seq += 1
-
-    def schedule_delivery(
-        self, delivery: ScheduledDelivery, action: Callable[[float], None]
-    ) -> None:
-        self.schedule(delivery.deliver_at_ref_us, delivery.kind, delivery.destination, action)
 
     def run(self) -> int:
         """Dispatch until the queue drains; returns the number dispatched."""

@@ -114,18 +114,23 @@ class Scenario:
             out.append(f"{path.format(*args)} must be finite, got {value!r}")
             return False
 
+        def by_sensor(path: str, mapping: Mapping[int, Any]) -> list[tuple[int, Any]]:
+            """The (sensor id, value) pairs of a sensor-keyed map, by id;
+            record each key that is not an int (a bool is not one either)."""
+            pairs = []
+            for sid, value in mapping.items():
+                if isinstance(sid, bool) or not isinstance(sid, int):
+                    out.append(f"{path}: sensor id must be an int, got {sid!r}")
+                else:
+                    pairs.append((sid, value))
+            return sorted(pairs)
+
         ids = set(self.geometry.sensor_ids)
         if len(ids) < 3:
             out.append(
                 f"geometry: localization needs at least 3 sensors, got {len(ids)}"
             )
-        drift = []
-        for sid, ppm in self.drift_ppm.items():
-            if isinstance(sid, bool) or not isinstance(sid, int):
-                out.append(f"drift_ppm: sensor id must be an int, got {sid!r}")
-            else:
-                drift.append((sid, ppm))
-        for sid, ppm in sorted(drift):
+        for sid, ppm in by_sensor("drift_ppm", self.drift_ppm):
             if sid not in ids:
                 out.append(f"drift_ppm: unknown sensor id {sid}")
             if not abs(ppm) <= MAX_DRIFT_PPM:
@@ -224,13 +229,13 @@ class Scenario:
         if not 0.0 <= n.drop_probability <= 1.0:
             out.append(f"network.drop_probability must be in [0, 1], got {n.drop_probability!r}")
         if n.radio_positions_m is not None:
-            missing = ids - set(n.radio_positions_m)
-            extra = set(n.radio_positions_m) - ids
-            if missing:
-                out.append(f"network.radio_positions_m: missing sensors {sorted(missing)}")
-            if extra:
-                out.append(f"network.radio_positions_m: unknown sensors {sorted(extra)}")
-            for sid, pos in sorted(n.radio_positions_m.items()):
+            positions = by_sensor("network.radio_positions_m", n.radio_positions_m)
+            placed = {sid for sid, _ in positions}
+            if ids - placed:
+                out.append(f"network.radio_positions_m: missing sensors {sorted(ids - placed)}")
+            if placed - ids:
+                out.append(f"network.radio_positions_m: unknown sensors {sorted(placed - ids)}")
+            for sid, pos in positions:
                 finite("network.radio_positions_m[{}]", pos, sid)
 
         duration = self.run_duration_us

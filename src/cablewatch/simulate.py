@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from .clock import ClockState
 from .localization import RuptureEstimate, localize_cluster
-from .network import EventLoop, SUPERVISOR_NODE
+from .network import KIND_REPORT, KIND_TIMER, SUPERVISOR_NODE, EventLoop
 from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
@@ -162,27 +163,29 @@ def run(scenario: Scenario) -> RunReport:
     while k * t_us <= duration:
         now = k * t_us
         frame = supervisor.tick(now)
-        receipts.extend(net.broadcast_sync(encode_sync_frame(frame), now, k))
+        frame_bytes = encode_sync_frame(frame)
+        receipts.extend((at, sid, frame_bytes) for at, sid in net.broadcast_sync(now, k))
         if k >= 1:
             loop.schedule(
-                now + PERIOD_TIMEOUT_FRACTION * t_us, "timer", SUPERVISOR_NODE,
+                now + PERIOD_TIMEOUT_FRACTION * t_us, KIND_TIMER, SUPERVISOR_NODE,
                 lambda t, closing=k - 1: supervisor.expire(closing),
             )
         k += 1
 
     # each sensor hears its frames in receipt-time order, which is not the
     # broadcast order when jitter spans more than half a period
-    receipts.sort(key=lambda d: d.deliver_at_ref_us)
-    for d in receipts:
-        report = nodes[d.destination].receive_sync(decode_sync_frame(d.payload), d.deliver_at_ref_us)
+    receipts.sort(key=itemgetter(0))
+    for rx, sid, frame_bytes in receipts:
+        report = nodes[sid].receive_sync(decode_sync_frame(frame_bytes), rx)
         if report is None:
             continue
-        delivery = net.report_delivery(
-            encode_sensor_report(report), d.deliver_at_ref_us, d.destination, report.period_index
-        )
-        if delivery is not None:
-            loop.schedule_delivery(
-                delivery, lambda t, p=delivery.payload: supervisor.on_report(decode_sensor_report(p))
+        # encoded even if lost: every report crosses the codec once
+        report_bytes = encode_sensor_report(report)
+        at = net.report_delivery(rx, report.period_index, sid)
+        if at is not None:
+            loop.schedule(
+                at, KIND_REPORT, SUPERVISOR_NODE,
+                lambda t, p=report_bytes: supervisor.on_report(decode_sensor_report(p)),
             )
     loop.run()
     return report_run(scenario, nodes.values(), supervisor)

@@ -248,6 +248,28 @@ class TestSyncDemo:
         rc = main(["sync-demo", "--event-offset-us", "2000000"])
         assert rc == 1
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--drifts", ""], "--drifts"),
+        (["--drifts", " , "], "--drifts"),
+        (["--drifts", "50,x"], "--drifts"),
+        (["--drifts", "50,5000"], "--drifts"),
+        (["--t-us", "inf"], "--t-us"),
+        (["--t-us", "nan"], "--t-us"),
+        (["--t-us", "0"], "--t-us"),
+        (["--t-us=-1000000"], "--t-us"),
+        (["--event-offset-us", "0"], "--event-offset-us"),
+        (["--periods", "0"], "--periods"),
+    ])
+    def test_bad_input_refused_by_flag_before_any_output(self, capsys, args, flag):
+        # an empty --drifts printed a header, then died in max(); an infinite
+        # --t-us printed a NaN table, and --periods 0 an empty one, claiming
+        # that the retimed values agree, and exited 0
+        rc = main(["sync-demo", *args])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+
 
 class TestMonteCarlo:
     def test_prints_percentiles(self, capsys):

@@ -11,7 +11,6 @@ from cablewatch.network import (
     SUPERVISOR_NODE,
     EventLoop,
     NetworkModel,
-    ScheduledDelivery,
 )
 
 
@@ -52,51 +51,47 @@ class TestBroadcast:
             latency_mean_us=20.0,
             latency_jitter_us=0.0,
         )
-        out = m.broadcast_sync(b"frame", now_ref_us=1000.0, period_index=0)
-        assert [d.deliver_at_ref_us for d in out] == [1020.0, 1020.0, 1020.0]
-        assert all(d.kind == "sync" for d in out)
+        out = m.broadcast_sync(now_ref_us=1000.0, period_index=0)
+        assert out == [(1020.0, 1), (1020.0, 2), (1020.0, 3)]
 
     def test_radial_difference_of_1080m_gives_6us_receipt_skew(self):
         m = model(
             sensor_positions_m={1: 60.0, 2: 1140.0},
             latency_jitter_us=0.0,
         )
-        out = m.broadcast_sync(b"frame", now_ref_us=0.0, period_index=0)
-        skew = out[1].deliver_at_ref_us - out[0].deliver_at_ref_us
+        (at_1, _), (at_2, _) = m.broadcast_sync(now_ref_us=0.0, period_index=0)
+        skew = at_2 - at_1
         assert skew == pytest.approx(6.0, rel=1e-9)
 
     def test_jitter_stays_within_half_width(self):
         m = model(latency_mean_us=20.0, latency_jitter_us=1.0)
         for k in range(50):
-            for d in m.broadcast_sync(b"f", 0.0, k):
-                latency = d.deliver_at_ref_us - m.propagation_delay_us(
-                    SUPERVISOR_NODE, d.destination
-                )
+            for at, sid in m.broadcast_sync(0.0, k):
+                latency = at - m.propagation_delay_us(SUPERVISOR_NODE, sid)
                 assert 19.0 <= latency <= 21.0
 
     def test_draws_are_reproducible_across_instances(self):
-        a = model(seed=7).broadcast_sync(b"f", 0.0, 3)
-        b = model(seed=7).broadcast_sync(b"f", 0.0, 3)
+        a = model(seed=7).broadcast_sync(0.0, 3)
+        b = model(seed=7).broadcast_sync(0.0, 3)
         assert a == b
 
     def test_different_periods_draw_different_jitter(self):
         m = model()
         times = {
-            k: tuple(d.deliver_at_ref_us for d in m.broadcast_sync(b"f", 0.0, k))
+            k: tuple(at for at, _ in m.broadcast_sync(0.0, k))
             for k in range(10)
         }
         assert len(set(times.values())) > 1
 
     def test_drop_probability_one_loses_everything(self):
         m = model(drop_probability=1.0)
-        assert m.broadcast_sync(b"f", 0.0, 0) == []
-        assert m.report_delivery(b"r", 0.0, 1, 0) is None
+        assert m.broadcast_sync(0.0, 0) == []
+        assert m.report_delivery(0.0, 0, 1) is None
 
     def test_report_goes_to_supervisor(self):
         m = model(latency_jitter_us=0.0)
-        d = m.report_delivery(b"r", 100.0, 4, 0)
-        assert d.destination == SUPERVISOR_NODE
-        assert d.deliver_at_ref_us == pytest.approx(100.0 + 30.0 / 180e6 * 1e6 + 20.0)
+        at = m.report_delivery(100.0, 0, 4)
+        assert at == pytest.approx(100.0 + 30.0 / 180e6 * 1e6 + 20.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -208,14 +203,6 @@ class TestEventLoop:
 
     def test_empty_queue_terminates(self):
         assert EventLoop().run() == 0
-
-    def test_schedule_delivery_uses_delivery_fields(self):
-        loop = EventLoop()
-        seen = []
-        d = ScheduledDelivery(12.0, "report", SUPERVISOR_NODE, b"x")
-        loop.schedule_delivery(d, lambda t: seen.append(t))
-        loop.run()
-        assert seen == [12.0]
 
     @given(times=st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=50))
     def test_dispatch_is_always_chronological(self, times):

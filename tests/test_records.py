@@ -20,7 +20,7 @@ from cablewatch.clock import ClockState
 from cablewatch.localization import FLAG_OUT_OF_SPAN, RuptureEstimate
 from cablewatch.live import LiveConfig
 from cablewatch.montecarlo import StudyResult, TrialResult
-from cablewatch.network import KIND_REPORT, SUPERVISOR_NODE, NetworkModel, ScheduledDelivery
+from cablewatch.network import NetworkModel
 from cablewatch.protocol import CompletedPeriod
 from cablewatch.retiming import FLAG_ZERO_COUNTER, RetimedEvent
 from cablewatch.scenario import NetworkConfig, Scenario, SpuriousEvent
@@ -54,8 +54,6 @@ RECORDS = [
      ("period_index", "cluster_index", "n_sensors", "estimate", "first_retimed_us",
       "matched", "x_true_m", "abs_error_m"),
      (1, 0, 4, ESTIMATE, 500.0, "rupture:0", 14.001, 0.001)),
-    (ScheduledDelivery, ("deliver_at_ref_us", "kind", "destination", "payload"),
-     (1.5, KIND_REPORT, SUPERVISOR_NODE, b"\x01\x02")),
     (CompletedPeriod, ("period_index", "reports", "complete", "missing"),
      (3, (REPORT,), False, (1, 4))),
     (RuptureEvent, ("position_m", "time_ref_us", "peak_amplitude_g"), (14.0, 1.5e6, 0.9)),

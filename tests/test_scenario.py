@@ -173,6 +173,12 @@ class TestScenarioValidation:
          "spurious_events[1].sensor_id must be an int, got 3.0"),
         (dict(spurious_events=(SpuriousEvent([1], 1_500_000.0),)),
          "spurious_events[0].sensor_id must be an int, got [1]"),
+        (dict(network=NetworkConfig(radio_positions_m={True: 0.0, 2: 4.0, 3: 17.0, 4: 27.0})),
+         "network.radio_positions_m: sensor id must be an int, got True\n"
+         "network.radio_positions_m: missing sensors [1]"),
+        (dict(network=NetworkConfig(radio_positions_m={"1": 0.0, 2: 4.0, 3: 17.0, 4: 27.0})),
+         "network.radio_positions_m: sensor id must be an int, got '1'\n"
+         "network.radio_positions_m: missing sensors [1]"),
     ])
     def test_non_int_sensor_id_is_rejected_by_path(self, kw, problem):
         # each of these equals or hashes like a real id, so it passed the

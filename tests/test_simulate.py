@@ -287,6 +287,58 @@ class TestSensorDriver:
         assert rep.retimed == []
 
 
+class TestSupervisorOrder:
+    @pytest.mark.parametrize("latency_mean_us, completed, timed_out, late", [
+        (250_000.0, 3, 0, 0),
+        (250_001.0, 0, 3, 12),
+    ])
+    def test_report_landing_at_the_timeout_instant_is_taken_first(
+        self, latency_mean_us, completed, timed_out, late
+    ):
+        # every radio at the supervisor and no jitter: a sync lands T/4 after
+        # it leaves, and its reports T/4 later, at k*T + T/2, the instant
+        # period k-1 times out; one microsecond later they are all late
+        scenario = Scenario(
+            geometry=GEOM,
+            ruptures=(RuptureEvent(14.0, 1_500_000.0),),
+            network=NetworkConfig(
+                supervisor_position_m=0.0,
+                radio_positions_m={1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0},
+                latency_mean_us=latency_mean_us,
+                latency_jitter_us=0.0,
+            ),
+        )
+        summary = run(scenario).summary
+        assert (
+            summary["periods_completed"], summary["periods_timed_out"], summary["reports_late"]
+        ) == (completed, timed_out, late)
+
+    @given(seed=st.integers(0, 2**32), jitter_us=st.floats(0.0, 400_000.0))
+    def test_supervisor_takes_reports_and_timeouts_in_time_order(self, seed, jitter_us):
+        # frames never overtake one another here, so sync k draws one report
+        # for period k-1 from every sensor; period k-1 times out at
+        # k*T + T/2, and a report is late exactly when it lands after that
+        scenario = Scenario(
+            geometry=GEOM,
+            ruptures=(RuptureEvent(14.0, 1_500_000.0),),
+            network=NetworkConfig(latency_mean_us=400_000.0, latency_jitter_us=jitter_us),
+            seed=seed,
+        )
+        net = scenario.network_model()
+        summary = run(scenario).summary
+        t_us = scenario.sync_period_T_us
+        on_time = []
+        for k in range(1, summary["sync_frames_sent"]):
+            landed = [
+                net.report_delivery(net.sync_receipt_at(k * t_us, k, sid), k - 1, sid)
+                for sid in GEOM.sensor_ids
+            ]
+            on_time.append(sum(at <= k * t_us + t_us / 2 for at in landed))
+        assert summary["periods_completed"] == on_time.count(4)
+        assert summary["periods_timed_out"] == len(on_time) - on_time.count(4)
+        assert summary["reports_late"] == 4 * len(on_time) - sum(on_time)
+
+
 class TestGroundTruthStaysOutOfThePipeline:
     def test_postprocessing_ignores_the_injected_ruptures(self):
         scenario = canonical_scenario(
