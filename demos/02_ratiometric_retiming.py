@@ -46,3 +46,4 @@ print(f"retimed spread: {max(fixed) - min(fixed):>12.6f} us")
 
 # 40 us of raw disagreement collapses below a nanosecond. No offset
 # estimation, no rate bookkeeping: one division per event.
+assert max(fixed) - min(fixed) < 0.01, "retimed values should agree to sub-0.01 us"

@@ -3,7 +3,6 @@
 Subcommands:
     simulate    run a scenario file, write the four CSV tables
     localize    offline position estimates from an exported retimed.csv
-    sync-demo   print a drift-cancellation table for the retiming scheme
     supervise   run the live supervisor endpoint (UDP)
     agent       run one live sensor agent endpoint (UDP)
     montecarlo  randomized accuracy study, prints error percentiles
@@ -21,9 +20,8 @@ import typing
 from pathlib import Path
 
 from . import montecarlo as mc
-from .clock import ClockState
 from .live import LiveSupervisor, SensorAgent, load_live_config
-from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent, retime
+from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent
 from .scenario import Scenario, load_scenario, load_yaml_mapping, read_dataclass
 from .simulate import (
     RETIMED_HEADER, export_csv, localize_periods, postprocess_periods, run, sensor_nodes,
@@ -103,48 +101,6 @@ def cmd_localize(args) -> int:
             f"{row.period_index:>6} {row.cluster_index:>7} {row.n_sensors:>7} "
             f"{est.x_est_m:>12.4f} {est.v_est_m_s:>12.2f} {_fmt_flags(est.flags)}"
         )
-    return 0
-
-
-def cmd_sync_demo(args) -> int:
-    try:
-        drifts = [float(d) for d in args.drifts.split(",") if d.strip()]
-        clocks = [ClockState(drift_ppm=d) for d in drifts]
-    except ValueError as e:
-        raise ValueError(f"--drifts: {e}") from None
-    if not drifts:
-        raise ValueError("--drifts needs at least one ppm value")
-    if args.periods < 1:
-        raise ValueError(f"--periods must be >= 1, got {args.periods}")
-    t_us = args.t_us
-    if not (math.isfinite(t_us) and t_us > 0):
-        raise ValueError(f"--t-us must be finite and > 0, got {t_us!r}")
-    offset = args.event_offset_us
-    if not 0 < offset < t_us:
-        raise ValueError(f"--event-offset-us must be inside (0, {t_us:g}), got {offset!r}")
-    print(
-        f"ratiometric retiming: event at +{offset:g} us into each {t_us:g} us period,"
-        f" drifts {drifts} ppm"
-    )
-    print(f"{'period':>6}" + "".join(f" {'raw_' + str(i):>14}" for i in range(len(drifts)))
-          + "".join(f" {'retimed_' + str(i):>14}" for i in range(len(drifts)))
-          + f" {'raw_spread_us':>14} {'retimed_spread_us':>18}")
-    for k in range(args.periods):
-        start = k * t_us
-        raws, retimeds = [], []
-        for c in clocks:
-            c.advance_to(start + offset)
-            t_evi = c.read_counter()
-            c.advance_to(start + t_us)
-            t_i = c.save_and_reset()
-            raws.append(t_evi)
-            retimeds.append(retime(t_evi, t_i, t_us))
-        raw_spread = max(raws) - min(raws)
-        re_spread = max(retimeds) - min(retimeds)
-        print(f"{k:>6}" + "".join(f" {r:>14.4f}" for r in raws)
-              + "".join(f" {r:>14.6f}" for r in retimeds)
-              + f" {raw_spread:>14.4f} {re_spread:>18.9f}")
-    print("raw timestamps diverge with drift; retimed values agree to sub-0.01 us")
     return 0
 
 
@@ -235,13 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"coincidence_window_us, {DEFAULT_COINCIDENCE_WINDOW_US:g} for a bare geometry)",
     )
     p.set_defaults(func=cmd_localize)
-
-    p = sub.add_parser("sync-demo", help="print a drift-cancellation table")
-    p.add_argument("--periods", type=int, default=5)
-    p.add_argument("--t-us", type=float, default=1_000_000.0, help="sync period length")
-    p.add_argument("--event-offset-us", type=float, default=250_000.0)
-    p.add_argument("--drifts", default="50,-50,12.5,-30", help="comma-separated ppm values")
-    p.set_defaults(func=cmd_sync_demo)
 
     p = sub.add_parser("supervise", help="run the live supervisor endpoint")
     p.add_argument("config", help="live config YAML")

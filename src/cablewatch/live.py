@@ -7,8 +7,11 @@ drives its sensor's SensorNode (the simulator's sensor driver) with receipt
 instants drawn from the run's NetworkModel, keyed by (seed, period, sensor)
 like the simulated transport, and run_live ends with the simulator's own
 tail (simulate.report_run), so it returns the same RunReport as a simulated
-run, equal field for field. Wall pacing only spaces frames out, never
-timestamps, and no endpoint waits out more than timeout_s of silence.
+run, equal field for field. That holds for every config LiveConfig accepts:
+it refuses a modeled drop, and a modeled round trip that can reach the
+simulator's period timeout, which no live endpoint applies. Wall pacing
+only spaces frames out, never timestamps, and no endpoint waits out more
+than timeout_s of silence.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .protocol import SupervisorProtocol
 from .scenario import (
     MAX_RUN_PERIODS, Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
 )
-from .simulate import RunReport, SensorNode, report_run, sensor_nodes
+from .simulate import PERIOD_TIMEOUT_FRACTION, RunReport, SensorNode, report_run, sensor_nodes
 from .wire import (
     WireFormatError, decode_sensor_report, decode_sync_frame, encode_sensor_report,
     encode_sync_frame,
@@ -64,7 +67,9 @@ class LiveConfig:
     processes need fixed ports). broadcast_address switches the supervisor
     to a single broadcast datagram per frame, with every agent sharing
     sync_port_base. Every port, given or counted up from sync_port_base,
-    must lie in 0-65535.
+    must lie in 0-65535. The scenario may model no drop, and no report round
+    trip that can reach the simulator's period timeout (see the module
+    docstring).
 
     pace_s is the least wall time between frames; timeout_s, the longest
     silence any endpoint waits out, must exceed it, or a remote agent would
@@ -92,8 +97,19 @@ class LiveConfig:
             problems.append(
                 f"periods must be at most MAX_RUN_PERIODS ({MAX_RUN_PERIODS}), got {self.periods!r}"
             )
-        if self.scenario.network.drop_probability != 0.0:
+        network = self.scenario.network
+        if network.drop_probability != 0.0:
             problems.append("live mode sends real datagrams; modeled drop_probability must be 0")
+        sup, positions = self.scenario.radio_positions()
+        rf_delay_us = max(abs(p - sup) for p in positions.values()) / network.rf_speed_m_s * 1e6
+        round_trip_us = 2 * (rf_delay_us + network.latency_mean_us + network.latency_jitter_us)
+        deadline_us = PERIOD_TIMEOUT_FRACTION * self.scenario.sync_period_T_us
+        if round_trip_us >= deadline_us:
+            problems.append(
+                "live mode has no modeled period timeout; modeled round trip "
+                "2*(RF delay + latency_mean_us + latency_jitter_us) must be under "
+                f"PERIOD_TIMEOUT_FRACTION*T = {deadline_us!r} us, got {round_trip_us!r}"
+            )
         waits = {"pace_s": self.pace_s, "timeout_s": self.timeout_s}
         bad = [f"{k} must be finite, got {v!r}" for k, v in waits.items() if not math.isfinite(v)]
         problems.extend(bad)
@@ -260,17 +276,14 @@ class LiveSupervisor:
         pace_s has passed. Frames leave from a blocking socket, which waits
         out a full send buffer."""
         config = self.config
-        t_us = config.scenario.sync_period_T_us
         released = self.protocol.released
         closing = range(config.periods - 1)  # the last frame closes periods - 2
         with _socket_loop([self, *agents]) as selector, \
                 socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
             if config.broadcast_address is not None:
                 out.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-            for k in range(config.periods):
-                frame = self.protocol.tick(k * t_us)
-                assert frame is not None and frame.period_index == k
-                payload = encode_sync_frame(frame)
+            for _ in range(config.periods):
+                payload = encode_sync_frame(self.protocol.tick())
                 if config.broadcast_address is not None:
                     out.sendto(payload, (config.broadcast_address, config.sync_port_base))
                 else:

@@ -163,15 +163,8 @@ class SupervisorProtocol:
         self.unknown_reports = 0
         self.late_reports = 0
 
-    def tick(self, now_ref_us: float) -> Optional[SyncFrame]:
-        """Emit the next sync frame if its broadcast instant has been reached.
-
-        At most one frame per call; the caller drives ticks at (or after)
-        each schedule point k * T.
-        """
-        due = self.next_period_index * self.period_t_us
-        if now_ref_us < due:
-            return None
+    def tick(self) -> SyncFrame:
+        """Emit the next sync frame; the caller sends frame k at k * T."""
         frame = SyncFrame(period_index=self.next_period_index, period_T_us=self.period_t_us)
         self.next_period_index += 1
         return frame

@@ -248,7 +248,9 @@ class Scenario:
     def drift_for(self, sensor_id: int) -> float:
         return self.drift_ppm.get(sensor_id, 0.0)
 
-    def network_model(self) -> NetworkModel:
+    def radio_positions(self) -> tuple[float, dict[int, float]]:
+        """The supervisor's radio position and each sensor's, cable positions
+        where the network config leaves them out."""
         positions = self.network.radio_positions_m
         if positions is None:
             positions = {
@@ -257,6 +259,10 @@ class Scenario:
         sup = self.network.supervisor_position_m
         if sup is None:
             sup = self.geometry.positions_m[0]
+        return sup, positions
+
+    def network_model(self) -> NetworkModel:
+        sup, positions = self.radio_positions()
         return NetworkModel(
             sensor_positions_m=positions,
             supervisor_position_m=sup,

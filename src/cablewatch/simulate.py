@@ -162,8 +162,7 @@ def run(scenario: Scenario) -> RunReport:
     k = 0
     while k * t_us <= duration:
         now = k * t_us
-        frame = supervisor.tick(now)
-        frame_bytes = encode_sync_frame(frame)
+        frame_bytes = encode_sync_frame(supervisor.tick())
         receipts.extend((at, sid, frame_bytes) for at, sid in net.broadcast_sync(now, k))
         if k >= 1:
             loop.schedule(

@@ -230,47 +230,6 @@ class TestLocalize:
         assert problem in capsys.readouterr().err
 
 
-class TestSyncDemo:
-    def test_prints_cancellation_table(self, capsys):
-        rc = main(["sync-demo", "--periods", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "raw_spread_us" in out
-        lines = [l for l in out.splitlines() if l and l[0].isspace() or l[:1].isdigit()]
-        rows = [l for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]
-        assert len(rows) == 3
-        # raw spread is ~25000 us at +-50 ppm over 250 ms; retimed collapses
-        last = rows[-1].split()
-        assert float(last[-2]) > 1.0
-        assert float(last[-1]) < 0.01
-
-    def test_bad_offset_rejected(self, capsys):
-        rc = main(["sync-demo", "--event-offset-us", "2000000"])
-        assert rc == 1
-
-    @pytest.mark.parametrize("args, flag", [
-        (["--drifts", ""], "--drifts"),
-        (["--drifts", " , "], "--drifts"),
-        (["--drifts", "50,x"], "--drifts"),
-        (["--drifts", "50,5000"], "--drifts"),
-        (["--t-us", "inf"], "--t-us"),
-        (["--t-us", "nan"], "--t-us"),
-        (["--t-us", "0"], "--t-us"),
-        (["--t-us=-1000000"], "--t-us"),
-        (["--event-offset-us", "0"], "--event-offset-us"),
-        (["--periods", "0"], "--periods"),
-    ])
-    def test_bad_input_refused_by_flag_before_any_output(self, capsys, args, flag):
-        # an empty --drifts printed a header, then died in max(); an infinite
-        # --t-us printed a NaN table, and --periods 0 an empty one, claiming
-        # that the retimed values agree, and exited 0
-        rc = main(["sync-demo", *args])
-        out, err = capsys.readouterr()
-        assert rc == 1
-        assert out == ""
-        assert err.startswith(f"error: {flag}")
-
-
 class TestMonteCarlo:
     def test_prints_percentiles(self, capsys):
         rc = main(["montecarlo", "--trials", "20", "--jitter-us", "3"])

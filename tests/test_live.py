@@ -96,6 +96,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="drop_probability"):
             LiveConfig(scenario=s, periods=5)
 
+    def test_round_trip_reaching_the_period_deadline_is_refused(self):
+        # simulate.run counts a report delivered after k*T + T/2 late; a
+        # live supervisor would still file it, so the twins would differ
+        def scenario(latency_mean_us):
+            return live_scenario(
+                network=NetworkConfig(latency_mean_us=latency_mean_us, latency_jitter_us=0.0),
+                run_duration_us=3e6,
+            )
+
+        for latency_mean_us in (250_000.0, 600_000.0):
+            with pytest.raises(ScenarioError) as e:
+                ephemeral_config(scenario(latency_mean_us), periods=4)
+            assert any("latency_mean_us" in p for p in e.value.problems)
+        twin = scenario(249_999.0)
+        assert run_live(ephemeral_config(twin, periods=4)) == run(twin)
+
+    @pytest.mark.parametrize("refused_mean_us, network", [
+        (249_999.0, dict(latency_jitter_us=1.0)),
+        # the farthest radio sets the bound: 180 km is 1000 us of RF delay
+        (249_000.0, dict(latency_jitter_us=0.0,
+                         radio_positions_m={1: 0.0, 2: 4.0, 3: 17.0, 4: 180_000.0})),
+    ])
+    def test_round_trip_counts_jitter_and_the_farthest_rf_delay(self, refused_mean_us, network):
+        def config(latency_mean_us):
+            s = live_scenario(network=NetworkConfig(latency_mean_us=latency_mean_us, **network))
+            return LiveConfig(scenario=s, periods=5)
+
+        with pytest.raises(ScenarioError, match="latency_jitter_us"):
+            config(refused_mean_us)
+        config(refused_mean_us - 1.0)
+
     def test_waits_must_be_finite_and_timeout_must_exceed_pace(self):
         with pytest.raises(ScenarioError) as e:
             LiveConfig(scenario=live_scenario(), periods=5, pace_s=math.nan, timeout_s=math.inf)

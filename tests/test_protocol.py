@@ -215,32 +215,16 @@ class TestSensorProperties:
 class TestSupervisorTick:
     def test_emits_on_schedule_points_only(self):
         sup = SupervisorProtocol(roster=[1, 2], period_t_us=T_US)
-        f0 = sup.tick(0.0)
+        f0 = sup.tick()
         assert f0 == SyncFrame(0, T_US)
-        assert sup.tick(500_000.0) is None
-        f1 = sup.tick(1_000_000.0)
+        f1 = sup.tick()
         assert f1 == SyncFrame(1, T_US)
-        f2 = sup.tick(2_000_000.0)
+        f2 = sup.tick()
         assert f2.period_index == 2
-
-    def test_frame_count_matches_elapsed_periods(self):
-        sup = SupervisorProtocol(roster=[1], period_t_us=T_US)
-        emitted = 0
-        t = 0.0
-        while t <= 3 * T_US:
-            if sup.tick(t) is not None:
-                emitted += 1
-            t += T_US / 8
-        assert emitted == 3 + 1
-
-    def test_before_start_emits_nothing(self):
-        sup = SupervisorProtocol(roster=[1], period_t_us=T_US)
-        assert sup.tick(-1.0) is None
-        assert sup.tick(0.0) is not None
 
     def test_indices_strictly_increase(self):
         sup = SupervisorProtocol(roster=[1], period_t_us=T_US)
-        seen = [sup.tick(k * T_US).period_index for k in range(5)]
+        seen = [sup.tick().period_index for _ in range(5)]
         assert seen == [0, 1, 2, 3, 4]
 
 
