@@ -2,7 +2,8 @@
 
 Subcommands:
     simulate    run a scenario file, write the four CSV tables
-    localize    offline position estimates from an exported retimed.csv
+    localize    offline position estimates from an exported retimed.csv and
+                the scenario file that places its sensors
     supervise   run the live supervisor endpoint (UDP)
     agent       run one live sensor agent endpoint (UDP)
     montecarlo  randomized accuracy study, prints error percentiles
@@ -22,11 +23,10 @@ from pathlib import Path
 from . import montecarlo as mc
 from .live import LiveSupervisor, SensorAgent, load_live_config
 from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent
-from .scenario import Scenario, load_scenario, load_yaml_mapping, read_dataclass
+from .scenario import load_scenario
 from .simulate import (
     RETIMED_HEADER, export_csv, localize_periods, postprocess_periods, run, sensor_nodes,
 )
-from .wave import CableGeometry
 
 log = logging.getLogger(__name__)
 
@@ -46,16 +46,6 @@ def cmd_simulate(args) -> int:
     for p in paths:
         print(f"wrote {p}")
     return 0
-
-
-def _load_geometry(path: Path) -> tuple[CableGeometry, float]:
-    """The geometry and coincidence window of a scenario file, or a bare
-    sensor_ids/positions_m mapping and the default window."""
-    raw = load_yaml_mapping(path, "geometry file")
-    if "geometry" in raw:
-        scenario = read_dataclass(Scenario, raw)
-        return scenario.geometry, scenario.coincidence_window_us
-    return read_dataclass(CableGeometry, raw), DEFAULT_COINCIDENCE_WINDOW_US
 
 
 def _load_retimed(path: Path) -> list[RetimedEvent]:
@@ -87,15 +77,14 @@ def _load_retimed(path: Path) -> list[RetimedEvent]:
 
 
 def cmd_localize(args) -> int:
-    geometry, window_us = _load_geometry(Path(args.geometry))
-    if args.window_us is not None:
-        window_us = args.window_us
+    scenario = load_scenario(args.geometry)
+    window_us = scenario.coincidence_window_us if args.window_us is None else args.window_us
     events = _load_retimed(Path(args.retimed))
     if not events:
         print("no retimed events")
         return 0
     print(f"{'period':>6} {'cluster':>7} {'sensors':>7} {'x_est_m':>12} {'v_est_m_s':>12} flags")
-    for row in localize_periods(events, geometry, window_us):
+    for row in localize_periods(events, scenario.geometry, window_us):
         est = row.estimate
         print(
             f"{row.period_index:>6} {row.cluster_index:>7} {row.n_sensors:>7} "
@@ -183,12 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("retimed", help="retimed.csv as written by simulate")
     p.add_argument(
         "--geometry", required=True,
-        help="YAML with sensor_ids/positions_m, or a scenario file",
+        help="scenario YAML file; its geometry places the sensors",
     )
     p.add_argument(
         "--window-us", type=float, default=None,
         help="coincidence window for clustering (default: the scenario file's "
-        f"coincidence_window_us, {DEFAULT_COINCIDENCE_WINDOW_US:g} for a bare geometry)",
+        f"coincidence_window_us, itself {DEFAULT_COINCIDENCE_WINDOW_US:g} by default)",
     )
     p.set_defaults(func=cmd_localize)
 

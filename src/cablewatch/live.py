@@ -7,11 +7,12 @@ drives its sensor's SensorNode (the simulator's sensor driver) with receipt
 instants drawn from the run's NetworkModel, keyed by (seed, period, sensor)
 like the simulated transport, and run_live ends with the simulator's own
 tail (simulate.report_run), so it returns the same RunReport as a simulated
-run, equal field for field. That holds for every config LiveConfig accepts:
-it refuses a modeled drop, and a modeled round trip that can reach the
-simulator's period timeout, which no live endpoint applies. Wall pacing
-only spaces frames out, never timestamps, and no endpoint waits out more
-than timeout_s of silence.
+run, equal field for field, when periods is that run's frame count,
+floor(effective_duration_us / T) + 1; other periods send other frames, so
+their report differs. LiveConfig refuses what no live run can reproduce: a
+modeled drop, and a modeled round trip that can reach the simulator's period
+timeout, which no live endpoint applies. Wall pacing only spaces frames out,
+never timestamps, and no endpoint waits out more than timeout_s of silence.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ def default_sync_ports(sensor_ids, base: int = DEFAULT_SYNC_PORT,
 class LiveConfig:
     """Endpoint wiring for one live run.
 
-    periods counts the sync frames sent, from 2 up to MAX_RUN_PERIODS.
+    periods counts the sync frames sent, from 2 up to MAX_RUN_PERIODS, and
+    must close every rupture's period: periods*T > time_ref_us + T, the rule
+    a scenario applies to run_duration_us.
     sync_ports maps sensor id to its listening port; a port of 0 binds an
     OS-assigned one (in-process runs resolve it automatically; separate
     processes need fixed ports). broadcast_address switches the supervisor
@@ -97,13 +100,22 @@ class LiveConfig:
             problems.append(
                 f"periods must be at most MAX_RUN_PERIODS ({MAX_RUN_PERIODS}), got {self.periods!r}"
             )
+        # the longest run that sends periods frames lasts just under
+        # periods*T; hold it to the scenario's run_duration_us rule
+        t_us = self.scenario.sync_period_T_us
+        problems.extend(
+            f"periods: {self.periods} sync frames end the run before ruptures[{i}]'s period "
+            f"closes; need periods*T > time_ref_us + T ({r.time_ref_us} + {t_us})"
+            for i, r in enumerate(self.scenario.ruptures)
+            if r.time_ref_us + t_us >= self.periods * t_us
+        )
         network = self.scenario.network
         if network.drop_probability != 0.0:
             problems.append("live mode sends real datagrams; modeled drop_probability must be 0")
         sup, positions = self.scenario.radio_positions()
         rf_delay_us = max(abs(p - sup) for p in positions.values()) / network.rf_speed_m_s * 1e6
         round_trip_us = 2 * (rf_delay_us + network.latency_mean_us + network.latency_jitter_us)
-        deadline_us = PERIOD_TIMEOUT_FRACTION * self.scenario.sync_period_T_us
+        deadline_us = PERIOD_TIMEOUT_FRACTION * t_us
         if round_trip_us >= deadline_us:
             problems.append(
                 "live mode has no modeled period timeout; modeled round trip "

@@ -54,6 +54,30 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def link_problems(link, prefix: str = "") -> list[str]:
+    """Every broken rule of a radio link's parameters, each field named
+    after prefix: finite latencies and supervisor position (None, a position
+    left to the cable geometry, passes), a positive RF speed, a jitter
+    half-width no wider than the mean latency, so that no message finishes
+    processing before it arrives, and a drop probability in [0, 1]. link is
+    anything with those five fields (scenario.NetworkConfig, NetworkModel)."""
+    out = []
+    mean, jitter = link.latency_mean_us, link.latency_jitter_us
+    for name in ("latency_mean_us", "latency_jitter_us", "supervisor_position_m"):
+        value = getattr(link, name)
+        if value is not None and not math.isfinite(value):
+            out.append(f"{prefix}{name} must be finite, got {value!r}")
+    if not link.rf_speed_m_s > 0:
+        out.append(f"{prefix}rf_speed_m_s must be > 0, got {link.rf_speed_m_s!r}")
+    if jitter < 0:
+        out.append(f"{prefix}latency_jitter_us must be >= 0, got {jitter!r}")
+    if mean < jitter:
+        out.append(f"{prefix}latency_mean_us must be >= latency_jitter_us ({mean!r} < {jitter!r})")
+    if not 0.0 <= link.drop_probability <= 1.0:
+        out.append(f"{prefix}drop_probability must be in [0, 1], got {link.drop_probability!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class NetworkModel:
     """Radio geometry plus latency/loss behavior, all seed-deterministic."""
@@ -68,19 +92,9 @@ class NetworkModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensor_positions_m", dict(self.sensor_positions_m))
-        if not self.rf_speed_m_s > 0:
-            raise ValueError(f"rf speed must be > 0, got {self.rf_speed_m_s!r}")
-        if self.latency_jitter_us < 0:
-            raise ValueError("latency jitter must be >= 0")
-        if self.latency_mean_us < self.latency_jitter_us:
-            # otherwise a message could finish processing before it arrived
-            raise ValueError("latency mean must be >= jitter half-width")
-        if not 0.0 <= self.drop_probability <= 1.0:
-            raise ValueError("drop probability must be within [0, 1]")
-        for name in ("latency_mean_us", "latency_jitter_us", "supervisor_position_m"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        problems = link_problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
         for sid, pos in self.sensor_positions_m.items():
             if not math.isfinite(pos):
                 raise ValueError(f"sensor {sid} position must be finite, got {pos!r}")

@@ -1,11 +1,12 @@
 """Scenario definition: everything a run needs, loadable from a YAML file.
 
-The file mirrors the Scenario fields, nested the same way. read_dataclass is
-the one reader for every YAML input (scenario, live config, localize
-geometry): it takes field names, required fields and defaults from the
-dataclasses themselves, rejects unknown fields by path and reports every
-problem at once, so a bad file produces one complete diagnosis instead of a
-fix-one-rerun loop.
+The file mirrors the Scenario fields, nested the same way, and each input
+has one form: drift_ppm, for one, maps sensor ids to drifts. read_dataclass
+is the one reader for every YAML input, scenario files (localize's
+--geometry is one) and live configs: it takes field names, required fields
+and defaults from the dataclasses themselves, rejects unknown fields by path
+and reports every problem at once, so a bad file produces one complete
+diagnosis instead of a fix-one-rerun loop.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .network import (
     DEFAULT_LATENCY_MEAN_US,
     DEFAULT_RF_SPEED_M_S,
     NetworkModel,
+    link_problems,
 )
 from .retiming import DEFAULT_COINCIDENCE_WINDOW_US
 from .wave import (
@@ -213,21 +215,7 @@ class Scenario:
                 )
 
         n = self.network
-        finite("network.latency_mean_us", n.latency_mean_us)
-        finite("network.latency_jitter_us", n.latency_jitter_us)
-        if n.supervisor_position_m is not None:
-            finite("network.supervisor_position_m", n.supervisor_position_m)
-        if not n.rf_speed_m_s > 0:
-            out.append(f"network.rf_speed_m_s must be > 0, got {n.rf_speed_m_s!r}")
-        if n.latency_jitter_us < 0:
-            out.append(f"network.latency_jitter_us must be >= 0, got {n.latency_jitter_us!r}")
-        if n.latency_mean_us < n.latency_jitter_us:
-            out.append(
-                "network.latency_mean_us must be >= latency_jitter_us "
-                f"({n.latency_mean_us!r} < {n.latency_jitter_us!r})"
-            )
-        if not 0.0 <= n.drop_probability <= 1.0:
-            out.append(f"network.drop_probability must be in [0, 1], got {n.drop_probability!r}")
+        out.extend(link_problems(n, "network."))
         if n.radio_positions_m is not None:
             positions = by_sensor("network.radio_positions_m", n.radio_positions_m)
             placed = {sid for sid, _ in positions}
@@ -370,29 +358,6 @@ def _convert(value, hint, path: str, errors: list[str]):
     raise TypeError(f"no reader for {hint!r} at '{path}'")
 
 
-def _per_sensor_drift(raw: Mapping[str, Any], path: str, errors: list[str]) -> dict:
-    """geometry and drift_ppm for a scenario that lists one drift per sensor,
-    in geometry order, instead of mapping sensor ids to drifts."""
-    drift = raw["drift_ppm"]
-    given = {"drift_ppm": _NO_VALUE}
-    if raw.get("geometry") is None:
-        return given  # the caller reports the missing geometry
-    geometry = given["geometry"] = _read(
-        CableGeometry, raw["geometry"], _err_path(path, "geometry"), errors
-    )
-    if geometry is _NO_VALUE:
-        return given
-    dpath = _err_path(path, "drift_ppm")
-    ids = geometry.sensor_ids
-    if len(drift) != len(ids):
-        errors.append(f"field '{dpath}' list has {len(drift)} entries for {len(ids)} sensors")
-        return given
-    ppm = [_convert(v, float, f"{dpath}[{i}]", errors) for i, v in enumerate(drift)]
-    if all(p is not _NO_VALUE for p in ppm):
-        given["drift_ppm"] = dict(zip(ids, ppm))
-    return given
-
-
 @functools.cache
 def _type_hints(cls) -> dict[str, Any]:
     """cls's resolved field types: resolved once per class, not once per
@@ -412,9 +377,7 @@ def _read(cls, raw, path: str, errors: list[str], given: Optional[Mapping[str, A
     if not isinstance(raw, Mapping):
         errors.append(f"field '{path}' must be a mapping, got {raw!r}")
         return _NO_VALUE
-    given = dict(given or {})
-    if cls is Scenario and isinstance(raw.get("drift_ppm"), (list, tuple)):
-        given.update(_per_sensor_drift(raw, path, errors))
+    given = given or {}
     declared = fields(cls)
     names = {f.name for f in declared}
     errors.extend(f"unknown field '{_err_path(path, str(k))}'" for k in raw if k not in names)
@@ -491,6 +454,5 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 
 def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
-    """A Scenario from a mapping shaped like its fields; drift_ppm may also be
-    a list with one entry per sensor, in geometry order."""
+    """A Scenario from a mapping shaped like its fields."""
     return read_dataclass(Scenario, raw)

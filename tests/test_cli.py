@@ -178,15 +178,23 @@ class TestLocalize:
     @pytest.mark.parametrize(
         "text, problem",
         [
-            ("sensor_ids: 5\npositions_m: [0.0, 1.0]\n", "field 'sensor_ids' must be a list, got 5"),
-            ("sensor_ids: [1, 2, 3\n", "geometry file is not valid YAML"),
             (
-                "sensor_ids: [1, 2, 3]\npositions_m: [0.0, 1.0, 2.0]\ncolour: red\n",
-                "unknown field 'colour'",
+                "geometry:\n  sensor_ids: 5\n  positions_m: [0.0, 1.0]\n",
+                "field 'geometry.sensor_ids' must be a list, got 5",
             ),
+            ("geometry:\n  sensor_ids: [1, 2, 3\n", "scenario is not valid YAML"),
             (GEOMETRY_YAML + "colour: red\n", "unknown field 'colour'"),
+            (GEOMETRY_YAML + "  colour: red\n", "unknown field 'geometry.colour'"),
+            # --geometry takes a scenario file; its sensors sit under geometry:
+            (
+                "sensor_ids: [1, 2, 3, 4]\npositions_m: [0.0, 10.0, 20.0, 30.0]\n",
+                "field 'geometry' is required",
+            ),
         ],
-        ids=["sensor_ids_scalar", "invalid_yaml", "unknown_field", "unknown_field_nested"],
+        ids=[
+            "sensor_ids_scalar", "invalid_yaml", "unknown_field", "unknown_field_nested",
+            "bare_geometry",
+        ],
     )
     def test_bad_geometry_file_is_an_error(self, tmp_path, capsys, text, problem):
         p = tmp_path / "retimed.csv"

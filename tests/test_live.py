@@ -91,6 +91,22 @@ class TestConfig:
         with pytest.raises(ScenarioError, match="periods must be at most MAX_RUN_PERIODS"):
             LiveConfig(scenario=live_scenario(), periods=MAX_RUN_PERIODS + 1)
 
+    def test_periods_must_close_every_ruptures_period(self):
+        # a rupture at 5.5 s reaches its sensors in period 5, whose reports
+        # ride frame 6: fewer frames leave every event pending, the rule a
+        # scenario applies to run_duration_us (time_ref_us + T within it)
+        s = live_scenario(ruptures=(RuptureEvent(14.0, 5_500_000.0),))
+        for periods in (3, 6):
+            with pytest.raises(ScenarioError) as e:
+                LiveConfig(scenario=s, periods=periods)
+            assert e.value.problems == [
+                f"periods: {periods} sync frames end the run before ruptures[0]'s period "
+                "closes; need periods*T > time_ref_us + T (5500000.0 + 1000000)"
+            ]
+        assert run_live(ephemeral_config(s, periods=7)).summary["estimates_matched"] == 1
+        # the twin holds at run's own frame count
+        assert run_live(ephemeral_config(s, periods=8)) == run(s)
+
     def test_rejects_modeled_drops(self):
         s = live_scenario(network=NetworkConfig(drop_probability=0.5))
         with pytest.raises(ValueError, match="drop_probability"):

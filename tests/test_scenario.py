@@ -350,22 +350,21 @@ class TestYamlLoading:
         assert s.spurious_events[0] == SpuriousEvent(2, 900_000.0, 1.1)
         assert s.seed == 42
 
-    def test_drift_list_form_follows_geometry_order(self, load_text):
+    def test_drift_list_is_refused_as_not_a_mapping(self, load_text):
+        # drift_ppm has one form, sensor id to drift, whatever the geometry
         text = MINIMAL_YAML + "\ndrift_ppm: [50, -50, 0, 10]\n"
-        s = load_text(text)
-        assert s.drift_ppm == {1: 50.0, 2: -50.0, 3: 0.0, 4: 10.0}
-
-    def test_drift_list_length_mismatch(self, load_text):
-        text = MINIMAL_YAML + "\ndrift_ppm: [50, -50]\n"
-        with pytest.raises(ScenarioError, match="2 entries for 4 sensors"):
+        with pytest.raises(ScenarioError) as e:
             load_text(text)
+        assert e.value.problems == [
+            "field 'drift_ppm' must be a mapping, got [50, -50, 0, 10]"
+        ]
 
     def test_unsigned_exponent_notation_accepted(self, load_text):
         # YAML 1.1 resolves 1.5e6 (no exponent sign) as a string; the loader
         # has to take it anyway because every YAML author writes it
         text = MINIMAL_YAML + textwrap.dedent(
             """
-            drift_ppm: [1e1, -5e0, 0, 10]
+            drift_ppm: {1: 1e1, 2: -5e0, 3: 0, 4: 10}
             ruptures:
               - {position_m: 14.0, time_ref_us: 1.5e6}
             run_duration_us: 4e6
@@ -374,14 +373,14 @@ class TestYamlLoading:
         s = load_text(text)
         assert s.ruptures[0].time_ref_us == 1_500_000.0
         assert s.run_duration_us == 4_000_000.0
-        assert s.drift_ppm[1] == 10.0
+        assert s.drift_ppm == {1: 10.0, 2: -5.0, 3: 0.0, 4: 10.0}
 
     def test_non_numeric_strings_still_rejected(self, load_text):
-        text = MINIMAL_YAML + "\ndrift_ppm: [fast, -50, 0, 10]\nthreshold_g: warm\n"
+        text = MINIMAL_YAML + "\ndrift_ppm: {1: fast, 2: -50}\nthreshold_g: warm\n"
         with pytest.raises(ScenarioError) as e:
             load_text(text)
         msg = str(e.value)
-        assert "field 'drift_ppm[0]' must be a number, got 'fast'" in msg
+        assert "field 'drift_ppm[1]' must be a number, got 'fast'" in msg
         assert "threshold_g' must be a number, got 'warm'" in msg
 
     def test_loader_collects_errors_from_every_section(self, load_text):
