@@ -55,7 +55,8 @@ class ClockState:
         """
         if ref_dt_us < 0:
             raise ValueError(f"cannot advance by negative duration {ref_dt_us!r}")
-        self.counter_ticks += ref_dt_us * self.rate_ticks_per_us
+        # rate_ticks_per_us, inlined: this runs once per stamped event
+        self.counter_ticks += ref_dt_us * (1.0 + self.drift_ppm * 1e-6)
         self.ref_now_us += ref_dt_us
 
     def advance_to(self, ref_us: float) -> None:

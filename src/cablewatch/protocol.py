@@ -32,9 +32,13 @@ import logging
 from typing import NamedTuple, Optional
 
 from .clock import ClockState
+from .wave import tuple_record
 from .wire import MAX_EVENTS_PER_REPORT, ReportEvent, SensorReport, SyncFrame
 
 log = logging.getLogger(__name__)
+
+_report_event = tuple_record(ReportEvent)
+_sensor_report = tuple_record(SensorReport)
 
 
 class SensorProtocol:
@@ -63,12 +67,8 @@ class SensorProtocol:
             raise ValueError(f"timestamp must be >= 0, got {local_timestamp_ticks!r}")
         if amplitude_g < 0:
             raise ValueError(f"amplitude must be >= 0, got {amplitude_g!r}")
-        self.pending.append(
-            ReportEvent(
-                timestamp_ticks=int(local_timestamp_ticks),
-                amplitude_milli_g=round(amplitude_g * 1000),
-            )
-        )
+        # (timestamp_ticks, amplitude_milli_g)
+        self.pending.append(_report_event((int(local_timestamp_ticks), round(amplitude_g * 1000))))
 
     def on_sync(self, frame: SyncFrame) -> Optional[SensorReport]:
         """Handle one sync receipt; returns the report to send, if any."""
@@ -117,22 +117,17 @@ class SensorProtocol:
                 "discarded from period %d",
                 self.sensor_id, excess, MAX_EVENTS_PER_REPORT, period_index,
             )
-        events = []
-        for ev in self.pending:
-            if ev.timestamp_ticks > saved_ticks:
+        events = self.pending
+        for i, (ticks, milli_g) in enumerate(events):
+            if ticks > saved_ticks:
                 # ceiling quantization can push a detection sampled just
                 # before the sync past the period end; keep it in its period
-                ev = ReportEvent(timestamp_ticks=saved_ticks, amplitude_milli_g=ev.amplitude_milli_g)
+                events[i] = _report_event((saved_ticks, milli_g))
                 self.clamped_events += 1
-            events.append(ev)
-        self.pending.clear()
+        report = _sensor_report((self.sensor_id, period_index, saved_ticks, tuple(events)))
         self.reported_events += len(events)
-        return SensorReport(
-            sensor_id=self.sensor_id,
-            period_index=period_index,
-            saved_counter_ticks=saved_ticks,
-            events=tuple(events),
-        )
+        events.clear()
+        return report
 
 
 class CompletedPeriod(NamedTuple):
@@ -182,7 +177,9 @@ class SupervisorProtocol:
                 report.sensor_id, report.period_index,
             )
             return None
-        bucket = self._open.setdefault(report.period_index, {})
+        bucket = self._open.get(report.period_index)
+        if bucket is None:
+            bucket = self._open[report.period_index] = {}
         if report.sensor_id in bucket:
             self.duplicate_reports += 1
             log.warning(
@@ -191,7 +188,8 @@ class SupervisorProtocol:
             )
             return None
         bucket[report.sensor_id] = report
-        if self.roster <= bucket.keys():
+        # the bucket holds roster sensors only, so a full one is the roster
+        if len(bucket) == len(self.roster):
             return self._release(report.period_index, complete=True)
         return None
 

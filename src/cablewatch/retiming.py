@@ -17,8 +17,10 @@ discards every other stamp before it reaches a report.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
+from .wave import tuple_record
 from .wire import SensorReport
 
 DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
@@ -50,6 +52,9 @@ class RetimedEvent(NamedTuple):
     @property
     def valid(self) -> bool:
         return self.flag is None
+
+
+_retimed_event = tuple_record(RetimedEvent)
 
 
 def retime(t_evi_ticks: float, t_i_ticks: float, period_t_us: float) -> float:
@@ -102,23 +107,32 @@ def align_period(
     valid: list[RetimedEvent] = []
     flagged: list[RetimedEvent] = []
     for r in reports:
-        t_i = r.saved_counter_ticks
-        for ev in r.events:
-            ticks = ev.timestamp_ticks
-            amp = ev.amplitude_milli_g / 1000.0
+        sid, k, t_i = r.sensor_id, r.period_index, r.saved_counter_ticks
+        for ticks, milli_g in r.events:
+            amp = milli_g / 1000.0
             if t_i <= 0:
                 flag = FLAG_ZERO_COUNTER
             elif not t_ok or ticks < 0 or ticks > t_i:
                 flag = FLAG_OUT_OF_PERIOD
             else:
-                valid.append(RetimedEvent(
-                    r.sensor_id, r.period_index, ticks * period_t_us / t_i, ticks, amp
-                ))
+                valid.append(_retimed_event((sid, k, ticks * period_t_us / t_i, ticks, amp, None)))
                 continue
-            flagged.append(RetimedEvent(r.sensor_id, r.period_index, math.nan, ticks, amp, flag))
-    valid.sort(key=lambda e: (e.retimed_us, e.sensor_id))
-    flagged.sort(key=lambda e: (e.sensor_id, e.raw_ticks))
+            flagged.append(RetimedEvent(sid, k, math.nan, ticks, amp, flag))
+    _sort_by_time(valid)
+    # by (sensor_id, raw_ticks)
+    flagged.sort(key=itemgetter(3))
+    flagged.sort(key=itemgetter(0))
     return valid + flagged
+
+
+def _sort_by_time(events: list[RetimedEvent]) -> None:
+    """Sort events in place by (retimed_us, sensor_id), ties kept in order.
+
+    Two stable sorts on one field each: the same order as one sort on the
+    pair, without building a key tuple per event.
+    """
+    events.sort(key=itemgetter(0))
+    events.sort(key=itemgetter(2))
 
 
 def cluster_events(
@@ -133,13 +147,13 @@ def cluster_events(
     """
     if not window_us > 0:
         raise ValueError(f"coincidence window must be > 0, got {window_us!r}")
-    valid = sorted(
-        (e for e in events if e.valid), key=lambda e: (e.retimed_us, e.sensor_id)
-    )
+    valid = [e for e in events if e.flag is None]
+    _sort_by_time(valid)
     clusters: list[list[RetimedEvent]] = []
     for e in valid:
-        if clusters and e.retimed_us - clusters[-1][0].retimed_us <= window_us:
-            clusters[-1].append(e)
+        if clusters and e.retimed_us - start_us <= window_us:
+            cluster.append(e)
         else:
-            clusters.append([e])
+            cluster, start_us = [e], e.retimed_us
+            clusters.append(cluster)
     return clusters

@@ -20,8 +20,6 @@ from typing import (
     Any, Mapping, Optional, Sequence, TypeVar, Union, get_args, get_origin, get_type_hints,
 )
 
-import yaml
-
 from .clock import MAX_DRIFT_PPM
 from .network import (
     DEFAULT_LATENCY_JITTER_US,
@@ -429,6 +427,9 @@ def read_dataclass(cls: type[T], raw: Any, given: Optional[Mapping[str, Any]] = 
 
 def load_yaml_mapping(path: Union[str, Path], what: str) -> dict:
     """The top-level mapping of a YAML file; an empty file reads as {}."""
+    # imported here, its only use: a run that reads no file never loads it
+    import yaml
+
     path = Path(path)
     if not path.exists():
         raise ScenarioError([f"{what} file not found: {path}"])

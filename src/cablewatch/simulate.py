@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -28,7 +29,7 @@ from .network import KIND_REPORT, KIND_TIMER, SUPERVISOR_NODE, EventLoop
 from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
-from .wave import CableGeometry, WaveArrival, detect, quantize_to_sampling, simulate_rupture
+from .wave import CableGeometry, simulate_rupture, tuple_record
 from .wire import SensorReport, SyncFrame, decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
 
 # period timeout, as a fraction of T after the next broadcast
@@ -60,6 +61,10 @@ class EstimateRow(NamedTuple):
     abs_error_m: float = math.nan  # NaN when unmatched or estimate invalid
 
 
+_detection_row = tuple_record(DetectionRow)
+_estimate_row = tuple_record(EstimateRow)
+
+
 @dataclass
 class RunReport:
     """Everything a run produced, plus bookkeeping for accounting checks."""
@@ -76,42 +81,47 @@ class SensorNode:
     """One sensor without sockets: its protocol and the waves that reach it.
 
     The only code that stamps arrivals, for simulated and live runs alike.
+    Arrivals are plain (arrival_ref_us, sensor_id, amplitude_g, source)
+    tuples, which the cyclic GC stops tracking, and each is dropped once
+    stamped.
     """
 
-    def __init__(self, scenario: Scenario, sensor_id: int, arrivals: list[tuple[str, WaveArrival]]):
+    def __init__(self, scenario: Scenario, sensor_id: int, arrivals: list[tuple[float, int, float, str]]):
         self.protocol = SensorProtocol(
             sensor_id=sensor_id, clock=ClockState(drift_ppm=scenario.drift_for(sensor_id))
         )
         self.sampling_period_ticks = scenario.sampling_period_ticks
-        # the stable sort keeps scenario order for simultaneous arrivals
-        self._arrivals = sorted(arrivals, key=lambda sa: sa[1].arrival_ref_us)
-        self._next = 0
+        # latest first, so the next to stamp pops off the end; the stable
+        # sort keeps scenario order for simultaneous arrivals
+        self._unstamped = sorted(arrivals, key=itemgetter(0))
+        self._unstamped.reverse()
         self.detections: list[DetectionRow] = []
 
     def stamp_until(self, ref_us: float) -> None:
         """Stamp every arrival at or before ref_us not stamped yet: the clock
         runs up to the arrival and the digitizer stamps the first sample at
         or after it."""
+        unstamped = self._unstamped
+        if not unstamped or unstamped[-1][0] > ref_us:
+            return
         s = self.protocol
-        while self._next < len(self._arrivals):
-            source, arr = self._arrivals[self._next]
-            if arr.arrival_ref_us > ref_us:
-                break
-            s.clock.advance_to(arr.arrival_ref_us)
-            ticks = quantize_to_sampling(s.clock.read_counter(), self.sampling_period_ticks)
-            s.on_detection(ticks, arr.max_amplitude_g)
-            self.detections.append(
-                DetectionRow(
-                    sensor_id=arr.sensor_id,
-                    period_index=s.last_seen_period_index if s.synced else -1,
-                    source=source,
-                    arrival_ref_us=arr.arrival_ref_us,
-                    local_timestamp_ticks=ticks,
-                    max_amplitude_g=arr.max_amplitude_g,
-                    pre_sync=not s.synced,
-                )
-            )
-            self._next += 1
+        clock, on_detection, add = s.clock, s.on_detection, self.detections.append
+        sampling = int(self.sampling_period_ticks)
+        # no sync arrives between two stamps of one call: the open period
+        # is read once
+        pre_sync = not s.synced
+        period = -1 if pre_sync else s.last_seen_period_index
+        while unstamped and unstamped[-1][0] <= ref_us:
+            at, sid, amp, source = unstamped.pop()
+            clock.advance_to(at)
+            # wave.quantize_to_sampling, inlined: the first sample at or
+            # after the counter, which never runs below 0
+            counter = clock.counter_ticks
+            ticks = math.ceil(counter / sampling) * sampling
+            while ticks < counter:
+                ticks += sampling
+            on_detection(ticks, amp)
+            add(_detection_row((sid, period, source, at, ticks, amp, pre_sync)))
 
     def receive_sync(self, frame: SyncFrame, receipt_ref_us: float) -> Optional[SensorReport]:
         """Handle one sync receipt; a wave arriving at the receipt instant
@@ -131,18 +141,19 @@ def sensor_nodes(scenario: Scenario) -> dict[int, SensorNode]:
     shares = {sid: [] for sid in scenario.geometry.sensor_ids}
     for i, rupture in enumerate(scenario.ruptures):
         source = f"rupture:{i}"
-        for arr in simulate_rupture(
+        for sid, at, amp in simulate_rupture(
             scenario.geometry,
             rupture,
             wave_speed_m_s=scenario.wave_speed_m_s,
             threshold_g=scenario.threshold_g,
             attenuation_per_m=scenario.attenuation_per_m,
         ):
-            shares[arr.sensor_id].append((source, arr))
+            shares[sid].append((at, sid, amp, source))
+    threshold = scenario.threshold_g
     for i, sp in enumerate(scenario.spurious_events):
-        hit = detect(sp.sensor_id, sp.time_ref_us, sp.amplitude_g, scenario.threshold_g)
-        if hit is not None:
-            shares[hit.sensor_id].append((f"spurious:{i}", hit))
+        # wave.detect, inlined: a hit fires at or above the threshold
+        if not sp.amplitude_g < threshold:
+            shares[sp.sensor_id].append((sp.time_ref_us, sp.sensor_id, sp.amplitude_g, f"spurious:{i}"))
     return {sid: SensorNode(scenario, sid, share) for sid, share in shares.items()}
 
 
@@ -158,12 +169,13 @@ def run(scenario: Scenario) -> RunReport:
 
     # the broadcast calendar: frame k leaves at k*T, and period k-1 times
     # out half a period later
-    receipts = []
+    frames, receipts = [], []
     k = 0
     while k * t_us <= duration:
         now = k * t_us
-        frame_bytes = encode_sync_frame(supervisor.tick())
-        receipts.extend((at, sid, frame_bytes) for at, sid in net.broadcast_sync(now, k))
+        # one datagram, so every receiver decodes the same frame
+        frames.append(decode_sync_frame(encode_sync_frame(supervisor.tick())))
+        receipts.extend((at, sid, k) for at, sid in net.broadcast_sync(now, k))
         if k >= 1:
             loop.schedule(
                 now + PERIOD_TIMEOUT_FRACTION * t_us, KIND_TIMER, SUPERVISOR_NODE,
@@ -174,8 +186,8 @@ def run(scenario: Scenario) -> RunReport:
     # each sensor hears its frames in receipt-time order, which is not the
     # broadcast order when jitter spans more than half a period
     receipts.sort(key=itemgetter(0))
-    for rx, sid, frame_bytes in receipts:
-        report = nodes[sid].receive_sync(decode_sync_frame(frame_bytes), rx)
+    for rx, sid, k in receipts:
+        report = nodes[sid].receive_sync(frames[k], rx)
         if report is None:
             continue
         # encoded even if lost: every report crosses the codec once
@@ -199,10 +211,10 @@ def report_run(
     nodes = list(nodes)
     for node in nodes:
         node.stamp_until(math.inf)
-    detections = sorted(
-        (row for node in nodes for row in node.detections),
-        key=lambda row: (row.arrival_ref_us, row.sensor_id),
-    )
+    # by (arrival_ref_us, sensor_id): two stable sorts, no key tuple per row
+    detections = [row for node in nodes for row in node.detections]
+    detections.sort(key=itemgetter(0))
+    detections.sort(key=itemgetter(3))
     released = supervisor.released
     retimed, estimates = postprocess_periods(scenario, released)
     estimates = score(scenario, estimates)
@@ -219,11 +231,16 @@ def report_run(
 def postprocess_periods(
     scenario: Scenario, released: dict[int, CompletedPeriod]
 ) -> tuple[list[RetimedEvent], list[EstimateRow]]:
-    """Retime every released period in index order, then cluster and
-    localize; ground truth plays no part."""
+    """Retime, cluster and localize every released period in index order;
+    ground truth plays no part."""
     t_us = scenario.sync_period_T_us
-    retimed = [e for k in sorted(released) for e in align_period(released[k].reports, t_us)]
-    return retimed, localize_periods(retimed, scenario.geometry, scenario.coincidence_window_us)
+    retimed: list[RetimedEvent] = []
+    estimates: list[EstimateRow] = []
+    for k in sorted(released):
+        events = align_period(released[k].reports, t_us)
+        retimed += events
+        estimates += localize_periods(events, scenario.geometry, scenario.coincidence_window_us)
+    return retimed, estimates
 
 
 def localize_periods(
@@ -231,18 +248,15 @@ def localize_periods(
 ) -> list[EstimateRow]:
     """Cluster each period's events and localize every cluster, periods in
     index order and each period's events in the order given."""
-    by_period: dict[int, list[RetimedEvent]] = {}
+    by_period: defaultdict[int, list[RetimedEvent]] = defaultdict(list)
     for e in events:
-        by_period.setdefault(e.period_index, []).append(e)
+        by_period[e.period_index].append(e)
+    # a cluster is in retimed-time order, so its first event is its earliest
     return [
-        EstimateRow(
-            period_index=k,
-            cluster_index=ci,
-            n_sensors=len({e.sensor_id for e in cluster}),
-            estimate=localize_cluster(cluster, geometry),
-            # a cluster is in retimed-time order, so its first event is its earliest
-            first_retimed_us=cluster[0].retimed_us,
-        )
+        _estimate_row((
+            k, ci, len({e.sensor_id for e in cluster}), localize_cluster(cluster, geometry),
+            cluster[0].retimed_us, "", math.nan, math.nan,
+        ))
         for k in sorted(by_period)
         for ci, cluster in enumerate(cluster_events(by_period[k], window_us))
     ]
@@ -259,14 +273,16 @@ def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]
     # coincidence window is the same physical event
     travel = scenario.geometry.span_m / scenario.wave_speed_m_s * 1e6
     tolerance = scenario.coincidence_window_us + travel
+    t_us = scenario.sync_period_T_us
+    n_times = len(times)
     scored = []
     for row in estimates:
-        t_abs = row.period_index * scenario.sync_period_T_us + row.first_retimed_us
+        k, ci, n, est, first_us, _, _, _ = row
+        t_abs = k * t_us + first_us
         pos = bisect_left(times, t_abs)
-        best_gap = min(
-            abs(t_abs - times[pos - 1]) if pos > 0 else math.inf,
-            abs(t_abs - times[pos]) if pos < len(times) else math.inf,
-        )
+        before = abs(t_abs - times[pos - 1]) if pos > 0 else math.inf
+        after = abs(t_abs - times[pos]) if pos < n_times else math.inf
+        best_gap = after if after < before else before
         if best_gap > tolerance:
             scored.append(row)
             continue
@@ -275,17 +291,16 @@ def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]
         lo, hi = pos, pos
         while lo > 0 and abs(t_abs - times[lo - 1]) == best_gap:
             lo -= 1
-        while hi < len(times) and abs(t_abs - times[hi]) == best_gap:
+        while hi < n_times and abs(t_abs - times[hi]) == best_gap:
             hi += 1
         best_i = min(by_time[lo:hi])
         x_true = ruptures[best_i].position_m
-        x_est = row.estimate.x_est_m
-        # the row up to first_retimed_us, then the fields only score fills
-        # in; built directly, since _replace costs more than twice as much
-        scored.append(EstimateRow(
-            *row[:5], f"rupture:{best_i}", x_true,
+        x_est = est.x_est_m
+        # built from the fields, since _replace costs several times as much
+        scored.append(_estimate_row((
+            k, ci, n, est, first_us, f"rupture:{best_i}", x_true,
             math.nan if math.isnan(x_est) else abs(x_est - x_true),
-        ))
+        )))
     return scored
 
 
@@ -293,27 +308,30 @@ def _summarize(nodes, supervisor, detections, retimed, estimates):
     errors = [e.abs_error_m for e in estimates if not math.isnan(e.abs_error_m)]
     sensors = [n.protocol for n in nodes]
     released = supervisor.released.values()
+    complete = sum(1 for p in released if p.complete)
+    valid = sum(1 for e in retimed if e.flag is None)
+    clean = sum(1 for e in estimates if not e.estimate.flags)
     summary: dict[str, object] = {
         "sensors": len(sensors),
         "sync_frames_sent": supervisor.next_period_index,
-        "periods_completed": sum(1 for p in released if p.complete),
-        "periods_timed_out": sum(1 for p in released if not p.complete),
+        "periods_completed": complete,
+        "periods_timed_out": len(released) - complete,
         "reports_late": supervisor.late_reports,
         "reports_duplicate": supervisor.duplicate_reports,
         "reports_unknown": supervisor.unknown_reports,
         "detections_total": len(detections),
-        "detections_pre_sync": sum(1 for d in detections if d.pre_sync),
+        "detections_pre_sync": sum(d.pre_sync for d in detections),
         # sensor side: every detection is reported, pending or discarded;
         # reports lost or late on the way never reach retiming
         "events_reported": sum(s.reported_events for s in sensors),
         "events_pending_at_end": sum(len(s.pending) for s in sensors),
         "events_discarded": sum(s.discarded_events for s in sensors),
         "events_clamped_to_period_end": sum(s.clamped_events for s in sensors),
-        "events_retimed_valid": sum(1 for e in retimed if e.valid),
-        "events_flagged": sum(1 for e in retimed if not e.valid),
+        "events_retimed_valid": valid,
+        "events_flagged": len(retimed) - valid,
         "clusters_total": len(estimates),
-        "estimates_clean": sum(1 for e in estimates if e.estimate.clean),
-        "estimates_flagged": sum(1 for e in estimates if not e.estimate.clean),
+        "estimates_clean": clean,
+        "estimates_flagged": len(estimates) - clean,
         "estimates_matched": sum(1 for e in estimates if e.matched),
         "mean_abs_error_m": (sum(errors) / len(errors)) if errors else math.nan,
         "max_abs_error_m": max(errors) if errors else math.nan,
@@ -333,6 +351,10 @@ ESTIMATES_HEADER = [
     "v_est_m_s", "x_est_m", "flags", "matched", "x_true_m", "abs_error_m",
 ]
 SUMMARY_HEADER = ["metric", "value"]
+# a detections.csv row is one % over the DetectionRow tuple; pre_sync is
+# written by picking the template, and %.0s formats the bool to nothing
+_DETECTION_ROW = "%s,%s,%s,%r,%s,%r,false%.0s\n"
+_PRE_SYNC_ROW = "%s,%s,%s,%r,%s,%r,true%.0s\n"
 
 
 def export_csv(report: RunReport, out_dir) -> list[Path]:
@@ -355,24 +377,22 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
         paths.append(p)
 
     write("detections.csv", DETECTIONS_HEADER, [
-        f"{d.sensor_id},{d.period_index},{d.source},{d.arrival_ref_us!r},"
-        f"{d.local_timestamp_ticks},{d.max_amplitude_g!r},{'true' if d.pre_sync else 'false'}\n"
-        for d in report.detections
+        (_PRE_SYNC_ROW if d.pre_sync else _DETECTION_ROW) % d for d in report.detections
     ])
+    # amplitudes are whole milli-g, so few distinct ones recur down the file
+    amp_text = {amp: repr(amp) for amp in {e.amplitude_g for e in report.retimed}}
     write("retimed.csv", RETIMED_HEADER, [
-        f"{e.period_index},{e.sensor_id},{e.retimed_us!r},{e.raw_ticks},"
-        f"{e.amplitude_g!r},{e.flag or ''}\n"
-        for e in report.retimed
+        f"{k},{sid},{t!r},{ticks},{amp_text[amp]},{flag or ''}\n"
+        for sid, k, t, ticks, amp, flag in report.retimed
     ])
+    flag_text: dict[frozenset, str] = {}  # estimates share their flag sets
     rows = []
-    for e in report.estimates:
-        est = e.estimate
-        triple = "{},{},{}".format(*est.triple) if len(est.triple) == 3 else ",,"
-        rows.append(
-            f"{e.period_index},{e.cluster_index},{e.n_sensors},{triple},"
-            f"{est.v_est_m_s!r},{est.x_est_m!r},{'|'.join(sorted(est.flags))},{e.matched},"
-            f"{e.x_true_m!r},{e.abs_error_m!r}\n"
-        )
+    for k, ci, n, (x, v, triple, flags, _, _), _, matched, x_true, error in report.estimates:
+        text = flag_text.get(flags)
+        if text is None:
+            text = flag_text[flags] = "|".join(sorted(flags))
+        sensors = "%s,%s,%s" % triple if len(triple) == 3 else ",,"
+        rows.append(f"{k},{ci},{n},{sensors},{v!r},{x!r},{text},{matched},{x_true!r},{error!r}\n")
     write("estimates.csv", ESTIMATES_HEADER, rows)
     write("summary.csv", SUMMARY_HEADER, [f"{k},{v!r}\n" for k, v in report.summary.items()])
     return paths

@@ -10,8 +10,10 @@ per meter.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
-from typing import NamedTuple, Optional, TypeVar
+from functools import partial
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 DEFAULT_WAVE_SPEED_M_S = 5000.0
 DEFAULT_THRESHOLD_G = 0.8
@@ -42,6 +44,14 @@ def frozen_slotted(cls: type[T]) -> type[T]:
     return cls
 
 
+def tuple_record(cls: type[T]) -> Callable[[tuple], T]:
+    """A builder of NamedTuple cls from one tuple of all its fields, in
+    order, defaults included: what cls(*fields) returns, built in C without
+    the Python __new__ that calling cls runs. For records a run makes one
+    of per event; the field count is not checked."""
+    return partial(tuple.__new__, cls)
+
+
 @dataclass(frozen=True)
 class CableGeometry:
     """Sensor ids and their positions along the cable axis.
@@ -69,8 +79,9 @@ class CableGeometry:
         for i, p in enumerate(self.positions_m):
             if not math.isfinite(p):
                 raise ValueError(f"positions_m[{i}] must be finite, got {p!r}")
-        # id -> index, so that lookups stay O(1) however many sensors; an
-        # attribute, not a field, so readers and comparisons never see it
+        # id -> index and id -> position, so that lookups stay O(1) however
+        # many sensors; attributes, not fields, so readers and comparisons
+        # never see them
         index = {sid: i for i, sid in enumerate(self.sensor_ids)}
         if len(index) != len(self.sensor_ids):
             raise ValueError("sensor ids must be unique")
@@ -80,6 +91,7 @@ class CableGeometry:
                     f"positions must be strictly increasing, got {a} then {b}"
                 )
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_position", dict(zip(self.sensor_ids, self.positions_m)))
 
     def index_of(self, sensor_id: int) -> int:
         try:
@@ -88,7 +100,10 @@ class CableGeometry:
             raise ValueError(f"unknown sensor id {sensor_id}") from None
 
     def position_of(self, sensor_id: int) -> float:
-        return self.positions_m[self.index_of(sensor_id)]
+        try:
+            return self._position[sensor_id]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown sensor id {sensor_id}") from None
 
     def spacing(self, sensor_a: int, sensor_b: int) -> float:
         """Cable distance between two sensors, meters."""
@@ -130,6 +145,9 @@ class WaveArrival(NamedTuple):
     sensor_id: int
     arrival_ref_us: float
     max_amplitude_g: float
+
+
+_wave_arrival = tuple_record(WaveArrival)
 
 
 def arrival_time(
@@ -230,12 +248,26 @@ def simulate_rupture(
         )
     _check_attenuation(attenuation_per_m)
     _check_wave_speed(wave_speed_m_s)
+    ids, positions = geometry.sensor_ids, geometry.positions_m
+    peak = rupture.peak_amplitude_g
+    first, stop = 0, len(positions)
+    ratio = peak / threshold_g if threshold_g > 0 else math.inf
+    if 0 < attenuation_per_m < math.inf and 0 < ratio < math.inf:
+        # only sensors within the attenuation reach ln(peak/threshold)/a can
+        # reach the threshold. The reach is widened far past any rounding of
+        # the amplitude test below, which alone decides: the cut only skips
+        # sensors that the test would reject.
+        log_ratio = math.log(ratio)
+        reach = (log_ratio + 1e-9 * (1.0 + abs(log_ratio))) / attenuation_per_m
+        first = bisect_left(positions, x - reach)
+        stop = bisect_right(positions, x + reach)
     # amplitude_at, detect and arrival_time, inlined per sensor
+    t0 = rupture.time_ref_us
     arrivals = []
-    for sid, pos in zip(geometry.sensor_ids, geometry.positions_m):
-        d = abs(pos - x)
-        amp = rupture.peak_amplitude_g * math.exp(-attenuation_per_m * d)
+    for i in range(first, stop):
+        d = abs(positions[i] - x)
+        amp = peak * math.exp(-attenuation_per_m * d)
         if amp < threshold_g:
             continue
-        arrivals.append(WaveArrival(sid, rupture.time_ref_us + d / wave_speed_m_s * 1e6, amp))
+        arrivals.append(_wave_arrival((ids[i], t0 + d / wave_speed_m_s * 1e6, amp)))
     return arrivals

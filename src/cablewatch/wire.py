@@ -19,8 +19,10 @@ rest (protocol.SensorProtocol), so encoding a larger report is an error.
 from __future__ import annotations
 
 import struct
-from itertools import chain, starmap
+from itertools import chain
 from typing import NamedTuple
+
+from .wave import tuple_record
 
 SYNC_MAGIC = b"CASC"
 _SYNC = struct.Struct("<4sII")
@@ -65,6 +67,10 @@ class SensorReport(NamedTuple):
     period_index: int
     saved_counter_ticks: int
     events: tuple[ReportEvent, ...] = ()
+
+
+_report_event = tuple_record(ReportEvent)
+_sensor_report = tuple_record(SensorReport)
 
 
 def encode_sync_frame(frame: SyncFrame) -> bytes:
@@ -136,10 +142,5 @@ def decode_sensor_report(buf: bytes) -> SensorReport:
             f"report length {len(buf)} does not match event_count {count} "
             f"(expected {expected})"
         )
-    events = tuple(starmap(ReportEvent, _REPORT_EVENT.iter_unpack(buf[REPORT_HEADER_BYTES:])))
-    return SensorReport(
-        sensor_id=sensor_id,
-        period_index=period_index,
-        saved_counter_ticks=saved,
-        events=events,
-    )
+    events = tuple(map(_report_event, _REPORT_EVENT.iter_unpack(buf[REPORT_HEADER_BYTES:])))
+    return _sensor_report((sensor_id, period_index, saved, events))

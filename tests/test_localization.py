@@ -83,6 +83,17 @@ class TestEstimateSpeed:
 
 
 class TestEstimatePosition:
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 10: the two earliest arrivals need not bracket"
+    )
+    def test_uneven_cable_rupture_outside_the_two_earliest_is_found(self):
+        # the two earliest arrivals, at 82.6 and 86.9 m, lie on one side of a
+        # rupture at 71.81 m; today the estimate is 80.857 m, OUT_OF_SPAN
+        geometry = CableGeometry((1, 2, 3, 4, 5), (0.0, 34.4, 82.6, 86.9, 94.4))
+        est = localize(arrival_times(geometry, 71.81), geometry)
+        assert est.clean
+        assert est.x_est_m == pytest.approx(71.81, rel=1e-9)
+
     def test_worked_case_4m_from_bracket_start(self):
         # rupture 4 m past the first bracket sensor of a 10 m span
         est = localize(AT_14M, FOUR_AT_10M)

@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cablewatch.wave import (
     CableGeometry,
@@ -280,3 +280,63 @@ class TestProperties:
         t2 = arrival_time(FOUR_AT_10M, r, 2, 5000.0)
         t3 = arrival_time(FOUR_AT_10M, r, 3, 5000.0)
         assert t2 + t3 == pytest.approx(10.0 / 5000.0 * 1e6, rel=1e-9)
+
+
+@st.composite
+def rupture_cases(draw):
+    """An uneven geometry, a rupture on it (on a sensor, at times), the
+    attenuation and the threshold: zero, tiny and large attenuation, and
+    thresholds below, at and above the peak, or exactly some sensor's
+    received amplitude, the edge of the attenuation reach."""
+    gaps = draw(st.lists(
+        st.one_of(st.floats(min_value=1e-9, max_value=1.0), st.floats(min_value=1.0, max_value=500.0)),
+        min_size=1, max_size=15,
+    ))
+    origin = draw(st.floats(min_value=-1e4, max_value=1e4))
+    positions = [origin]
+    for gap in gaps:
+        if positions[-1] + gap > positions[-1]:
+            positions.append(positions[-1] + gap)
+    assume(len(positions) >= 2)
+    geometry = CableGeometry(tuple(range(1, len(positions) + 1)), tuple(positions))
+    x = draw(st.one_of(
+        st.sampled_from(positions), st.floats(min_value=positions[0], max_value=positions[-1])
+    ))
+    rupture = RuptureEvent(
+        position_m=x,
+        time_ref_us=draw(st.floats(min_value=0.0, max_value=1e7)),
+        peak_amplitude_g=draw(st.floats(min_value=1e-3, max_value=1e3)),
+    )
+    attenuation = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-300, max_value=1e-6),
+        st.floats(min_value=1e-6, max_value=10.0),
+        st.floats(min_value=10.0, max_value=1e300),
+    ))
+    peak = rupture.peak_amplitude_g
+    threshold = draw(st.one_of(
+        st.sampled_from([peak / 2, peak, peak * 2]),
+        st.floats(min_value=peak * 1e-6, max_value=peak),
+        st.sampled_from(positions).map(lambda p: amplitude_at(rupture, abs(p - x), attenuation)),
+    ))
+    assume(threshold > 0)
+    return geometry, rupture, attenuation, threshold
+
+
+class TestAttenuationReach:
+    @given(case=rupture_cases(), speed=st.floats(min_value=100.0, max_value=1e5))
+    def test_equals_a_scan_of_every_sensor(self, case, speed):
+        # simulate_rupture scans only the sensors within the attenuation
+        # reach; a scan of every sensor must find exactly the same arrivals
+        g, r, attenuation, threshold = case
+        hits = (
+            detect(
+                sid,
+                arrival_time(g, r, sid, speed),
+                amplitude_at(r, abs(g.position_of(sid) - r.position_m), attenuation),
+                threshold,
+            )
+            for sid in g.sensor_ids
+        )
+        expected = [hit for hit in hits if hit is not None]
+        assert simulate_rupture(g, r, speed, threshold, attenuation) == expected
