@@ -52,7 +52,6 @@ from .scenario import (
     ScenarioError,
     SpuriousEvent,
     load_scenario,
-    scenario_from_dict,
 )
 from .simulate import DetectionRow, EstimateRow, RunReport, export_csv, run, score
 from .wave import (
@@ -116,7 +115,6 @@ __all__ = [
     "ScenarioError",
     "SpuriousEvent",
     "load_scenario",
-    "scenario_from_dict",
     "DetectionRow",
     "EstimateRow",
     "RunReport",

@@ -2,8 +2,9 @@
 
 Subcommands:
     simulate    run a scenario file, write the four CSV tables
-    localize    offline position estimates from an exported retimed.csv and
-                the scenario file that places its sensors
+    localize    offline position estimates from an exported retimed.csv, one
+                period at a time, by the scenario file's geometry and
+                coincidence window
     supervise   run the live supervisor endpoint (UDP)
     agent       run one live sensor agent endpoint (UDP)
     montecarlo  randomized accuracy study, prints error percentiles
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import logging
 import math
 import sys
@@ -22,10 +22,10 @@ from pathlib import Path
 
 from . import montecarlo as mc
 from .live import LiveSupervisor, SensorAgent, load_live_config
-from .retiming import DEFAULT_COINCIDENCE_WINDOW_US, RetimedEvent
+from .retiming import RetimedEvent
 from .scenario import load_scenario
 from .simulate import (
-    RETIMED_HEADER, export_csv, localize_periods, postprocess_periods, run, sensor_nodes,
+    RETIMED_HEADER, export_csv, localize_period, postprocess_periods, run, sensor_nodes,
 )
 
 log = logging.getLogger(__name__)
@@ -36,10 +36,7 @@ def _fmt_flags(flags) -> str:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    report = run(scenario)
+    report = run(load_scenario(args.scenario))
     paths = export_csv(report, args.out)
     for k, v in report.summary.items():
         print(f"{k}: {v}")
@@ -48,10 +45,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_retimed(path: Path) -> list[RetimedEvent]:
-    """The events of a retimed.csv, each bad cell named by file, line and column."""
+def _load_retimed(path: Path) -> dict[int, list[RetimedEvent]]:
+    """The events of a retimed.csv by period, each period's in file order;
+    each bad cell is named by file, line and column."""
     kinds = typing.get_type_hints(RetimedEvent)
-    events = []
+    by_period: dict[int, list[RetimedEvent]] = {}
     with open(path, newline="") as f:
         rows = csv.DictReader(f)
         missing = [c for c in RETIMED_HEADER if c not in (rows.fieldnames or ())]
@@ -72,24 +70,24 @@ def _load_retimed(path: Path) -> list[RetimedEvent]:
                         f"{path}, line {rows.line_num}, column {column}: "
                         f"bad value {row[column]!r}"
                     ) from None
-            events.append(RetimedEvent(**values))
-    return events
+            by_period.setdefault(values["period_index"], []).append(RetimedEvent(**values))
+    return by_period
 
 
 def cmd_localize(args) -> int:
     scenario = load_scenario(args.geometry)
-    window_us = scenario.coincidence_window_us if args.window_us is None else args.window_us
-    events = _load_retimed(Path(args.retimed))
-    if not events:
+    by_period = _load_retimed(Path(args.retimed))
+    if not by_period:
         print("no retimed events")
         return 0
     print(f"{'period':>6} {'cluster':>7} {'sensors':>7} {'x_est_m':>12} {'v_est_m_s':>12} flags")
-    for row in localize_periods(events, scenario.geometry, window_us):
-        est = row.estimate
-        print(
-            f"{row.period_index:>6} {row.cluster_index:>7} {row.n_sensors:>7} "
-            f"{est.x_est_m:>12.4f} {est.v_est_m_s:>12.2f} {_fmt_flags(est.flags)}"
-        )
+    for k in sorted(by_period):
+        for row in localize_period(scenario, k, by_period[k]):
+            est = row.estimate
+            print(
+                f"{k:>6} {row.cluster_index:>7} {row.n_sensors:>7} "
+                f"{est.x_est_m:>12.4f} {est.v_est_m_s:>12.2f} {_fmt_flags(est.flags)}"
+            )
     return 0
 
 
@@ -165,19 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario file, write CSV tables")
     p.add_argument("scenario", help="scenario YAML file")
     p.add_argument("--out", required=True, help="output directory for the CSVs")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("localize", help="estimate positions from a retimed.csv")
     p.add_argument("retimed", help="retimed.csv as written by simulate")
     p.add_argument(
         "--geometry", required=True,
-        help="scenario YAML file; its geometry places the sensors",
-    )
-    p.add_argument(
-        "--window-us", type=float, default=None,
-        help="coincidence window for clustering (default: the scenario file's "
-        f"coincidence_window_us, itself {DEFAULT_COINCIDENCE_WINDOW_US:g} by default)",
+        help="scenario YAML file; its geometry places the sensors and its "
+        "coincidence_window_us clusters the events",
     )
     p.set_defaults(func=cmd_localize)
 

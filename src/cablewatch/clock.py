@@ -39,11 +39,6 @@ class ClockState:
                 f"drift_ppm {self.drift_ppm!r} outside +/-{MAX_DRIFT_PPM:g} ppm"
             )
 
-    @property
-    def rate_ticks_per_us(self) -> float:
-        """Ticks accumulated per reference microsecond."""
-        return 1.0 + self.drift_ppm * 1e-6
-
     def advance(self, ref_dt_us: float) -> None:
         """Advance the clock by an elapsed reference duration.
 
@@ -55,7 +50,7 @@ class ClockState:
         """
         if ref_dt_us < 0:
             raise ValueError(f"cannot advance by negative duration {ref_dt_us!r}")
-        # rate_ticks_per_us, inlined: this runs once per stamped event
+        # the counter gains 1 + drift_ppm * 1e-6 ticks per reference microsecond
         self.counter_ticks += ref_dt_us * (1.0 + self.drift_ppm * 1e-6)
         self.ref_now_us += ref_dt_us
 

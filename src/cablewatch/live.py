@@ -31,6 +31,7 @@ from .network import NetworkModel
 from .protocol import SupervisorProtocol
 from .scenario import (
     MAX_RUN_PERIODS, Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
+    roster_pairs,
 )
 from .simulate import PERIOD_TIMEOUT_FRACTION, RunReport, SensorNode, report_run, sensor_nodes
 from .wire import (
@@ -65,11 +66,12 @@ class LiveConfig:
     periods counts the sync frames sent, from 2 up to MAX_RUN_PERIODS, and
     must close every rupture's period: periods*T > time_ref_us + T, the rule
     a scenario applies to run_duration_us.
-    sync_ports maps sensor id to its listening port; a port of 0 binds an
-    OS-assigned one (in-process runs resolve it automatically; separate
-    processes need fixed ports). broadcast_address switches the supervisor
-    to a single broadcast datagram per frame, with every agent sharing
-    sync_port_base. Every port, given or counted up from sync_port_base,
+    sync_ports maps every roster sensor id, and no other key, to its
+    listening port (the key rule is scenario.roster_pairs'); a port of 0
+    binds an OS-assigned one (in-process runs resolve it automatically;
+    separate processes need fixed ports). broadcast_address switches the
+    supervisor to a single broadcast datagram per frame, with every agent
+    sharing sync_port_base. Every port, given or counted up from sync_port_base,
     must lie in 0-65535. The scenario may model no drop, and no report round
     trip that can reach the simulator's period timeout (see the module
     docstring).
@@ -128,7 +130,9 @@ class LiveConfig:
         if not bad and not 0 <= self.pace_s < self.timeout_s:
             problems.append(f"need 0 <= pace_s < timeout_s, got {waits}")
         if self.sync_ports is not None:
-            missing = set(self.scenario.geometry.sensor_ids) - set(self.sync_ports)
+            ids = set(self.scenario.geometry.sensor_ids)
+            placed = roster_pairs("sync_ports", self.sync_ports, ids, problems)
+            missing = ids - {sid for sid, _ in placed}
             if missing:
                 problems.append(f"sync_ports missing sensors {sorted(missing)}")
             object.__setattr__(self, "sync_ports", dict(self.sync_ports))

@@ -135,10 +135,7 @@ def _sort_by_time(events: list[RetimedEvent]) -> None:
     events.sort(key=itemgetter(2))
 
 
-def cluster_events(
-    events: Iterable[RetimedEvent],
-    window_us: float = DEFAULT_COINCIDENCE_WINDOW_US,
-) -> list[list[RetimedEvent]]:
+def cluster_events(events: Iterable[RetimedEvent], window_us: float) -> list[list[RetimedEvent]]:
     """Group valid retimed events into coincidence clusters.
 
     Greedy in retimed-time order: an event joins the open cluster while it

@@ -114,25 +114,12 @@ class Scenario:
             out.append(f"{path.format(*args)} must be finite, got {value!r}")
             return False
 
-        def by_sensor(path: str, mapping: Mapping[int, Any]) -> list[tuple[int, Any]]:
-            """The (sensor id, value) pairs of a sensor-keyed map, by id;
-            record each key that is not an int (a bool is not one either)."""
-            pairs = []
-            for sid, value in mapping.items():
-                if isinstance(sid, bool) or not isinstance(sid, int):
-                    out.append(f"{path}: sensor id must be an int, got {sid!r}")
-                else:
-                    pairs.append((sid, value))
-            return sorted(pairs)
-
         ids = set(self.geometry.sensor_ids)
         if len(ids) < 3:
             out.append(
                 f"geometry: localization needs at least 3 sensors, got {len(ids)}"
             )
-        for sid, ppm in by_sensor("drift_ppm", self.drift_ppm):
-            if sid not in ids:
-                out.append(f"drift_ppm: unknown sensor id {sid}")
+        for sid, ppm in roster_pairs("drift_ppm", self.drift_ppm, ids, out):
             if not abs(ppm) <= MAX_DRIFT_PPM:
                 out.append(
                     f"drift_ppm: sensor {sid} drift {ppm!r} outside +/-{MAX_DRIFT_PPM:g} ppm"
@@ -215,12 +202,10 @@ class Scenario:
         n = self.network
         out.extend(link_problems(n, "network."))
         if n.radio_positions_m is not None:
-            positions = by_sensor("network.radio_positions_m", n.radio_positions_m)
+            positions = roster_pairs("network.radio_positions_m", n.radio_positions_m, ids, out)
             placed = {sid for sid, _ in positions}
             if ids - placed:
                 out.append(f"network.radio_positions_m: missing sensors {sorted(ids - placed)}")
-            if placed - ids:
-                out.append(f"network.radio_positions_m: unknown sensors {sorted(placed - ids)}")
             for sid, pos in positions:
                 finite("network.radio_positions_m[{}]", pos, sid)
 
@@ -281,6 +266,26 @@ class Scenario:
 
 
 _NO_VALUE = object()  # a field left to its default, or one whose problem is recorded
+
+
+def roster_pairs(
+    path: str, mapping: Mapping[Any, T], roster: abc.Set, problems: list[str]
+) -> list[tuple[int, T]]:
+    """The (sensor id, value) pairs of a map keyed by sensor id, by id.
+
+    The one rule for such keys (drift_ppm, network.radio_positions_m, a live
+    config's sync_ports): each is an int, not a bool, and a sensor of roster.
+    A key that breaks it is left out and recorded in problems, named by path.
+    """
+    pairs = []
+    for sid, value in mapping.items():
+        if isinstance(sid, bool) or not isinstance(sid, int):
+            problems.append(f"{path}: sensor id must be an int, got {sid!r}")
+        elif sid not in roster:
+            problems.append(f"{path}: unknown sensor id {sid}")
+        else:
+            pairs.append((sid, value))
+    return sorted(pairs)
 
 
 def _err_path(prefix: str, key: str) -> str:
@@ -451,9 +456,4 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         ScenarioError: with every problem found (unknown fields, bad types,
             violated invariants), not just the first.
     """
-    return scenario_from_dict(load_yaml_mapping(path, "scenario"))
-
-
-def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
-    """A Scenario from a mapping shaped like its fields."""
-    return read_dataclass(Scenario, raw)
+    return read_dataclass(Scenario, load_yaml_mapping(path, "scenario"))

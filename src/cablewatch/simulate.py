@@ -6,9 +6,10 @@ the period. The run feeds each sensor its receipts in receipt-time order;
 the event loop carries only report deliveries and period timeouts, handed
 straight to the supervisor's protocol. After the loop drains, report_run
 turns the sensors and the supervisor into a RunReport, the same tail a
-live run ends with: the periods the supervisor released are retimed,
-clustered and localized without looking at ground truth, and only then
-does score attribute each estimate to an injected rupture.
+live run ends with: postprocess_periods takes the periods the supervisor
+released in index order, retiming each one and then localizing it
+(localize_period) without looking at ground truth, and only then does
+score attribute each estimate to an injected rupture.
 Identical (scenario, seed) pairs produce identical output, down to the
 exported CSV bytes.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -29,7 +29,7 @@ from .network import KIND_REPORT, KIND_TIMER, SUPERVISOR_NODE, EventLoop
 from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
-from .wave import CableGeometry, simulate_rupture, tuple_record
+from .wave import simulate_rupture, tuple_record
 from .wire import SensorReport, SyncFrame, decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
 
 # period timeout, as a fraction of T after the next broadcast
@@ -231,34 +231,31 @@ def report_run(
 def postprocess_periods(
     scenario: Scenario, released: dict[int, CompletedPeriod]
 ) -> tuple[list[RetimedEvent], list[EstimateRow]]:
-    """Retime, cluster and localize every released period in index order;
-    ground truth plays no part."""
+    """Retime each released period, then localize it, periods in index order."""
     t_us = scenario.sync_period_T_us
     retimed: list[RetimedEvent] = []
     estimates: list[EstimateRow] = []
     for k in sorted(released):
         events = align_period(released[k].reports, t_us)
         retimed += events
-        estimates += localize_periods(events, scenario.geometry, scenario.coincidence_window_us)
+        estimates += localize_period(scenario, k, events)
     return retimed, estimates
 
 
-def localize_periods(
-    events: Iterable[RetimedEvent], geometry: CableGeometry, window_us: float
+def localize_period(
+    scenario: Scenario, period_index: int, events: Iterable[RetimedEvent]
 ) -> list[EstimateRow]:
-    """Cluster each period's events and localize every cluster, periods in
-    index order and each period's events in the order given."""
-    by_period: defaultdict[int, list[RetimedEvent]] = defaultdict(list)
-    for e in events:
-        by_period[e.period_index].append(e)
+    """Cluster one period's retimed events by the scenario's coincidence
+    window and localize every cluster on its geometry; ground truth plays
+    no part. Events of equal time and sensor keep the order given."""
+    geometry = scenario.geometry
     # a cluster is in retimed-time order, so its first event is its earliest
     return [
         _estimate_row((
-            k, ci, len({e.sensor_id for e in cluster}), localize_cluster(cluster, geometry),
-            cluster[0].retimed_us, "", math.nan, math.nan,
+            period_index, ci, len({e.sensor_id for e in cluster}),
+            localize_cluster(cluster, geometry), cluster[0].retimed_us, "", math.nan, math.nan,
         ))
-        for k in sorted(by_period)
-        for ci, cluster in enumerate(cluster_events(by_period[k], window_us))
+        for ci, cluster in enumerate(cluster_events(events, scenario.coincidence_window_us))
     ]
 
 

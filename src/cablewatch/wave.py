@@ -79,35 +79,23 @@ class CableGeometry:
         for i, p in enumerate(self.positions_m):
             if not math.isfinite(p):
                 raise ValueError(f"positions_m[{i}] must be finite, got {p!r}")
-        # id -> index and id -> position, so that lookups stay O(1) however
-        # many sensors; attributes, not fields, so readers and comparisons
-        # never see them
-        index = {sid: i for i, sid in enumerate(self.sensor_ids)}
-        if len(index) != len(self.sensor_ids):
+        # id -> position, so that lookups stay O(1) however many sensors;
+        # an attribute, not a field, so readers and comparisons never see it
+        position = dict(zip(self.sensor_ids, self.positions_m))
+        if len(position) != len(self.sensor_ids):
             raise ValueError("sensor ids must be unique")
         for a, b in zip(self.positions_m, self.positions_m[1:]):
             if not b > a:
                 raise ValueError(
                     f"positions must be strictly increasing, got {a} then {b}"
                 )
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_position", dict(zip(self.sensor_ids, self.positions_m)))
-
-    def index_of(self, sensor_id: int) -> int:
-        try:
-            return self._index[sensor_id]
-        except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise ValueError(f"unknown sensor id {sensor_id}") from None
+        object.__setattr__(self, "_position", position)
 
     def position_of(self, sensor_id: int) -> float:
         try:
             return self._position[sensor_id]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise ValueError(f"unknown sensor id {sensor_id}") from None
-
-    def spacing(self, sensor_a: int, sensor_b: int) -> float:
-        """Cable distance between two sensors, meters."""
-        return abs(self.position_of(sensor_a) - self.position_of(sensor_b))
 
     @property
     def extent_m(self) -> tuple[float, float]:

@@ -76,12 +76,18 @@ class TestSimulate:
         assert "colour" in err
         assert "at least 3 sensors" in err
 
-    def test_seed_override_changes_output(self, scenario_file, tmp_path, capsys):
-        main(["simulate", str(scenario_file), "--out", str(tmp_path / "a"), "--seed", "1"])
-        main(["simulate", str(scenario_file), "--out", str(tmp_path / "b"), "--seed", "2"])
-        a = (tmp_path / "a" / "retimed.csv").read_bytes()
-        b = (tmp_path / "b" / "retimed.csv").read_bytes()
-        assert a != b
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "scene.yaml", "--out", "out", "--seed", "1"],
+    ["localize", "retimed.csv", "--geometry", "scene.yaml", "--window-us", "inf"],
+], ids=["simulate_seed", "localize_window"])
+def test_scenario_settings_have_no_override_flag(argv, capsys):
+    # the scenario file is their one source; --window-us inf clustered a
+    # whole period into one event, which the scenario check refuses
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLocalize:
@@ -102,12 +108,9 @@ class TestLocalize:
             if line.strip()
         )
 
-    @pytest.mark.parametrize(
-        "window_flag, rows", [([], 2), (["--window-us", "100000"], 1)], ids=["scenario", "flag"]
-    )
-    def test_clusters_with_the_scenario_files_window(self, tmp_path, capsys, window_flag, rows):
+    def test_clusters_with_the_scenario_files_window(self, tmp_path, capsys):
         # two ruptures 20 ms apart: the file's 5 ms window keeps them apart,
-        # the 100 ms default would merge them; an explicit flag still wins
+        # the 100 ms default would merge them
         scenario = tmp_path / "scene.yaml"
         scenario.write_text(
             GEOMETRY_YAML
@@ -120,9 +123,9 @@ class TestLocalize:
         main(["simulate", str(scenario), "--out", str(out)])
         assert len((out / "estimates.csv").read_text().splitlines()) == 1 + 2
         capsys.readouterr()
-        rc = main(["localize", str(out / "retimed.csv"), "--geometry", str(scenario), *window_flag])
+        rc = main(["localize", str(out / "retimed.csv"), "--geometry", str(scenario)])
         assert rc == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
     def test_reproduces_every_row_of_the_simulated_estimates(self, tmp_path, capsys):
         # ruptures in two periods, two of them 20 ms apart, and a lone
@@ -151,11 +154,16 @@ class TestLocalize:
             ]
         assert len(want) == 4
         assert {w[5] for w in want} == {"-", FLAG_INSUFFICIENT_SENSORS}
-        capsys.readouterr()
-        rc = main(["localize", str(out / "retimed.csv"), "--geometry", str(scenario)])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split() for line in lines[1:]] == want
+        # the same rows reversed: each period is localized from its own rows
+        header, *rows = (out / "retimed.csv").read_text().splitlines(keepends=True)
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_text(header + "".join(reversed(rows)))
+        for retimed in (out / "retimed.csv", reversed_csv):
+            capsys.readouterr()
+            rc = main(["localize", str(retimed), "--geometry", str(scenario)])
+            assert rc == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split() for line in lines[1:]] == want
 
     def test_empty_csv_is_fine(self, tmp_path, capsys):
         p = tmp_path / "retimed.csv"

@@ -159,6 +159,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"missing sensors \[3, 4\]"):
             LiveConfig(scenario=live_scenario(), periods=5, sync_ports={1: 0, 2: 0})
 
+    def test_bool_port_key_is_refused_by_name(self):
+        # True hashed like sensor 1, so the missing-sensor check passed and
+        # sensor 1 listened on the port given for True
+        with pytest.raises(ScenarioError) as e:
+            LiveConfig(scenario=live_scenario(), periods=5,
+                       sync_ports={True: 5010, 2: 5011, 3: 5012, 4: 5013})
+        assert e.value.problems == [
+            "sync_ports: sensor id must be an int, got True",
+            "sync_ports missing sensors [1]",
+        ]
+
     def test_broadcast_mode_shares_one_port(self):
         cfg = LiveConfig(
             scenario=live_scenario(), periods=5,
@@ -650,6 +661,11 @@ class TestLiveConfigFile:
     )
     def test_port_out_of_range_is_rejected_by_name(self, tmp_path, line, problem):
         assert problem in self.problems_with(tmp_path, line)
+
+    def test_port_of_an_unknown_sensor_is_refused_by_name(self, tmp_path):
+        # was accepted, and no agent of the roster listens on that port
+        line = "sync_ports: {1: 52712, 2: 52713, 3: 52714, 9: 52719}"
+        assert self.problems_with(tmp_path, line) == ["sync_ports: unknown sensor id 9"]
 
     @pytest.mark.parametrize(
         "line, problem",

@@ -16,7 +16,7 @@ from cablewatch.scenario import (
     ScenarioError,
     SpuriousEvent,
     load_scenario,
-    scenario_from_dict,
+    read_dataclass,
 )
 from cablewatch.wave import CableGeometry, RuptureEvent
 
@@ -195,7 +195,7 @@ class TestScenarioValidation:
             )
         msgs = "\n".join(e.value.problems)
         assert "missing sensors [4]" in msgs
-        assert "unknown sensors [9]" in msgs
+        assert "network.radio_positions_m: unknown sensor id 9" in msgs
 
 
 class TestEffectiveDuration:
@@ -295,7 +295,7 @@ class TestYamlLoading:
             return typing.get_type_hints(cls)
 
         monkeypatch.setattr(scenario_module, "get_type_hints", counting)
-        s = scenario_from_dict({
+        s = read_dataclass(Scenario, {
             "geometry": {"sensor_ids": [1, 2, 3, 4], "positions_m": [0.0, 4.0, 17.0, 27.0]},
             "ruptures": [{"position_m": 14.0, "time_ref_us": 1e5 * i} for i in range(50)],
             "spurious_events": [{"sensor_id": 2, "time_ref_us": 1e5 * i} for i in range(50)],
@@ -457,4 +457,4 @@ class TestYamlLoading:
 
     def test_geometry_required(self):
         with pytest.raises(ScenarioError, match="'geometry' is required"):
-            scenario_from_dict({})
+            read_dataclass(Scenario, {})

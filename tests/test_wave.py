@@ -63,7 +63,6 @@ class TestGeometry:
     def test_lookups_and_neighbors(self):
         g = FOUR_AT_10M
         assert g.position_of(3) == 20.0
-        assert g.spacing(2, 4) == 20.0
         assert g.extent_m == (0.0, 30.0)
         assert g.span_m == 30.0
         with pytest.raises(ValueError, match="unknown sensor"):
@@ -72,12 +71,13 @@ class TestGeometry:
     @pytest.mark.parametrize("sensor_id, text", [(99, "99"), ([1], "[1]"), ({2: 3}, "{2: 3}")])
     def test_unknown_or_unhashable_id_is_a_value_error(self, sensor_id, text):
         with pytest.raises(ValueError) as e:
-            FOUR_AT_10M.index_of(sensor_id)
+            FOUR_AT_10M.position_of(sensor_id)
         assert str(e.value) == f"unknown sensor id {text}"
 
     def test_index_follows_replace(self):
+        # the id -> position index is rebuilt, not copied from the original
         g = replace(FOUR_AT_10M, sensor_ids=(4, 3, 2, 1))
-        assert [g.index_of(sid) for sid in (1, 2, 3, 4)] == [3, 2, 1, 0]
+        assert [g.position_of(sid) for sid in (1, 2, 3, 4)] == [30.0, 20.0, 10.0, 0.0]
 
 
 class TestArrivalTime:
