@@ -15,7 +15,7 @@ Layers, bottom up:
     protocol      sensor and supervisor state machines
     retiming      ratiometric timestamp mapping, clustering
     localization  sensor-triple selection, speed and position estimates
-    network       deterministic transport model and event loop
+    network       deterministic transport model
     scenario      declarative run descriptions, YAML loading
     simulate      simulated runs, the run report both modes share, scoring, CSV export
     montecarlo    randomized accuracy studies
@@ -33,7 +33,7 @@ from .localization import (
     localize_cluster,
 )
 from .montecarlo import StudyResult, TrialResult, run_study, run_trial
-from .network import EventLoop, NetworkModel
+from .network import NetworkModel
 from .protocol import (
     CompletedPeriod,
     SensorProtocol,
@@ -109,7 +109,6 @@ __all__ = [
     "localize",
     "localize_cluster",
     "NetworkModel",
-    "EventLoop",
     "NetworkConfig",
     "Scenario",
     "ScenarioError",

@@ -45,9 +45,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_retimed(path: Path) -> dict[int, list[RetimedEvent]]:
+def _load_retimed(path: Path, sensor_ids) -> dict[int, list[RetimedEvent]]:
     """The events of a retimed.csv by period, each period's in file order;
-    each bad cell is named by file, line and column."""
+    each bad cell, a sensor id outside sensor_ids included, is named by
+    file, line and column."""
     kinds = typing.get_type_hints(RetimedEvent)
     by_period: dict[int, list[RetimedEvent]] = {}
     with open(path, newline="") as f:
@@ -65,6 +66,8 @@ def _load_retimed(path: Path) -> dict[int, list[RetimedEvent]]:
                     # only a flagged event may lack a time
                     if column == "retimed_us" and not (values["flag"] or math.isfinite(value)):
                         raise ValueError
+                    if column == "sensor_id" and value not in sensor_ids:
+                        raise ValueError
                 except (TypeError, ValueError):
                     raise ValueError(
                         f"{path}, line {rows.line_num}, column {column}: "
@@ -76,7 +79,7 @@ def _load_retimed(path: Path) -> dict[int, list[RetimedEvent]]:
 
 def cmd_localize(args) -> int:
     scenario = load_scenario(args.geometry)
-    by_period = _load_retimed(Path(args.retimed))
+    by_period = _load_retimed(Path(args.retimed), scenario.geometry.sensor_ids)
     if not by_period:
         print("no retimed events")
         return 0

@@ -10,9 +10,11 @@ tail (simulate.report_run), so it returns the same RunReport as a simulated
 run, equal field for field, when periods is that run's frame count,
 floor(effective_duration_us / T) + 1; other periods send other frames, so
 their report differs. LiveConfig refuses what no live run can reproduce: a
-modeled drop, and a modeled round trip that can reach the simulator's period
-timeout, which no live endpoint applies. Wall pacing only spaces frames out,
-never timestamps, and no endpoint waits out more than timeout_s of silence.
+modeled drop, and a modeled round trip that can reach the protocol's period
+deadline, which a live report, carrying no modeled delivery instant, meets
+only once every frame is sent (SupervisorProtocol.release_due). Wall pacing
+only spaces frames out, never timestamps, and no endpoint waits out more
+than timeout_s of silence.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
 from .network import NetworkModel
-from .protocol import SupervisorProtocol
+from .protocol import PERIOD_TIMEOUT_FRACTION, SupervisorProtocol
 from .scenario import (
     MAX_RUN_PERIODS, Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
     roster_pairs,
 )
-from .simulate import PERIOD_TIMEOUT_FRACTION, RunReport, SensorNode, report_run, sensor_nodes
+from .simulate import RunReport, SensorNode, report_run, sensor_nodes
 from .wire import (
     WireFormatError, decode_sensor_report, decode_sync_frame, encode_sensor_report,
     encode_sync_frame,
@@ -73,7 +75,7 @@ class LiveConfig:
     supervisor to a single broadcast datagram per frame, with every agent
     sharing sync_port_base. Every port, given or counted up from sync_port_base,
     must lie in 0-65535. The scenario may model no drop, and no report round
-    trip that can reach the simulator's period timeout (see the module
+    trip that can reach the protocol's period deadline (see the module
     docstring).
 
     pace_s is the least wall time between frames; timeout_s, the longest
@@ -310,9 +312,8 @@ class LiveSupervisor:
                     pass
             while not all(k in released for k in closing) and _serve(selector, config.timeout_s):
                 pass
-        for k in closing:
-            if self.protocol.expire(k) is not None:
-                log.warning("supervisor: period %d timed out, releasing partial", k)
+        for p in self.protocol.release_due(math.inf):
+            log.warning("supervisor: period %d timed out, releasing partial", p.period_index)
         return self
 
 

@@ -14,9 +14,9 @@ into a 64-bit key derived once per model from the seed, and two more steps
 give two 53-bit uniforms. Each step is a bijection of 64-bit integers, so
 keys that differ only in kind, period index or sensor id never share a hash.
 
-The event loop dispatches the supervisor's traffic, report deliveries and
-period timeouts, strictly in time order. Simultaneous events are ordered by
-kind (a report before a timeout), then by node, then by insertion.
+No run dispatches through EventLoop, which stays only for the benchmark's
+tracer until ROADMAP item 5 step 1: simulate.run sorts the report
+deliveries itself, and SupervisorProtocol applies the period deadline.
 """
 
 from __future__ import annotations
@@ -168,7 +168,10 @@ class NetworkModel:
 
 
 class EventLoop:
-    """Single-threaded dispatch of scheduled actions in reference-time order."""
+    """Single-threaded dispatch of scheduled actions in reference-time order.
+
+    No run uses it: it stays only for the benchmark's tracer, which imports
+    and wraps it, until ROADMAP item 5 step 1."""
 
     def __init__(self):
         self.now_ref_us = 0.0

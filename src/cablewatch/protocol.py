@@ -15,9 +15,11 @@ rest. These are the rules for simulated and live runs alike; nothing beyond
 the wire report ever leaves the sensor.
 
 The supervisor files reports per period and releases a period once every
-roster sensor has reported, or when the caller expires it. Its `released`
-map is the one record of released periods: simulated and live runs both
-post-process it as it stands.
+roster sensor has reported, or partial at its deadline, which one rule,
+release_due, applies for simulated and live runs alike: period k's reports
+are due PERIOD_TIMEOUT_FRACTION*T after the frame that closes it leaves,
+at (k + 1)*T. Its `released` map is the one record of released periods:
+both modes post-process it as it stands.
 
 Both machines are single-owner and event-driven: callers deliver one message
 at a time and nothing here touches sockets or wall clocks. Each keeps its own
@@ -39,6 +41,9 @@ log = logging.getLogger(__name__)
 
 _report_event = tuple_record(ReportEvent)
 _sensor_report = tuple_record(SensorReport)
+
+# the wait for a period's reports past the frame that closes it, over T
+PERIOD_TIMEOUT_FRACTION = 0.5
 
 
 class SensorProtocol:
@@ -151,6 +156,7 @@ class SupervisorProtocol:
         self.period_t_us = int(period_t_us)
         self.next_period_index = 0
         self._open: dict[int, dict[int, SensorReport]] = {}
+        self._next_due = 0  # the oldest period release_due has not checked
         # every period released so far, by index, in release order
         self.released: dict[int, CompletedPeriod] = {}
         # diagnostics
@@ -199,6 +205,22 @@ class SupervisorProtocol:
             return None
         self._open.setdefault(period_index, {})
         return self._release(period_index, complete=False)
+
+    def release_due(self, now_us: float) -> list[CompletedPeriod]:
+        """Expire, oldest first, every period a sent frame has closed whose
+        deadline, (k + 1)*T + PERIOD_TIMEOUT_FRACTION*T, lies strictly before
+        now_us; returns the periods released partial here."""
+        t_us = self.period_t_us
+        closed = self.next_period_index - 1
+        expired = []
+        k = self._next_due
+        while k < closed and (k + 1) * t_us + PERIOD_TIMEOUT_FRACTION * t_us < now_us:
+            done = self.expire(k)
+            if done is not None:
+                expired.append(done)
+            k += 1
+        self._next_due = k
+        return expired
 
     def _release(self, period_index: int, complete: bool) -> CompletedPeriod:
         bucket = self._open.pop(period_index)

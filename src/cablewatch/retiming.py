@@ -23,8 +23,6 @@ from typing import Iterable, NamedTuple, Optional
 from .wave import tuple_record
 from .wire import SensorReport
 
-DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
-
 # flag values attached to events that could not be retimed
 FLAG_ZERO_COUNTER = "zero_counter"
 FLAG_OUT_OF_PERIOD = "out_of_period"
@@ -90,8 +88,9 @@ def align_period(
 ) -> list[RetimedEvent]:
     """Retime every event of one period's reports onto a shared timescale.
 
-    Events that cannot be retimed come back flagged rather than failing the
-    whole period.
+    Each event goes through retime. One it refuses comes back flagged
+    rather than failing the whole period: zero_counter when the report's
+    T_i <= 0, out_of_period otherwise.
 
     Returns:
         Valid events sorted by (retimed_us, sensor_id), then flagged events
@@ -101,23 +100,17 @@ def align_period(
     indices = {r.period_index for r in reports}
     if len(indices) > 1:
         raise ValueError(f"reports span several periods: {sorted(indices)}")
-    # retime()'s checks, with T checked once: an event it would refuse is
-    # flagged zero_counter when T_i <= 0, out_of_period otherwise
-    t_ok = period_t_us > 0
     valid: list[RetimedEvent] = []
     flagged: list[RetimedEvent] = []
     for r in reports:
         sid, k, t_i = r.sensor_id, r.period_index, r.saved_counter_ticks
         for ticks, milli_g in r.events:
             amp = milli_g / 1000.0
-            if t_i <= 0:
-                flag = FLAG_ZERO_COUNTER
-            elif not t_ok or ticks < 0 or ticks > t_i:
-                flag = FLAG_OUT_OF_PERIOD
-            else:
-                valid.append(_retimed_event((sid, k, ticks * period_t_us / t_i, ticks, amp, None)))
-                continue
-            flagged.append(RetimedEvent(sid, k, math.nan, ticks, amp, flag))
+            try:
+                valid.append(_retimed_event((sid, k, retime(ticks, t_i, period_t_us), ticks, amp, None)))
+            except RetimeError:
+                flag = FLAG_ZERO_COUNTER if t_i <= 0 else FLAG_OUT_OF_PERIOD
+                flagged.append(RetimedEvent(sid, k, math.nan, ticks, amp, flag))
     _sort_by_time(valid)
     # by (sensor_id, raw_ticks)
     flagged.sort(key=itemgetter(3))

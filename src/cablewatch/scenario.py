@@ -28,7 +28,6 @@ from .network import (
     NetworkModel,
     link_problems,
 )
-from .retiming import DEFAULT_COINCIDENCE_WINDOW_US
 from .wave import (
     DEFAULT_SAMPLING_PERIOD_TICKS,
     DEFAULT_THRESHOLD_G,
@@ -39,6 +38,7 @@ from .wave import (
 )
 
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
+DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
 # sync periods (frames) one run may take: a bound on run length, against a
 # typo in a time that would run for days before any output
 MAX_RUN_PERIODS = 100_000

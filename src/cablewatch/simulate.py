@@ -2,11 +2,12 @@
 
 Each sensor is a SensorNode, the socket-free driver live agents use too: a
 sync receipt stamps every wave that reached the sensor by then and closes
-the period. The run feeds each sensor its receipts in receipt-time order;
-the event loop carries only report deliveries and period timeouts, handed
-straight to the supervisor's protocol. After the loop drains, report_run
-turns the sensors and the supervisor into a RunReport, the same tail a
-live run ends with: postprocess_periods takes the periods the supervisor
+the period. The run feeds each sensor its receipts in receipt-time order,
+then hands the supervisor's protocol every delivered report in one pass in
+delivery order, each after the protocol has released the periods whose
+deadline that delivery passed (SupervisorProtocol.release_due). Then
+report_run turns the sensors and the supervisor into a RunReport, the same
+tail a live run ends with: postprocess_periods takes the periods the supervisor
 released in index order, retiming each one and then localizing it
 (localize_period) without looking at ground truth, and only then does
 score attribute each estimate to an injected rupture.
@@ -25,15 +26,11 @@ from typing import Iterable, NamedTuple, Optional
 
 from .clock import ClockState
 from .localization import RuptureEstimate, localize_cluster
-from .network import KIND_REPORT, KIND_TIMER, SUPERVISOR_NODE, EventLoop
 from .protocol import CompletedPeriod, SensorProtocol, SupervisorProtocol
 from .retiming import RetimedEvent, align_period, cluster_events
 from .scenario import Scenario
 from .wave import simulate_rupture, tuple_record
 from .wire import SensorReport, SyncFrame, decode_sensor_report, decode_sync_frame, encode_sensor_report, encode_sync_frame
-
-# period timeout, as a fraction of T after the next broadcast
-PERIOD_TIMEOUT_FRACTION = 0.5
 
 
 class DetectionRow(NamedTuple):
@@ -165,27 +162,20 @@ def run(scenario: Scenario) -> RunReport:
 
     nodes = sensor_nodes(scenario)
     supervisor = SupervisorProtocol(roster=scenario.geometry.sensor_ids, period_t_us=t_us)
-    loop = EventLoop()
 
-    # the broadcast calendar: frame k leaves at k*T, and period k-1 times
-    # out half a period later
+    # the broadcast calendar: frame k leaves at k*T
     frames, receipts = [], []
     k = 0
     while k * t_us <= duration:
-        now = k * t_us
         # one datagram, so every receiver decodes the same frame
         frames.append(decode_sync_frame(encode_sync_frame(supervisor.tick())))
-        receipts.extend((at, sid, k) for at, sid in net.broadcast_sync(now, k))
-        if k >= 1:
-            loop.schedule(
-                now + PERIOD_TIMEOUT_FRACTION * t_us, KIND_TIMER, SUPERVISOR_NODE,
-                lambda t, closing=k - 1: supervisor.expire(closing),
-            )
+        receipts.extend((at, sid, k) for at, sid in net.broadcast_sync(k * t_us, k))
         k += 1
 
     # each sensor hears its frames in receipt-time order, which is not the
     # broadcast order when jitter spans more than half a period
     receipts.sort(key=itemgetter(0))
+    deliveries = []
     for rx, sid, k in receipts:
         report = nodes[sid].receive_sync(frames[k], rx)
         if report is None:
@@ -194,11 +184,14 @@ def run(scenario: Scenario) -> RunReport:
         report_bytes = encode_sensor_report(report)
         at = net.report_delivery(rx, report.period_index, sid)
         if at is not None:
-            loop.schedule(
-                at, KIND_REPORT, SUPERVISOR_NODE,
-                lambda t, p=report_bytes: supervisor.on_report(decode_sensor_report(p)),
-            )
-    loop.run()
+            deliveries.append((at, report_bytes))
+    # the supervisor takes reports in delivery order, simultaneous ones in
+    # send order, and releases each period that a delivery finds past due
+    deliveries.sort(key=itemgetter(0))
+    for at, report_bytes in deliveries:
+        supervisor.release_due(at)
+        supervisor.on_report(decode_sensor_report(report_bytes))
+    supervisor.release_due(math.inf)
     return report_run(scenario, nodes.values(), supervisor)
 
 

@@ -231,8 +231,16 @@ class TestLocalize:
                 )
                 for time in ("nan", "inf", "-inf")
             ),
+            # a sensor outside the geometry, in a later period or flagged
+            *(
+                (RETIMED_CSV + row, "retimed.csv, line 3, column sensor_id: bad value '9'")
+                for row in ("2,9,100.0,100,1.0,\n", "1,9,nan,100,1.0,out_of_period\n")
+            ),
         ],
-        ids=["missing_column", "bad_cell", "unflagged_nan", "unflagged_inf", "unflagged_-inf"],
+        ids=[
+            "missing_column", "bad_cell", "unflagged_nan", "unflagged_inf", "unflagged_-inf",
+            "unknown_sensor", "unknown_sensor_flagged",
+        ],
     )
     def test_malformed_retimed_csv_is_named_by_line_and_column(
         self, tmp_path, capsys, text, problem
@@ -243,7 +251,9 @@ class TestLocalize:
         geom.write_text(GEOMETRY_YAML)
         rc = main(["localize", str(p), "--geometry", str(geom)])
         assert rc == 1
-        assert problem in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert problem in err
+        assert out == ""
 
 
 class TestMonteCarlo:

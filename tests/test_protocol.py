@@ -1,12 +1,13 @@
 """Sensor save/reset state machine and supervisor period bookkeeping."""
 
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cablewatch.clock import ClockState
-from cablewatch.protocol import SensorProtocol, SupervisorProtocol
+from cablewatch.protocol import PERIOD_TIMEOUT_FRACTION, SensorProtocol, SupervisorProtocol
 from cablewatch.wire import (
     MAX_EVENTS_PER_REPORT, ReportEvent, SensorReport, SyncFrame, encode_sensor_report,
 )
@@ -320,6 +321,60 @@ class TestSupervisorExpire:
         sup.expire(0)
         assert sup.on_report(rep(1)) is None
         assert sup.late_reports == 1
+
+
+def ticked(roster, frames):
+    sup = SupervisorProtocol(roster=roster, period_t_us=T_US)
+    for _ in range(frames):
+        sup.tick()
+    return sup
+
+
+# period 0 is closed by frame 1, sent at T, and its reports are due by then
+# plus PERIOD_TIMEOUT_FRACTION*T
+DEADLINE_0 = T_US + PERIOD_TIMEOUT_FRACTION * T_US
+
+
+class TestSupervisorReleaseDue:
+    def test_report_at_the_deadline_instant_is_on_time(self):
+        sup = ticked([1, 2], frames=2)
+        sup.on_report(rep(1))
+        assert sup.release_due(DEADLINE_0) == []
+        assert 0 not in sup.released
+        done = sup.on_report(rep(2))
+        assert done.complete
+        assert sup.late_reports == 0
+
+    def test_period_past_its_deadline_is_released_partial(self):
+        sup = ticked([1, 2], frames=2)
+        sup.on_report(rep(1))
+        [done] = sup.release_due(math.nextafter(DEADLINE_0, math.inf))
+        assert (done.period_index, done.complete, done.missing) == (0, False, (2,))
+        assert sup.released == {0: done}
+        assert sup.on_report(rep(2)) is None
+        assert sup.late_reports == 1
+
+    def test_only_periods_a_sent_frame_closed_are_released(self):
+        sup = ticked([1, 2], frames=3)
+        assert [p.period_index for p in sup.release_due(math.inf)] == [0, 1]
+        assert sup.release_due(math.inf) == []
+        assert sorted(sup.released) == [0, 1]
+        # the frame that closes period 2 releases it
+        sup.tick()
+        assert [p.period_index for p in sup.release_due(math.inf)] == [2]
+
+    def test_completed_period_is_neither_released_again_nor_returned(self):
+        sup = ticked([1, 2], frames=3)
+        sup.on_report(rep(1, period=0))
+        completed = sup.on_report(rep(2, period=0))
+        [expired] = sup.release_due(math.inf)
+        assert expired.period_index == 1
+        assert sup.released == {0: completed, 1: expired}
+
+    def test_nothing_is_released_before_any_frame(self):
+        sup = SupervisorProtocol(roster=[1, 2], period_t_us=T_US)
+        assert sup.release_due(math.inf) == []
+        assert sup.released == {}
 
 
 class TestSupervisorValidation:
