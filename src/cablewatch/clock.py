@@ -55,8 +55,12 @@ class ClockState:
         self.ref_now_us += ref_dt_us
 
     def advance_to(self, ref_us: float) -> None:
-        """Advance the clock to an absolute reference time (>= current)."""
-        self.advance(ref_us - self.ref_now_us)
+        """Advance the clock to an absolute reference time (>= current):
+        advance by the difference, in one call."""
+        ref_dt_us = ref_us - self.ref_now_us
+        if ref_dt_us < 0:
+            raise ValueError(f"cannot advance by negative duration {ref_dt_us!r}")
+        self.counter_ticks += ref_dt_us * (1.0 + self.drift_ppm * 1e-6)
         # now + (ref_us - now) can round past ref_us; a repeat would go back
         self.ref_now_us = ref_us
 

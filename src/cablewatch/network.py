@@ -10,9 +10,13 @@ runs never disagree because of dict ordering or shared RNG state.
 The draws come from a counter-based generator (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011): splitmix64 steps (Steele, Lea
 & Flood, OOPSLA 2014) absorb the message kind, period index and sensor id
-into a 64-bit key derived once per model from the seed, and two more steps
-give two 53-bit uniforms. Each step is a bijection of 64-bit integers, so
-keys that differ only in kind, period index or sensor id never share a hash.
+into a 64-bit key derived once per model from the seed, and give two 53-bit
+uniforms. Each step is a bijection of 64-bit integers, so keys that differ
+only in kind, period index or sensor id never share a hash. The first step
+makes a (kind, period) prefix that every receiver of one message shares, and
+a broadcast computes it once per frame; one kernel, NetworkModel._draw, then
+takes the prefix and a sensor id to that receiver's loss and latency.
+broadcast_sync, sync_receipt_at and report_delivery all draw through it.
 
 No run dispatches through EventLoop, which stays only for the benchmark's
 tracer until ROADMAP item 5 step 1: simulate.run sorts the report
@@ -103,11 +107,15 @@ class NetworkModel:
         object.__setattr__(
             self, "_kind_keys", {k: _splitmix64(key ^ c) for k, c in _KIND_CODE.items()}
         )
-        # RF delay to the supervisor, which is also the report's, in sensor-id order
+        # RF delay to the supervisor, which is also the report's, in sensor-id
+        # order: propagation_delay_us, without its two node lookups per sensor
+        sup, rf, positions = self.supervisor_position_m, self.rf_speed_m_s, self.sensor_positions_m
         object.__setattr__(self, "_supervisor_delay_us", {
-            sid: self.propagation_delay_us(SUPERVISOR_NODE, sid)
-            for sid in sorted(self.sensor_positions_m)
+            sid: abs(sup - positions[sid]) / rf * 1e6 for sid in sorted(positions)
         })
+        # latency is mean + uniform(-j, j), written mean + (-j + 2j*u)
+        j = self.latency_jitter_us
+        object.__setattr__(self, "_latency_terms", (self.latency_mean_us, -j, 2.0 * j))
 
     def node_position(self, node: Node) -> float:
         if node == SUPERVISOR_NODE:
@@ -122,49 +130,67 @@ class NetworkModel:
         d = abs(self.node_position(node_a) - self.node_position(node_b))
         return d / self.rf_speed_m_s * 1e6
 
-    def _supervisor_delay(self, sensor_id: int) -> float:
-        try:
-            return self._supervisor_delay_us[sensor_id]
-        except KeyError:
-            raise ValueError(f"unknown node {sensor_id!r}") from None
+    def _prefix(self, kind: str, period_index: int) -> int:
+        """The key that every receiver's draw for one message shares: the
+        model's key for kind with the period index absorbed."""
+        return _splitmix64(self._kind_keys[kind] ^ (period_index & _MASK64))
+
+    def _draw(self, prefix: int, sensor_id: int) -> tuple[bool, float]:
+        """(dropped, latency_us) for one receiver of the message keyed by
+        prefix: the one draw kernel. Two splitmix64 steps, inlined: the
+        first absorbs the sensor id and gives the drop uniform, the second
+        gives the latency uniform."""
+        z = ((prefix ^ (sensor_id & _MASK64)) + _GOLDEN_GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h = z ^ (z >> 31)
+        z = (h + _GOLDEN_GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        mean, minus_j, two_j = self._latency_terms
+        p = self.drop_probability
+        # a uniform is never below 0: a lossless link skips the comparison
+        return (
+            p > 0.0 and (h >> 11) * _UNIT_53 < p,
+            mean + (minus_j + two_j * (((z ^ (z >> 31)) >> 11) * _UNIT_53)),
+        )
 
     def _draws(self, kind: str, period_index: int, sensor_id: int) -> tuple[bool, float]:
         """(dropped, latency_us) for one receiver, fully keyed by inputs."""
-        h = _splitmix64(self._kind_keys[kind] ^ (period_index & _MASK64))
-        h = _splitmix64(h ^ (sensor_id & _MASK64))
-        dropped = (h >> 11) * _UNIT_53 < self.drop_probability
-        u = (_splitmix64(h) >> 11) * _UNIT_53
-        j = self.latency_jitter_us
-        return dropped, self.latency_mean_us + (-j + 2.0 * j * u)  # mean + uniform(-j, j)
+        return self._draw(self._prefix(kind, period_index), sensor_id)
 
-    def _receipt(
-        self, kind: str, now_ref_us: float, period_index: int, sensor_id: int
-    ) -> Optional[float]:
+    def _receipt(self, prefix: int, now_ref_us: float, sensor_id: int) -> Optional[float]:
         """When one datagram between the supervisor and a sensor lands, None
         if lost: the RF delay, plus the keyed latency draw, minus a drop."""
-        delay = self._supervisor_delay(sensor_id)
-        dropped, latency = self._draws(kind, period_index, sensor_id)
+        try:
+            delay = self._supervisor_delay_us[sensor_id]
+        except KeyError:
+            raise ValueError(f"unknown node {sensor_id!r}") from None
+        dropped, latency = self._draw(prefix, sensor_id)
         if dropped:
             return None
         return now_ref_us + delay + latency
 
     def sync_receipt_at(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:
         """Receipt instant of one sync broadcast at one sensor, None if lost."""
-        return self._receipt(KIND_SYNC, now_ref_us, period_index, sensor_id)
+        return self._receipt(self._prefix(KIND_SYNC, period_index), now_ref_us, sensor_id)
 
     def broadcast_sync(self, now_ref_us: float, period_index: int) -> list[tuple[float, int]]:
         """(receipt instant, sensor id) of one sync frame at every sensor that
-        receives it, in sensor-id order."""
+        receives it, in sensor-id order: each sensor's sync_receipt_at, with
+        the frame's prefix computed once."""
+        prefix = self._prefix(KIND_SYNC, period_index)
+        draw = self._draw
         receipts = []
-        for sid in self._supervisor_delay_us:
-            at = self.sync_receipt_at(now_ref_us, period_index, sid)
-            if at is not None:
-                receipts.append((at, sid))
+        for sid, delay in self._supervisor_delay_us.items():
+            dropped, latency = draw(prefix, sid)
+            if not dropped:
+                receipts.append((now_ref_us + delay + latency, sid))
         return receipts
 
     def report_delivery(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:
         """Delivery instant of one sensor's report at the supervisor, None if lost."""
-        return self._receipt(KIND_REPORT, now_ref_us, period_index, sensor_id)
+        return self._receipt(self._prefix(KIND_REPORT, period_index), now_ref_us, sensor_id)
 
 
 class EventLoop:

@@ -41,6 +41,7 @@ log = logging.getLogger(__name__)
 
 _report_event = tuple_record(ReportEvent)
 _sensor_report = tuple_record(SensorReport)
+_sync_frame = tuple_record(SyncFrame)
 
 # the wait for a period's reports past the frame that closes it, over T
 PERIOD_TIMEOUT_FRACTION = 0.5
@@ -72,37 +73,42 @@ class SensorProtocol:
             raise ValueError(f"timestamp must be >= 0, got {local_timestamp_ticks!r}")
         if amplitude_g < 0:
             raise ValueError(f"amplitude must be >= 0, got {amplitude_g!r}")
-        # (timestamp_ticks, amplitude_milli_g)
+        # (timestamp_ticks, amplitude_milli_g), wire.amplitude_milli_g inlined
         self.pending.append(_report_event((int(local_timestamp_ticks), round(amplitude_g * 1000))))
 
     def on_sync(self, frame: SyncFrame) -> Optional[SensorReport]:
         """Handle one sync receipt; returns the report to send, if any."""
         last = self.last_seen_period_index
-        if frame.period_index == last:
+        k = frame.period_index
+        if last is not None and k == last + 1:
+            # the usual case: the next period, which closes the last one
+            self.last_seen_period_index = k
+            saved = round(self.clock.save_and_reset())
+            if not self.pending:  # nothing stamped: the header alone
+                return _sensor_report((self.sensor_id, last, saved, ()))
+            return self._report(last, saved)
+        if k == last:
             # the same period announced twice: a replayed datagram. Resetting
             # again would zero the counter mid-period, so ignore it.
             self.duplicate_syncs += 1
-            log.debug("sensor %d: duplicate sync for period %d", self.sensor_id, frame.period_index)
+            log.debug("sensor %d: duplicate sync for period %d", self.sensor_id, k)
             return None
 
-        saved = self.clock.save_and_reset()
-        self.last_seen_period_index = frame.period_index
-        if last is not None and frame.period_index == last + 1:
-            return self._report(last, round(saved))
-
-        if last is not None and frame.period_index < last:
+        self.clock.save_and_reset()
+        self.last_seen_period_index = k
+        if last is not None and k < last:
             # the broadcast sequence went backwards (supervisor restart)
             self.regressions += 1
             log.warning(
                 "sensor %d: sync period regressed %d -> %d, resynchronizing",
-                self.sensor_id, last, frame.period_index,
+                self.sensor_id, last, k,
             )
         elif last is not None:
-            missed = frame.period_index - last - 1
+            missed = k - last - 1
             self.dropped_frames += missed
             log.warning(
                 "sensor %d: %d sync frame(s) missed before period %d, resynchronizing",
-                self.sensor_id, missed, frame.period_index,
+                self.sensor_id, missed, k,
             )
         # first sync, regression or gap: no announced period brackets
         # these stamps, so none can be retimed
@@ -111,18 +117,18 @@ class SensorProtocol:
         return None
 
     def _report(self, period_index: int, saved_ticks: int) -> SensorReport:
+        events = self.pending
         # a report is one datagram: the earliest stamps ride it, the rest
         # are discarded here, where the sensor can still count them
-        excess = len(self.pending) - MAX_EVENTS_PER_REPORT
+        excess = len(events) - MAX_EVENTS_PER_REPORT
         if excess > 0:
             self.discarded_events += excess
-            del self.pending[MAX_EVENTS_PER_REPORT:]
+            del events[MAX_EVENTS_PER_REPORT:]
             log.warning(
                 "sensor %d: %d event(s) over the %d-event report limit "
                 "discarded from period %d",
                 self.sensor_id, excess, MAX_EVENTS_PER_REPORT, period_index,
             )
-        events = self.pending
         for i, (ticks, milli_g) in enumerate(events):
             if ticks > saved_ticks:
                 # ceiling quantization can push a detection sampled just
@@ -142,6 +148,9 @@ class CompletedPeriod(NamedTuple):
     reports: tuple[SensorReport, ...]
     complete: bool
     missing: tuple[int, ...]
+
+
+_completed_period = tuple_record(CompletedPeriod)
 
 
 class SupervisorProtocol:
@@ -166,37 +175,34 @@ class SupervisorProtocol:
 
     def tick(self) -> SyncFrame:
         """Emit the next sync frame; the caller sends frame k at k * T."""
-        frame = SyncFrame(period_index=self.next_period_index, period_T_us=self.period_t_us)
+        frame = _sync_frame((self.next_period_index, self.period_t_us))
         self.next_period_index += 1
         return frame
 
     def on_report(self, report: SensorReport) -> Optional[CompletedPeriod]:
         """File one report; returns the period when the roster completes it."""
-        if report.sensor_id not in self.roster:
+        sid, k = report.sensor_id, report.period_index
+        if sid not in self.roster:
             self.unknown_reports += 1
-            log.warning("report from unknown sensor %d rejected", report.sensor_id)
+            log.warning("report from unknown sensor %d rejected", sid)
             return None
-        if report.period_index in self.released:
+        if k in self.released:
             self.late_reports += 1
-            log.warning(
-                "late report from sensor %d for closed period %d discarded",
-                report.sensor_id, report.period_index,
-            )
+            log.warning("late report from sensor %d for closed period %d discarded", sid, k)
             return None
-        bucket = self._open.get(report.period_index)
+        bucket = self._open.get(k)
         if bucket is None:
-            bucket = self._open[report.period_index] = {}
-        if report.sensor_id in bucket:
+            bucket = self._open[k] = {}
+        elif sid in bucket:
             self.duplicate_reports += 1
             log.warning(
-                "duplicate report from sensor %d for period %d ignored (kept first)",
-                report.sensor_id, report.period_index,
+                "duplicate report from sensor %d for period %d ignored (kept first)", sid, k
             )
             return None
-        bucket[report.sensor_id] = report
+        bucket[sid] = report
         # the bucket holds roster sensors only, so a full one is the roster
         if len(bucket) == len(self.roster):
-            return self._release(report.period_index, complete=True)
+            return self._release(k, complete=True)
         return None
 
     def expire(self, period_index: int) -> Optional[CompletedPeriod]:
@@ -224,10 +230,11 @@ class SupervisorProtocol:
 
     def _release(self, period_index: int, complete: bool) -> CompletedPeriod:
         bucket = self._open.pop(period_index)
-        self.released[period_index] = CompletedPeriod(
-            period_index=period_index,
-            reports=tuple(sorted(bucket.values(), key=lambda r: r.sensor_id)),
-            complete=complete,
-            missing=tuple(sorted(self.roster - bucket.keys())),
-        )
-        return self.released[period_index]
+        # reports by sensor id; a complete bucket holds the whole roster
+        done = self.released[period_index] = _completed_period((
+            period_index,
+            tuple([bucket[sid] for sid in sorted(bucket)]),
+            complete,
+            () if complete else tuple(sorted(self.roster - bucket.keys())),
+        ))
+        return done

@@ -102,16 +102,18 @@ def align_period(
         raise ValueError(f"reports span several periods: {sorted(indices)}")
     valid: list[RetimedEvent] = []
     flagged: list[RetimedEvent] = []
-    for r in reports:
-        sid, k, t_i = r.sensor_id, r.period_index, r.saved_counter_ticks
-        for ticks, milli_g in r.events:
+    for sid, k, t_i, events in reports:
+        for ticks, milli_g in events:
             amp = milli_g / 1000.0
             try:
                 valid.append(_retimed_event((sid, k, retime(ticks, t_i, period_t_us), ticks, amp, None)))
             except RetimeError:
                 flag = FLAG_ZERO_COUNTER if t_i <= 0 else FLAG_OUT_OF_PERIOD
                 flagged.append(RetimedEvent(sid, k, math.nan, ticks, amp, flag))
-    _sort_by_time(valid)
+    if len(valid) > 1:
+        _sort_by_time(valid)
+    if not flagged:
+        return valid
     # by (sensor_id, raw_ticks)
     flagged.sort(key=itemgetter(3))
     flagged.sort(key=itemgetter(0))

@@ -36,6 +36,7 @@ from .wave import (
     RuptureEvent,
     frozen_slotted,
 )
+from .wire import MAX_AMPLITUDE_MILLI_G, MAX_PERIOD_T_US, MAX_SENSOR_ID, amplitude_milli_g
 
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
 DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
@@ -119,6 +120,13 @@ class Scenario:
             out.append(
                 f"geometry: localization needs at least 3 sensors, got {len(ids)}"
             )
+        if min(ids) < 0 or max(ids) > MAX_SENSOR_ID:
+            out.extend(
+                f"geometry.sensor_ids[{i}]: sensor id {sid} does not fit the wire's "
+                f"u16 sensor_id (0 to {MAX_SENSOR_ID})"
+                for i, sid in enumerate(self.geometry.sensor_ids)
+                if not 0 <= sid <= MAX_SENSOR_ID
+            )
         for sid, ppm in roster_pairs("drift_ppm", self.drift_ppm, ids, out):
             if not abs(ppm) <= MAX_DRIFT_PPM:
                 out.append(
@@ -136,6 +144,11 @@ class Scenario:
             out.append(
                 f"sync_period_T_us must be a positive integer, got {self.sync_period_T_us!r}"
             )
+        elif self.sync_period_T_us > MAX_PERIOD_T_US:
+            out.append(
+                f"sync_period_T_us {self.sync_period_T_us!r} does not fit the wire's u32 "
+                f"period_T_us (at most {MAX_PERIOD_T_US})"
+            )
         window = self.coincidence_window_us
         if finite("coincidence_window_us", window) and not window > 0:
             out.append(f"coincidence_window_us must be > 0, got {window!r}")
@@ -145,6 +158,12 @@ class Scenario:
         t_us = self.sync_period_T_us
         speed = self.wave_speed_m_s
         travel = self.geometry.span_m / speed * 1e6 if math.isfinite(speed) and speed > 0 else 0.0
+
+        def wide_amplitude(path: str, amplitude_g: float) -> str:
+            return (
+                f"{path} {amplitude_g!r} does not fit the wire's u32 "
+                f"amplitude_milli_g (at most {MAX_AMPLITUDE_MILLI_G / 1000} g)"
+            )
 
         def bounded(path: str, duration_us: float, *args) -> None:
             """Record path, formatted with args, if a run of duration_us would
@@ -167,6 +186,9 @@ class Scenario:
                 out.append(
                     f"ruptures[{i}]: position {r.position_m} m outside cable extent [{lo}, {hi}] m"
                 )
+            # a sensor at the rupture hears its peak
+            if amplitude_milli_g(r.peak_amplitude_g) > MAX_AMPLITUDE_MILLI_G:
+                out.append(wide_amplitude(f"ruptures[{i}].peak_amplitude_g", r.peak_amplitude_g))
             if not finite("ruptures[{}].time_ref_us", r.time_ref_us, i):
                 continue
             if r.time_ref_us < 0:
@@ -194,10 +216,13 @@ class Scenario:
                     bounded(
                         "spurious_events[{}].time_ref_us", self._closing_duration_us(s.time_ref_us), i
                     )
-            if finite("spurious_events[{}].amplitude_g", s.amplitude_g, i) and not s.amplitude_g > 0:
-                out.append(
-                    f"spurious_events[{i}]: amplitude must be > 0, got {s.amplitude_g!r}"
-                )
+            if finite("spurious_events[{}].amplitude_g", s.amplitude_g, i):
+                if not s.amplitude_g > 0:
+                    out.append(
+                        f"spurious_events[{i}]: amplitude must be > 0, got {s.amplitude_g!r}"
+                    )
+                elif amplitude_milli_g(s.amplitude_g) > MAX_AMPLITUDE_MILLI_G:
+                    out.append(wide_amplitude(f"spurious_events[{i}].amplitude_g", s.amplitude_g))
 
         n = self.network
         out.extend(link_problems(n, "network."))
@@ -224,9 +249,7 @@ class Scenario:
         where the network config leaves them out."""
         positions = self.network.radio_positions_m
         if positions is None:
-            positions = {
-                sid: self.geometry.position_of(sid) for sid in self.geometry.sensor_ids
-            }
+            positions = dict(zip(self.geometry.sensor_ids, self.geometry.positions_m))
         sup = self.network.supervisor_position_m
         if sup is None:
             sup = self.geometry.positions_m[0]

@@ -123,12 +123,17 @@ class SensorNode:
     def receive_sync(self, frame: SyncFrame, receipt_ref_us: float) -> Optional[SensorReport]:
         """Handle one sync receipt; a wave arriving at the receipt instant
         is stamped first, so it rides the report of the period it closes."""
+        protocol = self.protocol
+        clock = protocol.clock
         # a replayed or reordered frame may be received earlier than the
         # clock has advanced; the device's clock cannot run backwards
-        receipt = max(receipt_ref_us, self.protocol.clock.ref_now_us)
-        self.stamp_until(receipt)
-        self.protocol.clock.advance_to(receipt)
-        return self.protocol.on_sync(frame)
+        if receipt_ref_us < clock.ref_now_us:
+            receipt_ref_us = clock.ref_now_us
+        unstamped = self._unstamped
+        if unstamped and unstamped[-1][0] <= receipt_ref_us:
+            self.stamp_until(receipt_ref_us)
+        clock.advance_to(receipt_ref_us)
+        return protocol.on_sync(frame)
 
 
 def sensor_nodes(scenario: Scenario) -> dict[int, SensorNode]:
@@ -169,7 +174,7 @@ def run(scenario: Scenario) -> RunReport:
     while k * t_us <= duration:
         # one datagram, so every receiver decodes the same frame
         frames.append(decode_sync_frame(encode_sync_frame(supervisor.tick())))
-        receipts.extend((at, sid, k) for at, sid in net.broadcast_sync(k * t_us, k))
+        receipts += [(at, sid, k) for at, sid in net.broadcast_sync(k * t_us, k)]
         k += 1
 
     # each sensor hears its frames in receipt-time order, which is not the
@@ -230,8 +235,9 @@ def postprocess_periods(
     estimates: list[EstimateRow] = []
     for k in sorted(released):
         events = align_period(released[k].reports, t_us)
-        retimed += events
-        estimates += localize_period(scenario, k, events)
+        if events:
+            retimed += events
+            estimates += localize_period(scenario, k, events)
     return retimed, estimates
 
 
@@ -295,14 +301,24 @@ def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]
 
 
 def _summarize(nodes, supervisor, detections, retimed, estimates):
-    errors = [e.abs_error_m for e in estimates if not math.isnan(e.abs_error_m)]
-    sensors = [n.protocol for n in nodes]
+    reported = pending = discarded = clamped = 0
+    for node in nodes:
+        s = node.protocol
+        reported += s.reported_events
+        pending += len(s.pending)
+        discarded += s.discarded_events
+        clamped += s.clamped_events
     released = supervisor.released.values()
-    complete = sum(1 for p in released if p.complete)
-    valid = sum(1 for e in retimed if e.flag is None)
-    clean = sum(1 for e in estimates if not e.estimate.flags)
+    complete = sum(p.complete for p in released)
+    valid = sum(e.flag is None for e in retimed)
+    errors, clean, matched = [], 0, 0
+    for e in estimates:
+        clean += not e.estimate.flags
+        matched += e.matched != ""
+        if not math.isnan(e.abs_error_m):
+            errors.append(e.abs_error_m)
     summary: dict[str, object] = {
-        "sensors": len(sensors),
+        "sensors": len(nodes),
         "sync_frames_sent": supervisor.next_period_index,
         "periods_completed": complete,
         "periods_timed_out": len(released) - complete,
@@ -313,16 +329,16 @@ def _summarize(nodes, supervisor, detections, retimed, estimates):
         "detections_pre_sync": sum(d.pre_sync for d in detections),
         # sensor side: every detection is reported, pending or discarded;
         # reports lost or late on the way never reach retiming
-        "events_reported": sum(s.reported_events for s in sensors),
-        "events_pending_at_end": sum(len(s.pending) for s in sensors),
-        "events_discarded": sum(s.discarded_events for s in sensors),
-        "events_clamped_to_period_end": sum(s.clamped_events for s in sensors),
+        "events_reported": reported,
+        "events_pending_at_end": pending,
+        "events_discarded": discarded,
+        "events_clamped_to_period_end": clamped,
         "events_retimed_valid": valid,
         "events_flagged": len(retimed) - valid,
         "clusters_total": len(estimates),
         "estimates_clean": clean,
         "estimates_flagged": len(estimates) - clean,
-        "estimates_matched": sum(1 for e in estimates if e.matched),
+        "estimates_matched": matched,
         "mean_abs_error_m": (sum(errors) / len(errors)) if errors else math.nan,
         "max_abs_error_m": max(errors) if errors else math.nan,
     }

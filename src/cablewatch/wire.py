@@ -33,6 +33,15 @@ SYNC_FRAME_BYTES = _SYNC.size            # 12
 REPORT_HEADER_BYTES = _REPORT_HEADER.size  # 16
 REPORT_EVENT_BYTES = _REPORT_EVENT.size    # 12
 MAX_EVENTS_PER_REPORT = 1000
+# the widest value of each field that a scenario sets
+MAX_SENSOR_ID = (1 << 16) - 1  # sensor_id, u16
+MAX_PERIOD_T_US = (1 << 32) - 1  # period_T_us, u32
+MAX_AMPLITUDE_MILLI_G = (1 << 32) - 1  # amplitude_milli_g, u32
+
+
+def amplitude_milli_g(amplitude_g: float) -> int:
+    """A report's amplitude field for an amplitude in g: whole milli-g."""
+    return round(amplitude_g * 1000)
 
 
 class WireFormatError(ValueError):
@@ -71,12 +80,26 @@ class SensorReport(NamedTuple):
 
 _report_event = tuple_record(ReportEvent)
 _sensor_report = tuple_record(SensorReport)
+_sync_frame = tuple_record(SyncFrame)
+
+
+def _check_sync_frame(frame: SyncFrame) -> None:
+    """Raise WireFormatError naming the first field that the layout refuses."""
+    _check_uint("period_index", frame.period_index, 32)
+    _check_uint("period_T_us", frame.period_T_us, 32)
 
 
 def encode_sync_frame(frame: SyncFrame) -> bytes:
-    _check_uint("period_index", frame.period_index, 32)
-    _check_uint("period_T_us", frame.period_T_us, 32)
-    return _SYNC.pack(SYNC_MAGIC, frame.period_index, frame.period_T_us)
+    period_index, period_t_us = frame
+    # struct refuses a plain int out of range but packs a bool or another
+    # int-like as a number, so those get the per-field check first
+    if not (type(period_index) is type(period_t_us) is int):
+        _check_sync_frame(frame)
+    try:
+        return _SYNC.pack(SYNC_MAGIC, period_index, period_t_us)
+    except struct.error:
+        _check_sync_frame(frame)  # names the plain int out of range
+        raise
 
 
 def decode_sync_frame(buf: bytes) -> SyncFrame:
@@ -91,7 +114,7 @@ def decode_sync_frame(buf: bytes) -> SyncFrame:
     magic, period_index, period_t_us = _SYNC.unpack(buf)
     if magic != SYNC_MAGIC:
         raise WireFormatError(f"bad magic {magic!r}")
-    return SyncFrame(period_index=period_index, period_T_us=period_t_us)
+    return _sync_frame((period_index, period_t_us))
 
 
 def _check_report(report: SensorReport) -> None:
@@ -105,19 +128,22 @@ def _check_report(report: SensorReport) -> None:
 
 
 def encode_sensor_report(report: SensorReport) -> bytes:
-    n = len(report.events)
+    sensor_id, period_index, saved, events = report
+    n = len(events)
     if n > MAX_EVENTS_PER_REPORT:
         raise WireFormatError(
             f"{n} events exceed the {MAX_EVENTS_PER_REPORT}-event datagram limit"
         )
-    values = (
-        report.sensor_id, report.period_index, report.saved_counter_ticks, n,
-        *chain.from_iterable(report.events),
-    )
     # one pack for the whole datagram, the header then n events; struct
     # refuses a plain int out of range but packs a bool or another int-like
     # as a number, so those get the per-field check first
-    if not set(map(type, values)) <= {int}:
+    if n:
+        values = (sensor_id, period_index, saved, n, *chain.from_iterable(events))
+        plain = set(map(type, values)) <= {int}
+    else:
+        values = (sensor_id, period_index, saved, 0)
+        plain = type(sensor_id) is type(period_index) is type(saved) is int
+    if not plain:
         _check_report(report)
     try:
         return struct.pack("<HIQH" + n * "QI", *values)
@@ -142,5 +168,8 @@ def decode_sensor_report(buf: bytes) -> SensorReport:
             f"report length {len(buf)} does not match event_count {count} "
             f"(expected {expected})"
         )
-    events = tuple(map(_report_event, _REPORT_EVENT.iter_unpack(buf[REPORT_HEADER_BYTES:])))
+    events = (
+        tuple(map(_report_event, _REPORT_EVENT.iter_unpack(buf[REPORT_HEADER_BYTES:])))
+        if count else ()
+    )
     return _sensor_report((sensor_id, period_index, saved, events))

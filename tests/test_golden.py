@@ -1,4 +1,5 @@
-"""Pinned outputs: the four exported CSVs of three scenarios, by sha256.
+"""Pinned outputs: the four exported CSVs of three scenarios and every
+trial of one Monte-Carlo study, by sha256.
 
 A refactor that claims to keep every output byte-identical must leave these
 digests as they are. A change that means to alter an output updates the
@@ -11,6 +12,7 @@ import random
 import pytest
 
 from cablewatch import CableGeometry, RuptureEvent, Scenario, export_csv, run
+from cablewatch.montecarlo import run_study
 from cablewatch.scenario import NetworkConfig, SpuriousEvent
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
@@ -135,3 +137,20 @@ def test_dense_scenario_is_lossy_and_matches_tied_ruptures():
 def test_exported_csvs_match_pinned_digests(name, tmp_path):
     make, expected = GOLDEN[name]
     assert digests(make(), tmp_path) == expected
+
+
+# sha256 over every trial of run_study(trials=200, master_seed=1), one line
+# per trial: each field's repr, the flags sorted so that no hash seed moves it
+STUDY_DIGEST = "213ba8695a69777be453c08c51f667abea7e69e83f583b830fbf115781d6fd1a"
+
+
+def study_digest(trials, master_seed):
+    h = hashlib.sha256()
+    for t in run_study(trials=trials, master_seed=master_seed).trials:
+        fields = (t.trial, t.x_true_m, t.x_est_m, t.v_est_m_s, t.abs_error_m, sorted(t.flags))
+        h.update((repr(fields) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_monte_carlo_trials_match_pinned_digest():
+    assert study_digest(trials=200, master_seed=1) == STUDY_DIGEST

@@ -141,6 +141,19 @@ class TestKeyedDraws:
         draws = {model(seed=s)._draws(KIND_SYNC, 0, 1) for s in (-1, 2**64 - 1, 2**64)}
         assert len(draws) == 3
 
+    @given(
+        seed=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
+        period=st.integers(min_value=2**32),
+        drop=st.floats(min_value=0.0, max_value=1.0),
+        now=st.floats(min_value=0.0, max_value=1e12),
+    )
+    def test_broadcast_equals_each_receivers_own_draw(self, seed, period, drop, now):
+        # one shared (kind, period) prefix per broadcast, the same draws as
+        # keying each receiver on its own
+        m = model(seed=seed, drop_probability=drop, latency_jitter_us=3.0)
+        one_by_one = [(m.sync_receipt_at(now, period, sid), sid) for sid in (1, 2, 3, 4)]
+        assert m.broadcast_sync(now, period) == [(at, sid) for at, sid in one_by_one if at is not None]
+
     def test_pinned_draw(self):
         # a change to the generator changes every run's outputs: make it loud
         m = model(seed=42, drop_probability=0.5)

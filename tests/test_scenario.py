@@ -18,6 +18,7 @@ from cablewatch.scenario import (
     load_scenario,
     read_dataclass,
 )
+from cablewatch.simulate import run
 from cablewatch.wave import CableGeometry, RuptureEvent
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 4.0, 17.0, 27.0))
@@ -196,6 +197,46 @@ class TestScenarioValidation:
         msgs = "\n".join(e.value.problems)
         assert "missing sensors [4]" in msgs
         assert "network.radio_positions_m: unknown sensor id 9" in msgs
+
+
+class TestWireLimits:
+    """Values that a sync frame or a report cannot carry are refused by
+    path: each of these passed validation, then raised WireFormatError in
+    the middle of a run."""
+
+    @pytest.mark.parametrize("kw, problem", [
+        (dict(geometry=CableGeometry((1, 2, 3, 70000), GEOM.positions_m)),
+         "geometry.sensor_ids[3]: sensor id 70000 does not fit the wire's u16 sensor_id "
+         "(0 to 65535)"),
+        (dict(geometry=CableGeometry((-1, 2, 3, 4), GEOM.positions_m)),
+         "geometry.sensor_ids[0]: sensor id -1 does not fit the wire's u16 sensor_id "
+         "(0 to 65535)"),
+        (dict(sync_period_T_us=5_000_000_000),
+         "sync_period_T_us 5000000000 does not fit the wire's u32 period_T_us "
+         "(at most 4294967295)"),
+        (dict(ruptures=(RuptureEvent(14.0, 1_500_000.0, 5e6),)),
+         "ruptures[0].peak_amplitude_g 5000000.0 does not fit the wire's u32 "
+         "amplitude_milli_g (at most 4294967.295 g)"),
+        (dict(spurious_events=(SpuriousEvent(2, 1_500_000.0), SpuriousEvent(1, 1_500_000.0, 5e6))),
+         "spurious_events[1].amplitude_g 5000000.0 does not fit the wire's u32 "
+         "amplitude_milli_g (at most 4294967.295 g)"),
+    ], ids=["sensor_id_70000", "sensor_id_-1", "period_5e9", "rupture_peak", "spurious_amplitude"])
+    def test_value_the_wire_cannot_carry_is_refused_by_path(self, kw, problem):
+        with pytest.raises(ScenarioError) as e:
+            Scenario(**{"geometry": GEOM, **kw})
+        assert e.value.problems == [problem]
+
+    def test_the_widest_values_the_wire_carries_run(self):
+        s = Scenario(
+            geometry=CableGeometry((0, 2, 3, 65535), GEOM.positions_m),
+            ruptures=(RuptureEvent(14.0, 1_500_000.0, 4294967.295),),
+            spurious_events=(SpuriousEvent(65535, 1_200_000.0, 4294967.295),),
+            seed=3,
+        )
+        report = run(s)
+        amps = {e.amplitude_g for e in report.retimed}
+        assert amps == {4294967.295}
+        assert {e.sensor_id for e in report.retimed} == {0, 2, 3, 65535}
 
 
 class TestEffectiveDuration:
