@@ -10,14 +10,15 @@ times localize the rupture along the cable.
 Layers, bottom up:
 
     clock         drifting counter model
-    wave          cable geometry, rupture wavefronts, sampling quantization
+    wave          cable geometry, rupture wavefronts, threshold detection
     wire          binary sync-frame and report codecs
     protocol      sensor and supervisor state machines
     retiming      ratiometric timestamp mapping, clustering
     localization  sensor-triple selection, speed and position estimates
     network       deterministic transport model
     scenario      declarative run descriptions, YAML loading
-    simulate      simulated runs, the run report both modes share, scoring, CSV export
+    simulate      sampling-grid stamps, simulated runs, the shared run report, scoring,
+                  CSV export
     montecarlo    randomized accuracy studies
     live          the same protocol over real UDP datagrams
 """
@@ -58,8 +59,6 @@ from .wave import (
     CableGeometry,
     RuptureEvent,
     WaveArrival,
-    arrival_time,
-    quantize_to_sampling,
     simulate_rupture,
 )
 from .wire import (
@@ -82,8 +81,6 @@ __all__ = [
     "CableGeometry",
     "RuptureEvent",
     "WaveArrival",
-    "arrival_time",
-    "quantize_to_sampling",
     "simulate_rupture",
     "SyncFrame",
     "ReportEvent",

@@ -29,15 +29,17 @@ from .network import (
     link_problems,
 )
 from .wave import (
-    DEFAULT_SAMPLING_PERIOD_TICKS,
     DEFAULT_THRESHOLD_G,
     DEFAULT_WAVE_SPEED_M_S,
     CableGeometry,
     RuptureEvent,
     frozen_slotted,
 )
-from .wire import MAX_AMPLITUDE_MILLI_G, MAX_PERIOD_T_US, MAX_SENSOR_ID, amplitude_milli_g
+from .wire import (
+    MAX_AMPLITUDE_MILLI_G, MAX_PERIOD_T_US, MAX_SAVED_COUNTER_TICKS, MAX_SENSOR_ID, amplitude_milli_g,
+)
 
+DEFAULT_SAMPLING_PERIOD_TICKS = 4
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
 DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
 # sync periods (frames) one run may take: a bound on run length, against a
@@ -226,6 +228,18 @@ class Scenario:
 
         n = self.network
         out.extend(link_problems(n, "network."))
+        # the RF delay and the mean latency cancel between two consecutive
+        # sync receipts, so a saved counter spans at most T + 2 * jitter
+        # reference us, at the fastest drift
+        jitter = n.latency_jitter_us
+        if math.isfinite(jitter) and (
+            (t_us + 2 * jitter) * (1 + MAX_DRIFT_PPM * 1e-6) > MAX_SAVED_COUNTER_TICKS
+        ):
+            out.append(
+                f"network.latency_jitter_us {jitter!r} is too wide: a period's counter, up to "
+                f"(T + 2 * jitter) * (1 + {MAX_DRIFT_PPM:g} ppm) ticks, does not fit the wire's "
+                f"u64 saved_counter (at most {MAX_SAVED_COUNTER_TICKS})"
+            )
         if n.radio_positions_m is not None:
             positions = roster_pairs("network.radio_positions_m", n.radio_positions_m, ids, out)
             placed = {sid for sid, _ in positions}

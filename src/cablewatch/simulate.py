@@ -111,8 +111,10 @@ class SensorNode:
         while unstamped and unstamped[-1][0] <= ref_us:
             at, sid, amp, source = unstamped.pop()
             clock.advance_to(at)
-            # wave.quantize_to_sampling, inlined: the first sample at or
-            # after the counter, which never runs below 0
+            # the first sample at or after the counter, which never runs
+            # below 0: the least multiple of the sampling period >= counter.
+            # The float division can round down across a grid line (a
+            # subnormal counter); the loop's int-float comparisons are exact
             counter = clock.counter_ticks
             ticks = math.ceil(counter / sampling) * sampling
             while ticks < counter:
@@ -153,7 +155,7 @@ def sensor_nodes(scenario: Scenario) -> dict[int, SensorNode]:
             shares[sid].append((at, sid, amp, source))
     threshold = scenario.threshold_g
     for i, sp in enumerate(scenario.spurious_events):
-        # wave.detect, inlined: a hit fires at or above the threshold
+        # a hit fires at or above the threshold, as a wave does
         if not sp.amplitude_g < threshold:
             shares[sp.sensor_id].append((sp.time_ref_us, sp.sensor_id, sp.amplitude_g, f"spurious:{i}"))
     return {sid: SensorNode(scenario, sid, share) for sid, share in shares.items()}

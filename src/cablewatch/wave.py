@@ -1,10 +1,11 @@
-"""Acoustic wave arrivals along a cable and threshold detection.
+"""Cable geometry, acoustic wave arrivals and the threshold rule.
 
 A wire rupture releases an elastic wave that travels both ways along the
 cable at a few km/s. Each sensor sees the wavefront after a distance/speed
 delay; a detection fires when the amplitude at the sensor reaches the trigger
 threshold. Amplitude is modeled as flat, with an optional exponential decay
-per meter.
+per meter. simulate_rupture states these rules; the sampling grid that
+stamps a detection is the sensor's (simulate.SensorNode.stamp_until).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 DEFAULT_WAVE_SPEED_M_S = 5000.0
 DEFAULT_THRESHOLD_G = 0.8
-DEFAULT_SAMPLING_PERIOD_TICKS = 4
 
 T = TypeVar("T")
 
@@ -138,81 +138,6 @@ class WaveArrival(NamedTuple):
 _wave_arrival = tuple_record(WaveArrival)
 
 
-def arrival_time(
-    geometry: CableGeometry,
-    rupture: RuptureEvent,
-    sensor_id: int,
-    wave_speed_m_s: float = DEFAULT_WAVE_SPEED_M_S,
-) -> float:
-    """Reference time at which the wavefront reaches a sensor.
-
-    arrival = rupture time + distance / speed, in microseconds.
-    """
-    _check_wave_speed(wave_speed_m_s)
-    d = abs(geometry.position_of(sensor_id) - rupture.position_m)
-    return rupture.time_ref_us + d / wave_speed_m_s * 1e6
-
-
-def amplitude_at(
-    rupture: RuptureEvent, distance_m: float, attenuation_per_m: float = 0.0
-) -> float:
-    """Wave amplitude after traveling distance_m; flat unless decay is enabled."""
-    _check_attenuation(attenuation_per_m)
-    return rupture.peak_amplitude_g * math.exp(-attenuation_per_m * distance_m)
-
-
-def _check_wave_speed(wave_speed_m_s: float) -> None:
-    if not wave_speed_m_s > 0:
-        raise ValueError(f"wave speed must be > 0, got {wave_speed_m_s!r}")
-
-
-def _check_attenuation(attenuation_per_m: float) -> None:
-    if attenuation_per_m < 0:
-        raise ValueError("attenuation coefficient must be >= 0")
-
-
-def detect(
-    sensor_id: int,
-    arrival_ref_us: float,
-    amplitude_g: float,
-    threshold_g: float = DEFAULT_THRESHOLD_G,
-) -> Optional[WaveArrival]:
-    """Threshold trigger for one sensor's view of a wave.
-
-    Fires when amplitude >= threshold (inclusive), reporting the incoming
-    amplitude.
-    """
-    if amplitude_g < threshold_g:
-        return None
-    return WaveArrival(
-        sensor_id=sensor_id, arrival_ref_us=arrival_ref_us, max_amplitude_g=amplitude_g
-    )
-
-
-def quantize_to_sampling(
-    value_ticks: float, sampling_period_ticks: int = DEFAULT_SAMPLING_PERIOD_TICKS
-) -> int:
-    """Round a tick value up to the sampling grid.
-
-    The digitizer only sees the wavefront at the first sample at or after it,
-    so quantization is a ceiling: the smallest multiple of the sampling period
-    that is >= the input.
-    """
-    if sampling_period_ticks < 1 or int(sampling_period_ticks) != sampling_period_ticks:
-        raise ValueError(
-            f"sampling period must be a positive integer tick count, got {sampling_period_ticks!r}"
-        )
-    if value_ticks < 0:
-        raise ValueError(f"tick value must be >= 0, got {value_ticks!r}")
-    period = int(sampling_period_ticks)
-    q = math.ceil(value_ticks / period) * period
-    # float division can round down across a grid boundary (e.g. subnormal
-    # inputs); the correction below is exact integer arithmetic
-    while q < value_ticks:
-        q += period
-    return q
-
-
 def simulate_rupture(
     geometry: CableGeometry,
     rupture: RuptureEvent,
@@ -226,7 +151,7 @@ def simulate_rupture(
 
     Raises:
         ValueError: if the rupture lies outside the sensed cable extent, or
-            the wave speed or attenuation is out of range.
+            the wave speed or attenuation is not finite or out of range.
     """
     lo, hi = geometry.extent_m
     x = rupture.position_m
@@ -234,13 +159,20 @@ def simulate_rupture(
         raise ValueError(
             f"rupture at {x} m is outside the sensed extent [{lo}, {hi}] m"
         )
-    _check_attenuation(attenuation_per_m)
-    _check_wave_speed(wave_speed_m_s)
+    for name, value in (
+        ("wave speed", wave_speed_m_s), ("attenuation coefficient", attenuation_per_m)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not wave_speed_m_s > 0:
+        raise ValueError(f"wave speed must be > 0, got {wave_speed_m_s!r}")
+    if attenuation_per_m < 0:
+        raise ValueError("attenuation coefficient must be >= 0")
     ids, positions = geometry.sensor_ids, geometry.positions_m
     peak = rupture.peak_amplitude_g
     first, stop = 0, len(positions)
     ratio = peak / threshold_g if threshold_g > 0 else math.inf
-    if 0 < attenuation_per_m < math.inf and 0 < ratio < math.inf:
+    if attenuation_per_m > 0 and 0 < ratio < math.inf:
         # only sensors within the attenuation reach ln(peak/threshold)/a can
         # reach the threshold. The reach is widened far past any rounding of
         # the amplitude test below, which alone decides: the cut only skips
@@ -249,7 +181,8 @@ def simulate_rupture(
         reach = (log_ratio + 1e-9 * (1.0 + abs(log_ratio))) / attenuation_per_m
         first = bisect_left(positions, x - reach)
         stop = bisect_right(positions, x + reach)
-    # amplitude_at, detect and arrival_time, inlined per sensor
+    # a sensor d meters away hears peak * exp(-attenuation * d), d / speed
+    # after the rupture, and fires if that reaches the threshold (inclusive)
     t0 = rupture.time_ref_us
     arrivals = []
     for i in range(first, stop):

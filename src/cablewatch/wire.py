@@ -33,9 +33,10 @@ SYNC_FRAME_BYTES = _SYNC.size            # 12
 REPORT_HEADER_BYTES = _REPORT_HEADER.size  # 16
 REPORT_EVENT_BYTES = _REPORT_EVENT.size    # 12
 MAX_EVENTS_PER_REPORT = 1000
-# the widest value of each field that a scenario sets
+# the widest value of each field that a scenario sets or bounds
 MAX_SENSOR_ID = (1 << 16) - 1  # sensor_id, u16
 MAX_PERIOD_T_US = (1 << 32) - 1  # period_T_us, u32
+MAX_SAVED_COUNTER_TICKS = (1 << 64) - 1  # saved_counter, u64
 MAX_AMPLITUDE_MILLI_G = (1 << 32) - 1  # amplitude_milli_g, u32
 
 

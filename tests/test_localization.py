@@ -13,15 +13,18 @@ from cablewatch.localization import (
     localize_cluster,
 )
 from cablewatch.retiming import RetimedEvent
-from cablewatch.wave import CableGeometry, RuptureEvent, arrival_time, quantize_to_sampling
+from cablewatch.scenario import Scenario
+from cablewatch.simulate import sensor_nodes
+from cablewatch.wave import CableGeometry, RuptureEvent, simulate_rupture
 
 FOUR_AT_10M = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
 
 
 def arrival_times(geometry, x_m, v_m_s=5000.0, t0_us=0.0):
-    """Forward model: exact per-sensor arrival times for a rupture at x."""
+    """Forward model: exact per-sensor arrival times for a rupture at x,
+    loud enough for every sensor."""
     r = RuptureEvent(position_m=x_m, time_ref_us=t0_us)
-    return {sid: arrival_time(geometry, r, sid, v_m_s) for sid in geometry.sensor_ids}
+    return {a.sensor_id: a.arrival_ref_us for a in simulate_rupture(geometry, r, v_m_s)}
 
 
 # a rupture at 14 m at 5000 m/s: sensor_1 = 1 pairs with sensor_2 = 2 for
@@ -137,8 +140,12 @@ class TestLocalize:
         assert est.x_est_m == pytest.approx(4.0, abs=1e-9)
 
     def test_quantized_timestamps_stay_within_15cm(self):
-        times = arrival_times(FOUR_AT_10M, 14.0, t0_us=137.0)
-        q = {sid: float(quantize_to_sampling(t, 4)) for sid, t in times.items()}
+        # drift-free sensors, never synced: each counter reads reference time
+        scenario = Scenario(geometry=FOUR_AT_10M, ruptures=(RuptureEvent(14.0, 137.0),))
+        q = {}
+        for sid, node in sensor_nodes(scenario).items():
+            node.stamp_until(math.inf)
+            q[sid] = float(node.detections[0].local_timestamp_ticks)
         est = localize(q, FOUR_AT_10M)
         assert abs(est.x_est_m - 14.0) <= 0.15
 

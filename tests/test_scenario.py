@@ -220,7 +220,19 @@ class TestWireLimits:
         (dict(spurious_events=(SpuriousEvent(2, 1_500_000.0), SpuriousEvent(1, 1_500_000.0, 5e6))),
          "spurious_events[1].amplitude_g 5000000.0 does not fit the wire's u32 "
          "amplitude_milli_g (at most 4294967.295 g)"),
-    ], ids=["sensor_id_70000", "sensor_id_-1", "period_5e9", "rupture_peak", "spurious_amplitude"])
+        # a period's counter spans up to T + 2 * jitter: (1e6 + 2e20) * 1.001
+        # and (1e6 + 1.844e19) * 1.001 ticks, both past 2**64 - 1
+        (dict(ruptures=(RuptureEvent(14.0, 1_500_000.0),),
+              network=NetworkConfig(latency_mean_us=1e20, latency_jitter_us=1e20)),
+         "network.latency_jitter_us 1e+20 is too wide: a period's counter, up to "
+         "(T + 2 * jitter) * (1 + 1000 ppm) ticks, does not fit the wire's u64 saved_counter "
+         "(at most 18446744073709551615)"),
+        (dict(network=NetworkConfig(latency_mean_us=9.22e18, latency_jitter_us=9.22e18)),
+         "network.latency_jitter_us 9.22e+18 is too wide: a period's counter, up to "
+         "(T + 2 * jitter) * (1 + 1000 ppm) ticks, does not fit the wire's u64 saved_counter "
+         "(at most 18446744073709551615)"),
+    ], ids=["sensor_id_70000", "sensor_id_-1", "period_5e9", "rupture_peak", "spurious_amplitude",
+            "jitter_1e20", "jitter_9.22e18"])
     def test_value_the_wire_cannot_carry_is_refused_by_path(self, kw, problem):
         with pytest.raises(ScenarioError) as e:
             Scenario(**{"geometry": GEOM, **kw})
@@ -237,6 +249,20 @@ class TestWireLimits:
         amps = {e.amplitude_g for e in report.retimed}
         assert amps == {4294967.295}
         assert {e.sensor_id for e in report.retimed} == {0, 2, 3, 65535}
+
+    def test_the_widest_jitter_the_wire_carries_runs(self):
+        # (1e6 + 1.842e19) * 1.001 ticks fit in u64. Every sensor drifts as
+        # fast as allowed, and of seeds 0-2999 seed 2984 draws the longest
+        # reported period, 0.936 * 2**64 ticks
+        s = Scenario(
+            geometry=GEOM,
+            drift_ppm={sid: 1000.0 for sid in GEOM.sensor_ids},
+            ruptures=(RuptureEvent(14.0, 1_500_000.0),),
+            network=NetworkConfig(latency_mean_us=9.21e18, latency_jitter_us=9.21e18),
+            seed=2984,
+        )
+        report = run(s)
+        assert report.summary["sync_frames_sent"] == sync_frames(s)
 
 
 class TestEffectiveDuration:

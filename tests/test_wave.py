@@ -1,4 +1,5 @@
-"""Wave arrival times, threshold detection, and sampling quantization."""
+"""Wave arrival times, threshold detection, and the sampling grid a sensor
+stamps on."""
 
 import math
 import re
@@ -8,15 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from cablewatch.wave import (
-    CableGeometry,
-    RuptureEvent,
-    arrival_time,
-    amplitude_at,
-    detect,
-    quantize_to_sampling,
-    simulate_rupture,
-)
+from cablewatch.scenario import Scenario, ScenarioError
+from cablewatch.simulate import SensorNode
+from cablewatch.wave import CableGeometry, RuptureEvent, WaveArrival, simulate_rupture
 
 
 def travel_us(distance_m, speed_m_s) -> Fraction:
@@ -28,6 +23,38 @@ FOUR_AT_10M = CableGeometry(sensor_ids=(1, 2, 3, 4), positions_m=(0.0, 10.0, 20.
 
 # Frozen from the travel-time oracle: rupture at 14 m, 5000 m/s.
 assert [travel_us(d, 5000) for d in (14, 4, 6, 16)] == [2800, 800, 1200, 3200]
+
+
+def scan(geometry, rupture, speed, threshold, attenuation):
+    """The wave rules as the paper states them, one sensor at a time: the
+    wave reaches a sensor d meters away d / speed after the rupture, with
+    amplitude peak * exp(-attenuation * d), and the sensor fires when that
+    reaches the threshold."""
+    arrivals = []
+    for sid, p in zip(geometry.sensor_ids, geometry.positions_m):
+        d = abs(p - rupture.position_m)
+        amp = rupture.peak_amplitude_g * math.exp(-attenuation * d)
+        if amp >= threshold:
+            arrivals.append(WaveArrival(sid, rupture.time_ref_us + d / speed * 1e6, amp))
+    return arrivals
+
+
+def arrival_at(sensor_id, rupture, geometry=FOUR_AT_10M, speed=5000.0):
+    """Reference time at which a wave no sensor misses reaches sensor_id."""
+    hits = simulate_rupture(geometry, rupture, speed, threshold_g=1e-9)
+    return {a.sensor_id: a.arrival_ref_us for a in hits}[sensor_id]
+
+
+def stamp(counter_ticks, sampling_period_ticks):
+    """The tick a drift-free sensor stamps a wave with that reaches it when
+    its counter reads counter_ticks: before the first sync, the counter
+    reads the reference time."""
+    scenario = Scenario(geometry=FOUR_AT_10M, sampling_period_ticks=sampling_period_ticks)
+    node = SensorNode(scenario, 1, [(counter_ticks, 1, 1.0, "spurious:0")])
+    node.stamp_until(counter_ticks)
+    [row] = node.detections
+    assert node.protocol.clock.counter_ticks == counter_ticks
+    return row.local_timestamp_ticks
 
 
 class TestGeometry:
@@ -83,65 +110,70 @@ class TestGeometry:
 class TestArrivalTime:
     def test_rupture_at_sensor_arrives_at_rupture_time(self):
         r = RuptureEvent(position_m=10.0, time_ref_us=500.0)
-        assert arrival_time(FOUR_AT_10M, r, 2) == 500.0
+        assert arrival_at(2, r) == 500.0
 
     def test_ten_meters_at_5000_m_s_is_2000_us(self):
         r = RuptureEvent(position_m=10.0, time_ref_us=0.0)
-        assert arrival_time(FOUR_AT_10M, r, 3, 5000.0) == pytest.approx(2000.0, rel=1e-12)
+        assert arrival_at(3, r) == pytest.approx(2000.0, rel=1e-12)
 
     def test_7_5_meters_is_1500_us(self):
         r = RuptureEvent(position_m=12.5, time_ref_us=0.0)
-        assert arrival_time(FOUR_AT_10M, r, 3, 5000.0) == pytest.approx(1500.0, rel=1e-12)
+        assert arrival_at(3, r) == pytest.approx(1500.0, rel=1e-12)
 
     def test_nonpositive_speed_rejected(self):
         r = RuptureEvent(position_m=10.0, time_ref_us=0.0)
-        with pytest.raises(ValueError, match="speed"):
-            arrival_time(FOUR_AT_10M, r, 2, 0.0)
-
-    def test_unknown_sensor_rejected(self):
-        r = RuptureEvent(position_m=10.0, time_ref_us=0.0)
-        with pytest.raises(ValueError, match="unknown sensor"):
-            arrival_time(FOUR_AT_10M, r, 7)
+        for speed in (0.0, -5000.0):
+            with pytest.raises(ValueError, match=rf"^wave speed must be > 0, got {speed!r}$"):
+                simulate_rupture(FOUR_AT_10M, r, speed)
 
 
 class TestDetect:
     def test_amplitude_at_threshold_fires(self):
-        hit = detect(1, 100.0, amplitude_g=0.8, threshold_g=0.8)
-        assert hit is not None
-        assert hit.arrival_ref_us == 100.0
-        assert hit.max_amplitude_g == 0.8
+        r = RuptureEvent(position_m=0.0, time_ref_us=100.0, peak_amplitude_g=0.8)
+        hit = simulate_rupture(FOUR_AT_10M, r, threshold_g=0.8)[0]
+        assert hit == (1, 100.0, 0.8)
 
     def test_amplitude_below_threshold_is_silent(self):
-        assert detect(1, 100.0, amplitude_g=0.79999, threshold_g=0.8) is None
+        r = RuptureEvent(position_m=0.0, time_ref_us=100.0, peak_amplitude_g=0.79999)
+        assert simulate_rupture(FOUR_AT_10M, r, threshold_g=0.8) == []
 
     def test_flat_model_reports_incoming_amplitude_as_window_max(self):
-        hit = detect(1, 0.0, amplitude_g=1.7)
-        assert hit.max_amplitude_g == 1.7
+        r = RuptureEvent(position_m=14.0, time_ref_us=0.0, peak_amplitude_g=1.7)
+        assert [a.max_amplitude_g for a in simulate_rupture(FOUR_AT_10M, r)] == [1.7] * 4
 
 
 class TestQuantize:
+    """A sensor stamps a wave at the first sample at or after its counter:
+    SensorNode.stamp_until."""
+
     @pytest.mark.parametrize(
         "value,period,expected",
-        [(1999, 4, 2000), (2000, 4, 2000), (1, 4, 4), (0, 4, 0), (0.5, 1, 1), (2800.0, 4, 2800)],
+        [(1999, 4, 2000), (2000, 4, 2000), (1, 4, 4), (0, 4, 0), (0.5, 1, 1), (2800.0, 4, 2800),
+         # 5e-324 / 4 rounds to 0.0: the ceiling alone stamps at 0, before the wave
+         (5e-324, 4, 4)],
     )
     def test_ceiling_to_grid(self, value, period, expected):
-        assert quantize_to_sampling(value, period) == expected
+        assert stamp(value, period) == expected
 
     def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_to_sampling(-1.0, 4)
+        # no counter reads below 0: the clock refuses to run backwards
+        with pytest.raises(ValueError, match="negative duration"):
+            stamp(-1.0, 4)
 
     @pytest.mark.parametrize("period", [0, -4, 2.5])
     def test_bad_period_rejected(self, period):
-        with pytest.raises(ValueError):
-            quantize_to_sampling(100.0, period)
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=FOUR_AT_10M, sampling_period_ticks=period)
+        assert e.value.problems == [
+            f"sampling_period_ticks must be a positive integer, got {period!r}"
+        ]
 
     @given(
         value=st.floats(min_value=0, max_value=1e12, allow_nan=False),
         period=st.integers(min_value=1, max_value=1000),
     )
     def test_result_is_grid_aligned_and_not_early(self, value, period):
-        q = quantize_to_sampling(value, period)
+        q = stamp(value, period)
         assert q % period == 0
         assert q >= value
         # one grid step earlier would be before the wavefront
@@ -190,17 +222,9 @@ class TestSimulateRupture:
     )
     def test_equals_the_per_sensor_functions(self, x, t0, speed, attenuation, threshold):
         g, r = FOUR_AT_10M, RuptureEvent(position_m=x, time_ref_us=t0)
-        hits = (
-            detect(
-                sid,
-                arrival_time(g, r, sid, speed),
-                amplitude_at(r, abs(g.position_of(sid) - x), attenuation),
-                threshold,
-            )
-            for sid in g.sensor_ids
+        assert simulate_rupture(g, r, speed, threshold, attenuation) == scan(
+            g, r, speed, threshold, attenuation
         )
-        expected = [hit for hit in hits if hit is not None]
-        assert simulate_rupture(g, r, speed, threshold, attenuation) == expected
 
     def test_bad_speed_or_attenuation_rejected(self):
         r = RuptureEvent(position_m=14.0, time_ref_us=0.0)
@@ -208,12 +232,22 @@ class TestSimulateRupture:
             simulate_rupture(FOUR_AT_10M, r, wave_speed_m_s=0.0)
         with pytest.raises(ValueError, match="attenuation coefficient must be >= 0"):
             simulate_rupture(FOUR_AT_10M, r, attenuation_per_m=-0.1)
+        # each of these gave nonsense: every sensor firing at amplitude NaN,
+        # a NaN amplitude at the rupture (-inf * 0), every arrival at once
+        with pytest.raises(ValueError, match=r"^attenuation coefficient must be finite, got nan$"):
+            simulate_rupture(FOUR_AT_10M, r, attenuation_per_m=math.nan)
+        with pytest.raises(ValueError, match=r"^attenuation coefficient must be finite, got inf$"):
+            simulate_rupture(FOUR_AT_10M, RuptureEvent(10.0, 0.0), attenuation_per_m=math.inf)
+        with pytest.raises(ValueError, match=r"^wave speed must be finite, got inf$"):
+            simulate_rupture(FOUR_AT_10M, r, wave_speed_m_s=math.inf)
 
     def test_amplitude_decay_values(self):
         r = RuptureEvent(position_m=0.0, time_ref_us=0.0, peak_amplitude_g=2.0)
-        assert amplitude_at(r, 0.0, 0.1) == 2.0
-        assert amplitude_at(r, 10.0, 0.1) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
-        assert amplitude_at(r, 10.0, 0.0) == 2.0
+        decayed = simulate_rupture(FOUR_AT_10M, r, threshold_g=1e-9, attenuation_per_m=0.1)
+        assert decayed[0].max_amplitude_g == 2.0
+        assert decayed[1].max_amplitude_g == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
+        flat = simulate_rupture(FOUR_AT_10M, r, threshold_g=1e-9)
+        assert [a.max_amplitude_g for a in flat] == [2.0] * 4
 
     def test_nonpositive_peak_amplitude_rejected(self):
         with pytest.raises(ValueError, match="amplitude"):
@@ -269,16 +303,15 @@ class TestProperties:
         r0 = RuptureEvent(position_m=x, time_ref_us=0.0)
         r1 = RuptureEvent(position_m=x + shift, time_ref_us=0.0)
         for sid in g0.sensor_ids:
-            assert arrival_time(g0, r0, sid) == pytest.approx(
-                arrival_time(g1, r1, sid), rel=1e-9, abs=1e-6
+            assert arrival_at(sid, r0, g0) == pytest.approx(
+                arrival_at(sid, r1, g1), rel=1e-9, abs=1e-6
             )
 
     @given(x=st.floats(min_value=10.0 + 1e-6, max_value=20.0 - 1e-6))
     def test_travel_times_across_spanning_pair_sum_to_span_time(self, x):
         # For sensors bracketing the rupture, offsets sum to spacing / speed.
         r = RuptureEvent(position_m=x, time_ref_us=0.0)
-        t2 = arrival_time(FOUR_AT_10M, r, 2, 5000.0)
-        t3 = arrival_time(FOUR_AT_10M, r, 3, 5000.0)
+        t2, t3 = arrival_at(2, r), arrival_at(3, r)
         assert t2 + t3 == pytest.approx(10.0 / 5000.0 * 1e6, rel=1e-9)
 
 
@@ -317,7 +350,7 @@ def rupture_cases(draw):
     threshold = draw(st.one_of(
         st.sampled_from([peak / 2, peak, peak * 2]),
         st.floats(min_value=peak * 1e-6, max_value=peak),
-        st.sampled_from(positions).map(lambda p: amplitude_at(rupture, abs(p - x), attenuation)),
+        st.sampled_from(positions).map(lambda p: peak * math.exp(-attenuation * abs(p - x))),
     ))
     assume(threshold > 0)
     return geometry, rupture, attenuation, threshold
@@ -329,14 +362,6 @@ class TestAttenuationReach:
         # simulate_rupture scans only the sensors within the attenuation
         # reach; a scan of every sensor must find exactly the same arrivals
         g, r, attenuation, threshold = case
-        hits = (
-            detect(
-                sid,
-                arrival_time(g, r, sid, speed),
-                amplitude_at(r, abs(g.position_of(sid) - r.position_m), attenuation),
-                threshold,
-            )
-            for sid in g.sensor_ids
+        assert simulate_rupture(g, r, speed, threshold, attenuation) == scan(
+            g, r, speed, threshold, attenuation
         )
-        expected = [hit for hit in hits if hit is not None]
-        assert simulate_rupture(g, r, speed, threshold, attenuation) == expected
