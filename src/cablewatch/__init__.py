@@ -15,8 +15,8 @@ Layers, bottom up:
     protocol      sensor and supervisor state machines
     retiming      ratiometric timestamp mapping, clustering
     localization  sensor-triple selection, speed and position estimates
-    network       deterministic transport model
-    scenario      declarative run descriptions, YAML loading
+    network       deterministic link timing, derived from a validated scenario
+    scenario      declarative run descriptions and their checks, YAML loading
     simulate      sampling-grid stamps, simulated runs, the shared run report, scoring,
                   CSV export
     montecarlo    randomized accuracy studies

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from .network import NetworkModel
+from .network import NetworkModel, rf_delay_us
 from .protocol import PERIOD_TIMEOUT_FRACTION, SupervisorProtocol
 from .scenario import (
     MAX_RUN_PERIODS, Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
@@ -117,8 +117,8 @@ class LiveConfig:
         if network.drop_probability != 0.0:
             problems.append("live mode sends real datagrams; modeled drop_probability must be 0")
         sup, positions = self.scenario.radio_positions()
-        rf_delay_us = max(abs(p - sup) for p in positions.values()) / network.rf_speed_m_s * 1e6
-        round_trip_us = 2 * (rf_delay_us + network.latency_mean_us + network.latency_jitter_us)
+        rf_us = max(rf_delay_us(sup, p, network.rf_speed_m_s) for p in positions.values())
+        round_trip_us = 2 * (rf_us + network.latency_mean_us + network.latency_jitter_us)
         deadline_us = PERIOD_TIMEOUT_FRACTION * t_us
         if round_trip_us >= deadline_us:
             problems.append(

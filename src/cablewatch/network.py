@@ -1,11 +1,15 @@
 """Deterministic link timing for simulation.
 
 The model says when each datagram lands, or that it is lost; it never holds
-the datagram. Sync broadcasts and report unicasts take propagation delay
-(distance over RF speed) plus a per-receiver processing latency with bounded
-jitter. All jitter and loss draws are keyed by (seed, message kind, period
-index, sensor id), so a run is a pure function of its scenario and seed; two
-runs never disagree because of dict ordering or shared RNG state.
+the datagram. This module holds the link's timing, and scenario its
+configuration (NetworkConfig) and the rules that check it:
+Scenario.network_model() derives the model from a validated scenario, so the
+model checks nothing again. Sync broadcasts and report unicasts take the RF
+delay (rf_delay_us: distance over RF speed) plus a per-receiver processing
+latency with bounded jitter. All jitter and loss draws are keyed by (seed,
+message kind, period index, sensor id), so a run is a pure function of its
+scenario and seed; two runs never disagree because of dict ordering or
+shared RNG state.
 
 The draws come from a counter-based generator (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011): splitmix64 steps (Steele, Lea
@@ -26,14 +30,12 @@ deliveries itself, and SupervisorProtocol applies the period deadline.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
-DEFAULT_RF_SPEED_M_S = 180e6
-DEFAULT_LATENCY_MEAN_US = 20.0
-DEFAULT_LATENCY_JITTER_US = 1.0
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 SUPERVISOR_NODE = "supervisor"
 
@@ -58,77 +60,37 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def link_problems(link, prefix: str = "") -> list[str]:
-    """Every broken rule of a radio link's parameters, each field named
-    after prefix: finite latencies and supervisor position (None, a position
-    left to the cable geometry, passes), a positive RF speed, a jitter
-    half-width no wider than the mean latency, so that no message finishes
-    processing before it arrives, and a drop probability in [0, 1]. link is
-    anything with those five fields (scenario.NetworkConfig, NetworkModel)."""
-    out = []
-    mean, jitter = link.latency_mean_us, link.latency_jitter_us
-    for name in ("latency_mean_us", "latency_jitter_us", "supervisor_position_m"):
-        value = getattr(link, name)
-        if value is not None and not math.isfinite(value):
-            out.append(f"{prefix}{name} must be finite, got {value!r}")
-    if not link.rf_speed_m_s > 0:
-        out.append(f"{prefix}rf_speed_m_s must be > 0, got {link.rf_speed_m_s!r}")
-    if jitter < 0:
-        out.append(f"{prefix}latency_jitter_us must be >= 0, got {jitter!r}")
-    if mean < jitter:
-        out.append(f"{prefix}latency_mean_us must be >= latency_jitter_us ({mean!r} < {jitter!r})")
-    if not 0.0 <= link.drop_probability <= 1.0:
-        out.append(f"{prefix}drop_probability must be in [0, 1], got {link.drop_probability!r}")
-    return out
+def rf_delay_us(supervisor_position_m: float, position_m: float, rf_speed_m_s: float) -> float:
+    """Line-of-sight RF travel time between the supervisor and one radio,
+    microseconds: the one statement of the link's propagation delay."""
+    return abs(supervisor_position_m - position_m) / rf_speed_m_s * 1e6
 
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Radio geometry plus latency/loss behavior, all seed-deterministic."""
+    """The radio link of one validated scenario, seed-deterministic; build it
+    with Scenario.network_model()."""
 
-    sensor_positions_m: Mapping[int, float]
-    supervisor_position_m: float = 0.0
-    rf_speed_m_s: float = DEFAULT_RF_SPEED_M_S
-    latency_mean_us: float = DEFAULT_LATENCY_MEAN_US
-    latency_jitter_us: float = DEFAULT_LATENCY_JITTER_US
-    drop_probability: float = 0.0
-    seed: int = 0
+    scenario: Scenario
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sensor_positions_m", dict(self.sensor_positions_m))
-        problems = link_problems(self)
-        if problems:
-            raise ValueError("; ".join(problems))
-        for sid, pos in self.sensor_positions_m.items():
-            if not math.isfinite(pos):
-                raise ValueError(f"sensor {sid} position must be finite, got {pos!r}")
+        scenario = self.scenario
+        link = scenario.network
         # one seeding per model; it separates every int seed, negative or wide
-        key = random.Random(f"{self.seed}|network").getrandbits(64)
+        key = random.Random(f"{scenario.seed}|network").getrandbits(64)
         object.__setattr__(
             self, "_kind_keys", {k: _splitmix64(key ^ c) for k, c in _KIND_CODE.items()}
         )
-        # RF delay to the supervisor, which is also the report's, in sensor-id
-        # order: propagation_delay_us, without its two node lookups per sensor
-        sup, rf, positions = self.supervisor_position_m, self.rf_speed_m_s, self.sensor_positions_m
+        # RF delay to the supervisor, which is also the report's, in sensor-id order
+        sup, positions = scenario.radio_positions()
+        rf = link.rf_speed_m_s
         object.__setattr__(self, "_supervisor_delay_us", {
-            sid: abs(sup - positions[sid]) / rf * 1e6 for sid in sorted(positions)
+            sid: rf_delay_us(sup, positions[sid], rf) for sid in sorted(positions)
         })
+        object.__setattr__(self, "_drop_probability", link.drop_probability)
         # latency is mean + uniform(-j, j), written mean + (-j + 2j*u)
-        j = self.latency_jitter_us
-        object.__setattr__(self, "_latency_terms", (self.latency_mean_us, -j, 2.0 * j))
-
-    def node_position(self, node: Node) -> float:
-        if node == SUPERVISOR_NODE:
-            return self.supervisor_position_m
-        try:
-            return self.sensor_positions_m[node]
-        except KeyError:
-            raise ValueError(f"unknown node {node!r}") from None
-
-    def propagation_delay_us(self, node_a: Node, node_b: Node) -> float:
-        """Line-of-sight RF travel time between two nodes, microseconds."""
-        d = abs(self.node_position(node_a) - self.node_position(node_b))
-        return d / self.rf_speed_m_s * 1e6
+        j = link.latency_jitter_us
+        object.__setattr__(self, "_latency_terms", (link.latency_mean_us, -j, 2.0 * j))
 
     def _prefix(self, kind: str, period_index: int) -> int:
         """The key that every receiver's draw for one message shares: the
@@ -148,16 +110,12 @@ class NetworkModel:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         mean, minus_j, two_j = self._latency_terms
-        p = self.drop_probability
+        p = self._drop_probability
         # a uniform is never below 0: a lossless link skips the comparison
         return (
             p > 0.0 and (h >> 11) * _UNIT_53 < p,
             mean + (minus_j + two_j * (((z ^ (z >> 31)) >> 11) * _UNIT_53)),
         )
-
-    def _draws(self, kind: str, period_index: int, sensor_id: int) -> tuple[bool, float]:
-        """(dropped, latency_us) for one receiver, fully keyed by inputs."""
-        return self._draw(self._prefix(kind, period_index), sensor_id)
 
     def _receipt(self, prefix: int, now_ref_us: float, sensor_id: int) -> Optional[float]:
         """When one datagram between the supervisor and a sensor lands, None

@@ -21,13 +21,7 @@ from typing import (
 )
 
 from .clock import MAX_DRIFT_PPM
-from .network import (
-    DEFAULT_LATENCY_JITTER_US,
-    DEFAULT_LATENCY_MEAN_US,
-    DEFAULT_RF_SPEED_M_S,
-    NetworkModel,
-    link_problems,
-)
+from .network import NetworkModel
 from .wave import (
     DEFAULT_THRESHOLD_G,
     DEFAULT_WAVE_SPEED_M_S,
@@ -42,6 +36,9 @@ from .wire import (
 DEFAULT_SAMPLING_PERIOD_TICKS = 4
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
 DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
+DEFAULT_RF_SPEED_M_S = 180e6
+DEFAULT_LATENCY_MEAN_US = 20.0
+DEFAULT_LATENCY_JITTER_US = 1.0
 # sync periods (frames) one run may take: a bound on run length, against a
 # typo in a time that would run for days before any output
 MAX_RUN_PERIODS = 100_000
@@ -76,6 +73,36 @@ class NetworkConfig:
     latency_jitter_us: float = DEFAULT_LATENCY_JITTER_US
     drop_probability: float = 0.0
     radio_positions_m: Optional[dict[int, float]] = None
+
+    def __post_init__(self) -> None:
+        # a copy of the caller's dict: an edit to it after validation
+        # cannot reach a run
+        if self.radio_positions_m is not None:
+            object.__setattr__(self, "radio_positions_m", dict(self.radio_positions_m))
+
+
+def link_problems(link: NetworkConfig) -> list[str]:
+    """Every broken rule of a scenario's radio link, each field named by its
+    path under network: finite latencies and supervisor position (None, a
+    position left to the cable geometry, passes), a positive RF speed, a
+    jitter half-width no wider than the mean latency, so that no message
+    finishes processing before it arrives, and a drop probability in [0, 1].
+    Scenario.problems is its one caller: the network model trusts it."""
+    out = []
+    mean, jitter = link.latency_mean_us, link.latency_jitter_us
+    for name in ("latency_mean_us", "latency_jitter_us", "supervisor_position_m"):
+        value = getattr(link, name)
+        if value is not None and not math.isfinite(value):
+            out.append(f"network.{name} must be finite, got {value!r}")
+    if not link.rf_speed_m_s > 0:
+        out.append(f"network.rf_speed_m_s must be > 0, got {link.rf_speed_m_s!r}")
+    if jitter < 0:
+        out.append(f"network.latency_jitter_us must be >= 0, got {jitter!r}")
+    if mean < jitter:
+        out.append(f"network.latency_mean_us must be >= latency_jitter_us ({mean!r} < {jitter!r})")
+    if not 0.0 <= link.drop_probability <= 1.0:
+        out.append(f"network.drop_probability must be in [0, 1], got {link.drop_probability!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -159,7 +186,7 @@ class Scenario:
 
         t_us = self.sync_period_T_us
         speed = self.wave_speed_m_s
-        travel = self.geometry.span_m / speed * 1e6 if math.isfinite(speed) and speed > 0 else 0.0
+        travel = self.span_travel_us() if math.isfinite(speed) and speed > 0 else 0.0
 
         def wide_amplitude(path: str, amplitude_g: float) -> str:
             return (
@@ -227,7 +254,7 @@ class Scenario:
                     out.append(wide_amplitude(f"spurious_events[{i}].amplitude_g", s.amplitude_g))
 
         n = self.network
-        out.extend(link_problems(n, "network."))
+        out.extend(link_problems(n))
         # the RF delay and the mean latency cancel between two consecutive
         # sync receipts, so a saved counter spans at most T + 2 * jitter
         # reference us, at the fastest drift
@@ -270,16 +297,12 @@ class Scenario:
         return sup, positions
 
     def network_model(self) -> NetworkModel:
-        sup, positions = self.radio_positions()
-        return NetworkModel(
-            sensor_positions_m=positions,
-            supervisor_position_m=sup,
-            rf_speed_m_s=self.network.rf_speed_m_s,
-            latency_mean_us=self.network.latency_mean_us,
-            latency_jitter_us=self.network.latency_jitter_us,
-            drop_probability=self.network.drop_probability,
-            seed=self.seed,
-        )
+        """The run's radio link, derived from this validated scenario."""
+        return NetworkModel(self)
+
+    def span_travel_us(self) -> float:
+        """The wave's travel time over the sensed span, microseconds."""
+        return self.geometry.span_m / self.wave_speed_m_s * 1e6
 
     def effective_duration_us(self) -> float:
         """Resolve the run length: explicit, or long enough to close every
@@ -287,8 +310,8 @@ class Scenario:
         if self.run_duration_us is not None:
             return float(self.run_duration_us)
         latest = 0.0
+        travel = self.span_travel_us()
         for r in self.ruptures:
-            travel = self.geometry.span_m / self.wave_speed_m_s * 1e6
             latest = max(latest, r.time_ref_us + travel)
         for s in self.spurious_events:
             latest = max(latest, s.time_ref_us)

@@ -269,8 +269,7 @@ def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]
     times = [ruptures[i].time_ref_us for i in by_time]
     # receipts lag arrivals by latency and travel; anything inside the
     # coincidence window is the same physical event
-    travel = scenario.geometry.span_m / scenario.wave_speed_m_s * 1e6
-    tolerance = scenario.coincidence_window_us + travel
+    tolerance = scenario.coincidence_window_us + scenario.span_travel_us()
     t_us = scenario.sync_period_T_us
     n_times = len(times)
     scored = []

@@ -151,7 +151,8 @@ def simulate_rupture(
 
     Raises:
         ValueError: if the rupture lies outside the sensed cable extent, or
-            the wave speed or attenuation is not finite or out of range.
+            the wave speed, threshold or attenuation is not finite or out of
+            range.
     """
     lo, hi = geometry.extent_m
     x = rupture.position_m
@@ -160,18 +161,20 @@ def simulate_rupture(
             f"rupture at {x} m is outside the sensed extent [{lo}, {hi}] m"
         )
     for name, value in (
-        ("wave speed", wave_speed_m_s), ("attenuation coefficient", attenuation_per_m)
+        ("wave speed", wave_speed_m_s), ("threshold", threshold_g),
+        ("attenuation coefficient", attenuation_per_m),
     ):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if not wave_speed_m_s > 0:
-        raise ValueError(f"wave speed must be > 0, got {wave_speed_m_s!r}")
+    for name, value in (("wave speed", wave_speed_m_s), ("threshold", threshold_g)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
     if attenuation_per_m < 0:
         raise ValueError("attenuation coefficient must be >= 0")
     ids, positions = geometry.sensor_ids, geometry.positions_m
     peak = rupture.peak_amplitude_g
     first, stop = 0, len(positions)
-    ratio = peak / threshold_g if threshold_g > 0 else math.inf
+    ratio = peak / threshold_g
     if attenuation_per_m > 0 and 0 < ratio < math.inf:
         # only sensors within the attenuation reach ln(peak/threshold)/a can
         # reach the threshold. The reach is widened far past any rounding of

@@ -15,9 +15,9 @@ import pytest
 from cablewatch.live import LiveConfig, run_live
 from cablewatch.localization import localize
 from cablewatch.montecarlo import run_study
-from cablewatch.network import NetworkModel
+from cablewatch.network import rf_delay_us
 from cablewatch.retiming import retime
-from cablewatch.scenario import NetworkConfig, Scenario
+from cablewatch.scenario import DEFAULT_RF_SPEED_M_S, NetworkConfig, Scenario
 from cablewatch.simulate import export_csv, run
 from cablewatch.wave import CableGeometry, RuptureEvent
 from cablewatch.wire import (
@@ -66,11 +66,7 @@ def criterion(capsys, num, name):
 def test_01_rf_propagation_skew(capsys):
     """1080 m of RF path at 180e6 m/s is 6.000000 us, to 1e-12 relative."""
     with criterion(capsys, 1, "rf-propagation-skew") as info:
-        net = NetworkModel(
-            sensor_positions_m={1: 0.0, 2: 1080.0},
-            supervisor_position_m=0.0,
-        )
-        delay = net.propagation_delay_us(1, 2)
+        delay = rf_delay_us(0.0, 1080.0, DEFAULT_RF_SPEED_M_S)
         rel = abs(delay - 6.0) / 6.0
         info["detail"] = f"1080 m -> {delay:.6f} us (rel err {rel:.2e} <= 1e-12)"
         assert rel <= 1e-12

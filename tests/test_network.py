@@ -10,64 +10,73 @@ from cablewatch.network import (
     KIND_SYNC,
     SUPERVISOR_NODE,
     EventLoop,
-    NetworkModel,
+    rf_delay_us,
 )
+from cablewatch.scenario import DEFAULT_RF_SPEED_M_S, NetworkConfig, Scenario, ScenarioError
+from cablewatch.wave import CableGeometry
+
+GEOM = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
+POSITIONS = dict(zip(GEOM.sensor_ids, GEOM.positions_m))
 
 
-def model(**kw):
-    defaults = dict(
-        sensor_positions_m={1: 0.0, 2: 10.0, 3: 20.0, 4: 30.0},
-        supervisor_position_m=0.0,
-        latency_mean_us=20.0,
-        latency_jitter_us=1.0,
-        seed=42,
-    )
-    defaults.update(kw)
-    return NetworkModel(**defaults)
+def model(seed=42, **link):
+    """The network model of a scenario on GEOM with these link fields."""
+    config = dict(supervisor_position_m=0.0, latency_mean_us=20.0, latency_jitter_us=1.0)
+    config.update(link)
+    return Scenario(geometry=GEOM, network=NetworkConfig(**config), seed=seed).network_model()
+
+
+def draw(m, kind, period_index, sensor_id):
+    """(dropped, latency_us) of one receiver, through the one draw kernel."""
+    return m._draw(m._prefix(kind, period_index), sensor_id)
 
 
 class TestPropagationDelay:
     def test_1080m_at_rf_speed_is_6us(self):
-        m = model(sensor_positions_m={1: 0.0, 2: 1080.0})
-        assert m.propagation_delay_us(1, 2) == pytest.approx(6.0, rel=1e-12)
+        assert rf_delay_us(0.0, 1080.0, DEFAULT_RF_SPEED_M_S) == pytest.approx(6.0, rel=1e-12)
 
     def test_colocated_nodes_have_zero_delay(self):
-        m = model()
-        assert m.propagation_delay_us(SUPERVISOR_NODE, 1) == 0.0
+        assert rf_delay_us(10.0, 10.0, DEFAULT_RF_SPEED_M_S) == 0.0
+        # sensor 1 shares the supervisor's position: only the latency remains
+        assert model(latency_jitter_us=0.0).report_delivery(0.0, 0, 1) == 20.0
 
     def test_300m_delay(self):
-        m = model(sensor_positions_m={1: 0.0, 2: 300.0})
-        assert m.propagation_delay_us(2, 1) == pytest.approx(300.0 / 180e6 * 1e6, rel=1e-12)
+        expected = 300.0 / 180e6 * 1e6
+        assert rf_delay_us(300.0, 0.0, 180e6) == pytest.approx(expected, rel=1e-12)
+        assert rf_delay_us(0.0, 300.0, 180e6) == rf_delay_us(300.0, 0.0, 180e6)
 
     def test_unknown_node_rejected(self):
-        with pytest.raises(ValueError, match="unknown node"):
-            model().propagation_delay_us(1, 99)
+        m = model()
+        with pytest.raises(ValueError, match="unknown node 99"):
+            m.sync_receipt_at(0.0, 0, 99)
+        with pytest.raises(ValueError, match="unknown node 99"):
+            m.report_delivery(0.0, 0, 99)
 
 
 class TestBroadcast:
     def test_zero_jitter_colocated_all_arrive_at_mean_latency(self):
         m = model(
-            sensor_positions_m={1: 0.0, 2: 0.0, 3: 0.0},
+            radio_positions_m={1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0},
             latency_mean_us=20.0,
             latency_jitter_us=0.0,
         )
         out = m.broadcast_sync(now_ref_us=1000.0, period_index=0)
-        assert out == [(1020.0, 1), (1020.0, 2), (1020.0, 3)]
+        assert out == [(1020.0, 1), (1020.0, 2), (1020.0, 3), (1020.0, 4)]
 
     def test_radial_difference_of_1080m_gives_6us_receipt_skew(self):
         m = model(
-            sensor_positions_m={1: 60.0, 2: 1140.0},
+            radio_positions_m={1: 60.0, 2: 1140.0, 3: 0.0, 4: 0.0},
             latency_jitter_us=0.0,
         )
-        (at_1, _), (at_2, _) = m.broadcast_sync(now_ref_us=0.0, period_index=0)
-        skew = at_2 - at_1
+        at = {sid: t for t, sid in m.broadcast_sync(now_ref_us=0.0, period_index=0)}
+        skew = at[2] - at[1]
         assert skew == pytest.approx(6.0, rel=1e-9)
 
     def test_jitter_stays_within_half_width(self):
         m = model(latency_mean_us=20.0, latency_jitter_us=1.0)
         for k in range(50):
             for at, sid in m.broadcast_sync(0.0, k):
-                latency = at - m.propagation_delay_us(SUPERVISOR_NODE, sid)
+                latency = at - rf_delay_us(0.0, POSITIONS[sid], DEFAULT_RF_SPEED_M_S)
                 assert 19.0 <= latency <= 21.0
 
     def test_draws_are_reproducible_across_instances(self):
@@ -94,21 +103,22 @@ class TestBroadcast:
         assert at == pytest.approx(100.0 + 30.0 / 180e6 * 1e6 + 20.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # no model is built from a link the scenario refuses
+        with pytest.raises(ScenarioError, match="rf_speed_m_s must be > 0"):
             model(rf_speed_m_s=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match="latency_mean_us must be >= latency_jitter_us"):
             model(latency_mean_us=0.5, latency_jitter_us=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match=r"drop_probability must be in \[0, 1\]"):
             model(drop_probability=1.5)
 
     @pytest.mark.parametrize("kw", [
         dict(latency_jitter_us=math.nan),
         dict(latency_mean_us=math.inf),
         dict(supervisor_position_m=math.nan),
-        dict(sensor_positions_m={1: 0.0, 2: math.nan}),
+        dict(radio_positions_m={1: 0.0, 2: math.nan, 3: 20.0, 4: 30.0}),
     ])
     def test_non_finite_values_rejected(self, kw):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ScenarioError, match="must be finite"):
             model(**kw)
 
 
@@ -121,8 +131,9 @@ class TestKeyedDraws:
         n, drops, total, squares = 0, 0, 0.0, 0.0
         for kind in (KIND_SYNC, KIND_REPORT):
             for k in range(12_500):
+                prefix = m._prefix(kind, k)
                 for sid in (1, 2, 3, 4):
-                    dropped, latency = m._draws(kind, k, sid)
+                    dropped, latency = m._draw(prefix, sid)
                     x = latency - 20.0  # uniform on [-1, 1]: mean 0, variance 1/3
                     n, drops, total, squares = n + 1, drops + dropped, total + x, squares + x * x
         assert n == 100_000
@@ -131,14 +142,14 @@ class TestKeyedDraws:
         assert abs(squares / n - 1 / 3) <= 5 * math.sqrt((1 / 5 - 1 / 9) / n)
 
     def test_keys_differing_in_one_component_draw_differently(self):
-        base = model(seed=42)._draws(KIND_SYNC, 5, 3)
-        assert model(seed=43)._draws(KIND_SYNC, 5, 3) != base
-        assert model(seed=42)._draws(KIND_REPORT, 5, 3) != base
-        assert model(seed=42)._draws(KIND_SYNC, 6, 3) != base
-        assert model(seed=42)._draws(KIND_SYNC, 5, 4) != base
+        base = draw(model(seed=42), KIND_SYNC, 5, 3)
+        assert draw(model(seed=43), KIND_SYNC, 5, 3) != base
+        assert draw(model(seed=42), KIND_REPORT, 5, 3) != base
+        assert draw(model(seed=42), KIND_SYNC, 6, 3) != base
+        assert draw(model(seed=42), KIND_SYNC, 5, 4) != base
 
     def test_wide_and_negative_seeds_are_separated(self):
-        draws = {model(seed=s)._draws(KIND_SYNC, 0, 1) for s in (-1, 2**64 - 1, 2**64)}
+        draws = {draw(model(seed=s), KIND_SYNC, 0, 1) for s in (-1, 2**64 - 1, 2**64)}
         assert len(draws) == 3
 
     @given(
@@ -157,8 +168,8 @@ class TestKeyedDraws:
     def test_pinned_draw(self):
         # a change to the generator changes every run's outputs: make it loud
         m = model(seed=42, drop_probability=0.5)
-        assert m._draws(KIND_SYNC, 5, 3) == (False, 19.92399990367404)
-        assert m._draws(KIND_REPORT, 5, 3) == (False, 19.137441737333457)
+        assert draw(m, KIND_SYNC, 5, 3) == (False, 19.92399990367404)
+        assert draw(m, KIND_REPORT, 5, 3) == (False, 19.137441737333457)
 
 
 class TestEventLoop:

@@ -8,7 +8,10 @@ import typing
 import pytest
 
 from cablewatch import scenario as scenario_module
+from cablewatch.network import rf_delay_us
 from cablewatch.scenario import (
+    DEFAULT_LATENCY_MEAN_US,
+    DEFAULT_RF_SPEED_M_S,
     DEFAULT_SYNC_PERIOD_T_US,
     MAX_RUN_PERIODS,
     NetworkConfig,
@@ -58,12 +61,14 @@ class TestScenarioDefaults:
         assert s.drift_for(1) == 0.0
 
     def test_network_model_defaults_to_cable_positions(self):
-        s = Scenario(geometry=GEOM)
+        s = Scenario(geometry=GEOM, network=NetworkConfig(latency_jitter_us=0.0))
         net = s.network_model()
-        assert net.node_position(3) == 17.0
-        # supervisor co-located with the first sensor
-        assert net.node_position("supervisor") == 0.0
-        assert net.seed == 0
+        assert net.scenario is s
+        # supervisor co-located with the first sensor, sensor 3 at 17 m
+        assert net.report_delivery(0.0, 0, 1) == DEFAULT_LATENCY_MEAN_US
+        assert net.report_delivery(0.0, 0, 3) == (
+            rf_delay_us(0.0, 17.0, DEFAULT_RF_SPEED_M_S) + DEFAULT_LATENCY_MEAN_US
+        )
 
     def test_network_model_honors_radio_overrides(self):
         s = Scenario(
@@ -71,13 +76,15 @@ class TestScenarioDefaults:
             network=NetworkConfig(
                 supervisor_position_m=-50.0,
                 radio_positions_m={1: 0.0, 2: 4.0, 3: 17.0, 4: 1000.0},
+                latency_jitter_us=0.0,
             ),
             seed=9,
         )
         net = s.network_model()
-        assert net.node_position(4) == 1000.0
-        assert net.node_position("supervisor") == -50.0
-        assert net.seed == 9
+        for sid, pos in ((1, 0.0), (4, 1000.0)):
+            assert net.sync_receipt_at(0.0, 0, sid) == (
+                rf_delay_us(-50.0, pos, DEFAULT_RF_SPEED_M_S) + DEFAULT_LATENCY_MEAN_US
+            )
 
 
 class TestScenarioValidation:
@@ -162,6 +169,28 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError) as e:
             Scenario(geometry=GEOM, **kw)
         assert f"{name} must be finite" in "\n".join(e.value.problems)
+
+    @pytest.mark.parametrize("link, problem", [
+        (dict(rf_speed_m_s=0.0), "network.rf_speed_m_s must be > 0, got 0.0"),
+        (dict(drop_probability=1.5), "network.drop_probability must be in [0, 1], got 1.5"),
+        (dict(drop_probability=-0.1), "network.drop_probability must be in [0, 1], got -0.1"),
+    ])
+    def test_link_value_out_of_range_is_rejected_by_path(self, link, problem):
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=GEOM, network=NetworkConfig(**link))
+        assert e.value.problems == [problem]
+
+    def test_radio_positions_edited_after_validation_do_not_reach_a_run(self):
+        positions = {1: 0.0, 2: 4.0, 3: 17.0, 4: 27.0}
+        s = Scenario(
+            geometry=GEOM,
+            network=NetworkConfig(radio_positions_m=positions),
+            ruptures=(RuptureEvent(14.0, 1_500_000.0),),
+        )
+        before = run(s)
+        positions[2] = math.nan
+        assert s.radio_positions() == (0.0, {1: 0.0, 2: 4.0, 3: 17.0, 4: 27.0})
+        assert run(s) == before
 
     @pytest.mark.parametrize("kw, problem", [
         (dict(drift_ppm={True: 5.0}), "drift_ppm: sensor id must be an int, got True"),

@@ -240,6 +240,17 @@ class TestSimulateRupture:
             simulate_rupture(FOUR_AT_10M, RuptureEvent(10.0, 0.0), attenuation_per_m=math.inf)
         with pytest.raises(ValueError, match=r"^wave speed must be finite, got inf$"):
             simulate_rupture(FOUR_AT_10M, r, wave_speed_m_s=math.inf)
+        # each of these fired all four sensors for a 0.1 g wave
+        weak = RuptureEvent(position_m=14.0, time_ref_us=0.0, peak_amplitude_g=0.1)
+        with pytest.raises(ValueError, match=r"^threshold must be finite, got nan$"):
+            simulate_rupture(FOUR_AT_10M, weak, threshold_g=math.nan)
+        with pytest.raises(ValueError, match=r"^threshold must be > 0, got -1\.0$"):
+            simulate_rupture(FOUR_AT_10M, weak, threshold_g=-1.0)
+        with pytest.raises(ValueError, match=r"^threshold must be > 0, got 0\.0$"):
+            simulate_rupture(FOUR_AT_10M, weak, threshold_g=0.0)
+        # and this one silently fired none
+        with pytest.raises(ValueError, match=r"^threshold must be finite, got inf$"):
+            simulate_rupture(FOUR_AT_10M, weak, threshold_g=math.inf)
 
     def test_amplitude_decay_values(self):
         r = RuptureEvent(position_m=0.0, time_ref_us=0.0, peak_amplitude_g=2.0)
