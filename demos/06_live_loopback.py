@@ -26,20 +26,20 @@ from cablewatch import (
     run_live,
 )
 
-PERIODS = 5
 scenario = Scenario(
     geometry=CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0)),
     drift_ppm={1: +37.0, 2: -12.0, 3: +50.0, 4: -50.0},
     ruptures=(RuptureEvent(14.0, 1_500_000.0),),
     seed=20,
-    run_duration_us=float((PERIODS - 1) * 1_000_000),
+    run_duration_us=4_000_000.0,
 )
 
 # Port 0 everywhere: the OS assigns free loopback ports, so this demo
-# cannot collide with anything (deployments use 47801/47802).
+# cannot collide with anything (deployments use 47801/47802). The live run
+# sends the frames the simulated run sends: five, at 0 to 4 s.
 live = run_live(LiveConfig(
     scenario=scenario,
-    periods=PERIODS,
+    periods=scenario.sync_frames(),
     report_port=0,
     sync_ports={sid: 0 for sid in scenario.geometry.sensor_ids},
 ))

@@ -8,8 +8,9 @@ instants drawn from the run's NetworkModel, keyed by (seed, period, sensor)
 like the simulated transport, and run_live ends with the simulator's own
 tail (simulate.report_run), so it returns the same RunReport as a simulated
 run, equal field for field, when periods is that run's frame count,
-floor(effective_duration_us / T) + 1; other periods send other frames, so
-their report differs. LiveConfig refuses what no live run can reproduce: a
+Scenario.sync_frames(); other periods send other frames, so their report
+differs. LiveConfig holds periods to the scenario's closing rule
+(Scenario.closing_problems), and refuses what no live run can reproduce: a
 modeled drop, and a modeled round trip that can reach the protocol's period
 deadline, which a live report, carrying no modeled delivery instant, meets
 only once every frame is sent (SupervisorProtocol.release_due). Wall pacing
@@ -65,9 +66,9 @@ def default_sync_ports(sensor_ids, base: int = DEFAULT_SYNC_PORT,
 class LiveConfig:
     """Endpoint wiring for one live run.
 
-    periods counts the sync frames sent, from 2 up to MAX_RUN_PERIODS, and
-    must close every rupture's period: periods*T > time_ref_us + T, the rule
-    a scenario applies to run_duration_us.
+    periods, an int, counts the sync frames sent, from 2 up to
+    MAX_RUN_PERIODS, and must close every rupture by the rule a scenario
+    applies to the frames of its run_duration_us (Scenario.closing_problems).
     sync_ports maps every roster sensor id, and no other key, to its
     listening port (the key rule is scenario.roster_pairs'); a port of 0
     binds an OS-assigned one (in-process runs resolve it automatically;
@@ -98,28 +99,24 @@ class LiveConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.periods < 2:
-            problems.append(f"need at least 2 sync periods to close one, got {self.periods!r}")
-        elif self.periods > MAX_RUN_PERIODS:
+        periods = self.periods
+        if isinstance(periods, bool) or not isinstance(periods, int):
+            problems.append(f"periods must be an int, got {periods!r}")
+        elif periods < 2:
+            problems.append(f"need at least 2 sync periods to close one, got {periods!r}")
+        elif periods > MAX_RUN_PERIODS:
             problems.append(
-                f"periods must be at most MAX_RUN_PERIODS ({MAX_RUN_PERIODS}), got {self.periods!r}"
+                f"periods must be at most MAX_RUN_PERIODS ({MAX_RUN_PERIODS}), got {periods!r}"
             )
-        # the longest run that sends periods frames lasts just under
-        # periods*T; hold it to the scenario's run_duration_us rule
-        t_us = self.scenario.sync_period_T_us
-        problems.extend(
-            f"periods: {self.periods} sync frames end the run before ruptures[{i}]'s period "
-            f"closes; need periods*T > time_ref_us + T ({r.time_ref_us} + {t_us})"
-            for i, r in enumerate(self.scenario.ruptures)
-            if r.time_ref_us + t_us >= self.periods * t_us
-        )
+        else:
+            problems.extend(self.scenario.closing_problems(periods, "periods"))
         network = self.scenario.network
         if network.drop_probability != 0.0:
             problems.append("live mode sends real datagrams; modeled drop_probability must be 0")
         sup, positions = self.scenario.radio_positions()
         rf_us = max(rf_delay_us(sup, p, network.rf_speed_m_s) for p in positions.values())
         round_trip_us = 2 * (rf_us + network.latency_mean_us + network.latency_jitter_us)
-        deadline_us = PERIOD_TIMEOUT_FRACTION * t_us
+        deadline_us = PERIOD_TIMEOUT_FRACTION * self.scenario.sync_period_T_us
         if round_trip_us >= deadline_us:
             problems.append(
                 "live mode has no modeled period timeout; modeled round trip "

@@ -161,21 +161,22 @@ class Scenario:
                 out.append(
                     f"drift_ppm: sensor {sid} drift {ppm!r} outside +/-{MAX_DRIFT_PPM:g} ppm"
                 )
-        if finite("wave_speed_m_s", self.wave_speed_m_s) and not self.wave_speed_m_s > 0:
-            out.append(f"wave_speed_m_s must be > 0, got {self.wave_speed_m_s!r}")
+        speed = self.wave_speed_m_s
+        if finite("wave_speed_m_s", speed) and not speed > 0:
+            out.append(f"wave_speed_m_s must be > 0, got {speed!r}")
         if finite("threshold_g", self.threshold_g) and not self.threshold_g > 0:
             out.append(f"threshold_g must be > 0, got {self.threshold_g!r}")
         if self.sampling_period_ticks < 1 or int(self.sampling_period_ticks) != self.sampling_period_ticks:
             out.append(
                 f"sampling_period_ticks must be a positive integer, got {self.sampling_period_ticks!r}"
             )
-        if self.sync_period_T_us < 1 or int(self.sync_period_T_us) != self.sync_period_T_us:
+        t_us = self.sync_period_T_us
+        period_ok = t_us >= 1 and int(t_us) == t_us
+        if not period_ok:
+            out.append(f"sync_period_T_us must be a positive integer, got {t_us!r}")
+        elif t_us > MAX_PERIOD_T_US:
             out.append(
-                f"sync_period_T_us must be a positive integer, got {self.sync_period_T_us!r}"
-            )
-        elif self.sync_period_T_us > MAX_PERIOD_T_US:
-            out.append(
-                f"sync_period_T_us {self.sync_period_T_us!r} does not fit the wire's u32 "
+                f"sync_period_T_us {t_us!r} does not fit the wire's u32 "
                 f"period_T_us (at most {MAX_PERIOD_T_US})"
             )
         window = self.coincidence_window_us
@@ -184,31 +185,12 @@ class Scenario:
         if finite("attenuation_per_m", self.attenuation_per_m) and self.attenuation_per_m < 0:
             out.append(f"attenuation_per_m must be >= 0, got {self.attenuation_per_m!r}")
 
-        t_us = self.sync_period_T_us
-        speed = self.wave_speed_m_s
-        travel = self.span_travel_us() if math.isfinite(speed) and speed > 0 else 0.0
-
         def wide_amplitude(path: str, amplitude_g: float) -> str:
             return (
                 f"{path} {amplitude_g!r} does not fit the wire's u32 "
                 f"amplitude_milli_g (at most {MAX_AMPLITUDE_MILLI_G / 1000} g)"
             )
 
-        def bounded(path: str, duration_us: float, *args) -> None:
-            """Record path, formatted with args, if a run of duration_us would
-            exceed MAX_RUN_PERIODS."""
-            if t_us < 1:
-                return  # no period length, already recorded
-            periods = math.floor(duration_us / t_us) + 1
-            if periods > MAX_RUN_PERIODS:
-                out.append(
-                    f"{path.format(*args)} needs a run of {periods} sync periods, more than "
-                    f"MAX_RUN_PERIODS ({MAX_RUN_PERIODS})"
-                )
-
-        # without run_duration_us, the latest rupture or spurious hit sets
-        # the run length
-        auto = self.run_duration_us is None
         lo, hi = self.geometry.extent_m
         for i, r in enumerate(self.ruptures):
             if not lo <= r.position_m <= hi:
@@ -218,33 +200,15 @@ class Scenario:
             # a sensor at the rupture hears its peak
             if amplitude_milli_g(r.peak_amplitude_g) > MAX_AMPLITUDE_MILLI_G:
                 out.append(wide_amplitude(f"ruptures[{i}].peak_amplitude_g", r.peak_amplitude_g))
-            if not finite("ruptures[{}].time_ref_us", r.time_ref_us, i):
-                continue
-            if r.time_ref_us < 0:
+            if finite("ruptures[{}].time_ref_us", r.time_ref_us, i) and r.time_ref_us < 0:
                 out.append(f"ruptures[{i}]: time must be >= 0, got {r.time_ref_us!r}")
-            elif auto:
-                bounded(
-                    "ruptures[{}].time_ref_us", self._closing_duration_us(r.time_ref_us + travel), i
-                )
-            if self.run_duration_us is not None and (
-                r.time_ref_us + self.sync_period_T_us > self.run_duration_us
-            ):
-                out.append(
-                    f"ruptures[{i}]: run_duration_us must cover the rupture plus one "
-                    f"full sync period ({r.time_ref_us} + {self.sync_period_T_us})"
-                )
         for i, s in enumerate(self.spurious_events):
             if isinstance(s.sensor_id, bool) or not isinstance(s.sensor_id, int):
                 out.append(f"spurious_events[{i}].sensor_id must be an int, got {s.sensor_id!r}")
             elif s.sensor_id not in ids:
                 out.append(f"spurious_events[{i}]: unknown sensor id {s.sensor_id}")
-            if finite("spurious_events[{}].time_ref_us", s.time_ref_us, i):
-                if s.time_ref_us < 0:
-                    out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
-                elif auto:
-                    bounded(
-                        "spurious_events[{}].time_ref_us", self._closing_duration_us(s.time_ref_us), i
-                    )
+            if finite("spurious_events[{}].time_ref_us", s.time_ref_us, i) and s.time_ref_us < 0:
+                out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
             if finite("spurious_events[{}].amplitude_g", s.amplitude_g, i):
                 if not s.amplitude_g > 0:
                     out.append(
@@ -276,10 +240,20 @@ class Scenario:
                 finite("network.radio_positions_m[{}]", pos, sid)
 
         duration = self.run_duration_us
-        if duration is not None and finite("run_duration_us", duration):
-            if not duration > 0:
-                out.append(f"run_duration_us must be > 0, got {duration!r}")
-            bounded("run_duration_us", duration)
+        if duration is not None and finite("run_duration_us", duration) and not duration > 0:
+            out.append(f"run_duration_us must be > 0, got {duration!r}")
+        # the run length, once the inputs that set it are valid
+        if period_ok and math.isfinite(speed) and speed > 0 and (
+            duration is None or 0 < duration < math.inf
+        ):
+            frames, source = self._run_length()
+            if frames > MAX_RUN_PERIODS:
+                out.append(
+                    f"{source} needs a run of {frames} sync periods, more than "
+                    f"MAX_RUN_PERIODS ({MAX_RUN_PERIODS})"
+                )
+            if duration is not None:
+                out.extend(self.closing_problems(frames, source))
         return out
 
     def drift_for(self, sensor_id: int) -> float:
@@ -304,25 +278,51 @@ class Scenario:
         """The wave's travel time over the sensed span, microseconds."""
         return self.geometry.span_m / self.wave_speed_m_s * 1e6
 
-    def effective_duration_us(self) -> float:
-        """Resolve the run length: explicit, or long enough to close every
-        period that contains injected activity."""
-        if self.run_duration_us is not None:
-            return float(self.run_duration_us)
-        latest = 0.0
-        travel = self.span_travel_us()
-        for r in self.ruptures:
-            latest = max(latest, r.time_ref_us + travel)
-        for s in self.spurious_events:
-            latest = max(latest, s.time_ref_us)
-        if latest == 0.0:
-            return 3.0 * self.sync_period_T_us
-        return self._closing_duration_us(latest)
+    def sync_frames(self) -> int:
+        """The sync frames a run sends, one at every k*T from 0: through
+        run_duration_us, or without it through the frame after the one that
+        closes the period holding the latest activity (a rupture's time plus
+        span travel, a spurious hit's time), so that the automatic run closes
+        every rupture; four with no activity after time 0."""
+        return self._run_length()[0]
 
-    def _closing_duration_us(self, latest_us: float) -> float:
-        """A run length that closes the period holding latest_us, and the next."""
-        t = float(self.sync_period_T_us)
-        return (math.floor(latest_us / t) + 2) * t
+    def _run_length(self) -> tuple[int, str]:
+        """sync_frames() and the path of the input that sets it. A time that
+        is not finite, which problems() refuses, sets nothing."""
+        t_us = self.sync_period_T_us
+        if self.run_duration_us is not None:
+            return int(self.run_duration_us // t_us) + 1, "run_duration_us"
+        travel = self.span_travel_us()
+        latest, setter = 0.0, ("", 0)
+        for i, r in enumerate(self.ruptures):
+            if latest < r.time_ref_us + travel < math.inf:
+                latest, setter = r.time_ref_us + travel, ("ruptures", i)
+        for i, sp in enumerate(self.spurious_events):
+            if latest < sp.time_ref_us < math.inf:
+                latest, setter = sp.time_ref_us, ("spurious_events", i)
+        if latest == 0.0:
+            return 4, ""
+        return math.floor(latest / t_us) + 3, "{}[{}].time_ref_us".format(*setter)
+
+    def closing_problems(self, frames: int, source: str) -> list[str]:
+        """The closing rule, one problem per rupture that a run of frames
+        sync frames, set by the input source, leaves open: rupture i closes
+        only if frames >= floor((time_ref_us + span_travel_us()) / T) + 2,
+        the frame after the period that holds its last possible arrival.
+        problems() applies it to run_duration_us, a LiveConfig to periods."""
+        t_us, travel = self.sync_period_T_us, self.span_travel_us()
+        out = []
+        for i, r in enumerate(self.ruptures):
+            # a time that is not finite is refused by problems()
+            if not math.isfinite(r.time_ref_us):
+                continue
+            needed = math.floor((r.time_ref_us + travel) / t_us) + 2
+            if frames < needed:
+                out.append(
+                    f"ruptures[{i}]: {source} gives a run of {frames} sync frames; closing "
+                    f"the period of its last arrival (time_ref_us + span travel) needs {needed}"
+                )
+        return out
 
 
 _NO_VALUE = object()  # a field left to its default, or one whose problem is recorded

@@ -165,19 +165,16 @@ def run(scenario: Scenario) -> RunReport:
     """Simulate one scenario end to end."""
     net = scenario.network_model()
     t_us = scenario.sync_period_T_us
-    duration = scenario.effective_duration_us()
 
     nodes = sensor_nodes(scenario)
     supervisor = SupervisorProtocol(roster=scenario.geometry.sensor_ids, period_t_us=t_us)
 
     # the broadcast calendar: frame k leaves at k*T
     frames, receipts = [], []
-    k = 0
-    while k * t_us <= duration:
+    for k in range(scenario.sync_frames()):
         # one datagram, so every receiver decodes the same frame
         frames.append(decode_sync_frame(encode_sync_frame(supervisor.tick())))
         receipts += [(at, sid, k) for at, sid in net.broadcast_sync(k * t_us, k)]
-        k += 1
 
     # each sensor hears its frames in receipt-time order, which is not the
     # broadcast order when jitter spans more than half a period

@@ -36,7 +36,8 @@ def stress():
     and one cluster. The drifts and the rupture were drawn once from
     random.Random(46), the spurious hits from random.Random(44) as
     (randint(1, 4), uniform(0, 1000), uniform(1, 2)); all are written at
-    full precision, since rounding them loses the clamp."""
+    full precision, since rounding them loses the clamp. The run is the
+    shortest that closes the rupture: 66 frames, the last at 6500 us."""
     return Scenario(
         geometry=GEOM,
         drift_ppm={
@@ -58,7 +59,7 @@ def stress():
             SpuriousEvent(2, 112.00982712964758, 1.0700666873799172),
         ),
         seed=46,
-        run_duration_us=1000.0,
+        run_duration_us=6500.0,
     )
 
 
@@ -96,10 +97,10 @@ GOLDEN = {
         "summary.csv": "40f01b264175466989b874d737ddb7d2413a295af61a86f4a1422ed4e0ab0377",
     }),
     "stress": (stress, {
-        "detections.csv": "6a008a7d06f68db18ade20dd085beb14b89d38a722ecbfb9b2ba692c0e044b38",
+        "detections.csv": "0df785c024bd6591085ee494939b47aff051e53f5b795a866ee8caec54146e60",
         "retimed.csv": "e8ea465e2bf6ed5658ee168e4e05c860a7d6b44876e94664d226b3b9e5a3ea75",
         "estimates.csv": "4a62791a72d046363db6ebd5ab700ad7313c3eeb6e7b196bb9d85c80c03c10af",
-        "summary.csv": "6bc6548c4148cb8b463d4618403ccd8cb25008ec01e27035cdb7b3b32f81ed25",
+        "summary.csv": "0d71b618e65b27ef169564995514e9282f51b10ba84c325cacb005e1912d35fe",
     }),
     "dense": (dense, {
         "detections.csv": "ca7f14a872391da5c7c212ddd7b145c78e0ec37272e83d3255896b0ed6cab0d5",

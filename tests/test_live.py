@@ -1,5 +1,6 @@
 """Live datagram mode: real sockets, modeled time."""
 
+import dataclasses
 import gc
 import logging
 import math
@@ -93,19 +94,49 @@ class TestConfig:
 
     def test_periods_must_close_every_ruptures_period(self):
         # a rupture at 5.5 s reaches its sensors in period 5, whose reports
-        # ride frame 6: fewer frames leave every event pending, the rule a
-        # scenario applies to run_duration_us (time_ref_us + T within it)
+        # ride frame 6, the seventh: fewer frames leave every event pending,
+        # by the closing rule a scenario applies to run_duration_us
         s = live_scenario(ruptures=(RuptureEvent(14.0, 5_500_000.0),))
         for periods in (3, 6):
             with pytest.raises(ScenarioError) as e:
                 LiveConfig(scenario=s, periods=periods)
             assert e.value.problems == [
-                f"periods: {periods} sync frames end the run before ruptures[0]'s period "
-                "closes; need periods*T > time_ref_us + T (5500000.0 + 1000000)"
+                f"ruptures[0]: periods gives a run of {periods} sync frames; closing the "
+                "period of its last arrival (time_ref_us + span travel) needs 7"
             ]
         assert run_live(ephemeral_config(s, periods=7)).summary["estimates_matched"] == 1
         # the twin holds at run's own frame count
+        assert s.sync_frames() == 8
         assert run_live(ephemeral_config(s, periods=8)) == run(s)
+
+    @pytest.mark.parametrize("time_ref_us", [1_500_000.0, 1_996_000.0, 5_999_000.0])
+    def test_periods_close_ruptures_as_the_same_frames_of_a_scenario_do(self, time_ref_us):
+        # n frames are what a run_duration_us of (n - 1)*T sends
+        s = live_scenario(ruptures=(RuptureEvent(14.0, time_ref_us),))
+        t_us = s.sync_period_T_us
+
+        def accepted(make):
+            try:
+                make()
+            except ScenarioError:
+                return False
+            return True
+
+        live = [accepted(lambda: LiveConfig(scenario=s, periods=n)) for n in range(2, 11)]
+        simulated = [
+            accepted(lambda: dataclasses.replace(s, run_duration_us=float((n - 1) * t_us)))
+            for n in range(2, 11)
+        ]
+        assert live == simulated
+        assert True in live and False in live
+
+    @pytest.mark.parametrize("periods", [3.0, 3.5, True, "5"])
+    def test_periods_must_be_an_int(self, periods):
+        # a float passed validation, then run_live raised TypeError after
+        # binding its sockets
+        with pytest.raises(ScenarioError) as e:
+            LiveConfig(scenario=live_scenario(), periods=periods)
+        assert e.value.problems == [f"periods must be an int, got {periods!r}"]
 
     def test_rejects_modeled_drops(self):
         s = live_scenario(network=NetworkConfig(drop_probability=0.5))

@@ -6,8 +6,10 @@ import textwrap
 import typing
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cablewatch import scenario as scenario_module
+from cablewatch.clock import MAX_DRIFT_PPM
 from cablewatch.network import rf_delay_us
 from cablewatch.scenario import (
     DEFAULT_LATENCY_MEAN_US,
@@ -25,6 +27,8 @@ from cablewatch.simulate import run
 from cablewatch.wave import CableGeometry, RuptureEvent
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 4.0, 17.0, 27.0))
+REFERENCE = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
+T_US = DEFAULT_SYNC_PERIOD_T_US
 
 MINIMAL_YAML = textwrap.dedent(
     """
@@ -104,19 +108,31 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=r"outside cable extent \[0.0, 27.0\]"):
             Scenario(geometry=GEOM, ruptures=(RuptureEvent(-5.0, 1000.0),))
 
-    def test_duration_must_cover_rupture_plus_one_period(self):
-        with pytest.raises(ScenarioError, match="plus one full sync period"):
-            Scenario(
-                geometry=GEOM,
-                ruptures=(RuptureEvent(14.0, 1_500_000.0),),
-                run_duration_us=2_000_000.0,
+    def test_duration_must_close_the_ruptures_last_arrival(self):
+        # on the reference cable the wave reaches its last sensor in period
+        # 2, whose reports ride frame 3: a run of 3 frames (0, T, 2T) left 3
+        # of its 4 arrivals pending and gave only INSUFFICIENT_SENSORS
+        def scenario(run_duration_us):
+            return Scenario(
+                geometry=REFERENCE,
+                ruptures=(RuptureEvent(14.0, 1_999_000.0),),
+                seed=20,
+                run_duration_us=run_duration_us,
             )
-        # exactly rupture time + T is enough
-        Scenario(
-            geometry=GEOM,
-            ruptures=(RuptureEvent(14.0, 1_500_000.0),),
-            run_duration_us=2_500_000.0,
-        )
+
+        with pytest.raises(ScenarioError) as e:
+            scenario(2_999_000.0)
+        assert e.value.problems == [
+            "ruptures[0]: run_duration_us gives a run of 3 sync frames; closing the period "
+            "of its last arrival (time_ref_us + span travel) needs 4"
+        ]
+        report = run(scenario(3_000_000.0))
+        assert report.summary["events_pending_at_end"] == 0
+        # period 2's three arrivals localize it; sensor 2's hit, alone in
+        # period 1, stays INSUFFICIENT_SENSORS (ROADMAP item 1)
+        (estimate,) = [e for e in report.estimates if not e.estimate.flags]
+        assert estimate.matched == "rupture:0"
+        assert estimate.estimate.x_est_m == pytest.approx(14.008, abs=5e-4)
 
     def test_all_problems_reported_at_once(self):
         with pytest.raises(ScenarioError) as e:
@@ -291,30 +307,82 @@ class TestWireLimits:
             seed=2984,
         )
         report = run(s)
-        assert report.summary["sync_frames_sent"] == sync_frames(s)
+        assert report.summary["sync_frames_sent"] == s.sync_frames()
 
 
 class TestEffectiveDuration:
+    """A run's length, counted in the sync frames it sends."""
+
     def test_explicit_duration_wins(self):
+        # frames at 0, T, ..., 7T
         s = Scenario(geometry=GEOM, run_duration_us=7_700_000.0)
-        assert s.effective_duration_us() == 7_700_000.0
+        assert s.sync_frames() == 8
 
     def test_empty_scenario_runs_three_periods(self):
         s = Scenario(geometry=GEOM)
-        assert s.effective_duration_us() == 3_000_000.0
+        assert s.sync_frames() == 4
 
     def test_rupture_extends_duration_to_cover_its_period(self):
         # rupture late in period 1; last arrival 1_900_000 + 27/5000 s
         s = Scenario(geometry=GEOM, ruptures=(RuptureEvent(0.0, 1_900_000.0),))
-        assert s.effective_duration_us() == 3_000_000.0
-        # arrivals spill past a period boundary: floor moves with them
+        assert s.sync_frames() == 4
+        # arrivals spill past a period boundary: the count moves with them
         s2 = Scenario(geometry=GEOM, ruptures=(RuptureEvent(0.0, 1_999_000.0),))
-        assert s2.effective_duration_us() == 4_000_000.0
+        assert s2.sync_frames() == 5
+
+    @pytest.mark.parametrize("kw, frames", [
+        (dict(run_duration_us=math.nextafter(3e6, 0.0)), 3),
+        (dict(run_duration_us=3e6), 4),
+        (dict(run_duration_us=math.nextafter(3e6, math.inf)), 4),
+        (dict(sync_period_T_us=100, run_duration_us=math.nextafter(6500.0, 0.0)), 65),
+        (dict(sync_period_T_us=100, run_duration_us=math.nextafter(6500.0, math.inf)), 66),
+        (dict(), 4),
+        (dict(spurious_events=(SpuriousEvent(2, 0.0), SpuriousEvent(3, 0.0))), 4),
+    ], ids=["3T-ulp", "3T", "3T+ulp", "65T-ulp", "65T+ulp", "no_activity", "activity_at_0"])
+    def test_run_sends_sync_frames(self, kw, frames):
+        # one frame at every k*T up to the end, the end included
+        s = Scenario(geometry=GEOM, **kw)
+        assert s.sync_frames() == frames
+        assert run(s).summary["sync_frames_sent"] == frames
 
 
-def sync_frames(scenario):
-    """Sync frames a run of scenario sends: one at every k*T up to its end."""
-    return math.floor(scenario.effective_duration_us() / scenario.sync_period_T_us) + 1
+class TestClosingRule:
+    @settings(max_examples=150)
+    @given(
+        geometry=st.sampled_from([REFERENCE, GEOM]),
+        where=st.floats(0.0, 1.0),
+        period=st.integers(0, 3),
+        # anywhere in the period, and as often within the span's travel
+        # time (5.4 or 6 ms) of its end, where the last arrival crosses into
+        # the next period
+        phase_us=st.one_of(
+            st.floats(0.0, T_US, exclude_max=True),
+            st.floats(T_US - 6000.0, T_US, exclude_max=True),
+        ),
+        # the run ends near the first or the second boundary after that period
+        boundary=st.integers(1, 2),
+        nudge_us=st.floats(-6000.0, 6000.0),
+        drifts=st.lists(st.floats(-MAX_DRIFT_PPM, MAX_DRIFT_PPM), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a run of 3 frames took 1 of this rupture's 4 arrivals
+    @example(geometry=REFERENCE, where=14.0 / 30.0, period=1, phase_us=999_000.0, boundary=2,
+             nudge_us=-1000.0, drifts=[0.0] * 4, seed=20)
+    def test_an_accepted_run_closes_every_arrival(
+        self, geometry, where, period, phase_us, boundary, nudge_us, drifts, seed
+    ):
+        lo, hi = geometry.extent_m
+        try:
+            s = Scenario(
+                geometry=geometry,
+                drift_ppm=dict(zip(geometry.sensor_ids, drifts)),
+                ruptures=(RuptureEvent(lo + where * (hi - lo), period * T_US + phase_us),),
+                seed=seed,
+                run_duration_us=(period + boundary) * T_US + nudge_us,
+            )
+        except ScenarioError:
+            return
+        assert run(s).summary["events_pending_at_end"] == 0
 
 
 class TestRunLengthBound:
@@ -340,7 +408,7 @@ class TestRunLengthBound:
             Scenario(geometry=GEOM, ruptures=(RuptureEvent(14.0, (MAX_RUN_PERIODS - 3) * t),)),
             Scenario(geometry=GEOM, spurious_events=(SpuriousEvent(2, (MAX_RUN_PERIODS - 3) * t),)),
         ]
-        assert [sync_frames(s) for s in at] == [MAX_RUN_PERIODS] * 3
+        assert [s.sync_frames() for s in at] == [MAX_RUN_PERIODS] * 3
         for kw in (
             dict(run_duration_us=MAX_RUN_PERIODS * t),
             dict(ruptures=(RuptureEvent(14.0, (MAX_RUN_PERIODS - 2) * t),)),
@@ -358,7 +426,7 @@ class TestRunLengthBound:
             ruptures=(RuptureEvent(14.0, (MAX_RUN_PERIODS - 2) * t),),
             run_duration_us=(MAX_RUN_PERIODS - 1) * t,
         )
-        assert sync_frames(s) == MAX_RUN_PERIODS
+        assert s.sync_frames() == MAX_RUN_PERIODS
 
 
 class TestYamlLoading:
