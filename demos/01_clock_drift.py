@@ -20,7 +20,7 @@ for ms in (0, 100, 250, 500, 750, 1000):
     t_ref = ms * 1000.0
     fast.advance_to(t_ref)
     slow.advance_to(t_ref)
-    a, b = fast.read_counter(), slow.read_counter()
+    a, b = fast.counter_ticks, slow.counter_ticks
     print(f"{ms:>7} ms {a:>14.2f} {b:>14.2f} {a - b:>9.2f}")
 
 # At 1 s the clocks disagree by 100 us. An extensional wave in a steel

@@ -32,7 +32,7 @@ for sid, ppm in DRIFTS.items():
     clk.advance_to(SYNC_0)
     clk.save_and_reset()              # period opens, counter back to 0
     clk.advance_to(EVENT)
-    t_evi = clk.read_counter()        # the event timestamp, local ticks
+    t_evi = clk.counter_ticks         # the event timestamp, local ticks
     clk.advance_to(SYNC_1)
     t_i = clk.save_and_reset()        # the period length, local ticks
     t_shared = retime(t_evi, t_i, T_US)

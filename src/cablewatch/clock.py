@@ -4,7 +4,8 @@ Each sensor timestamps acoustic events with a free-running counter driven by
 its local oscillator. The oscillator rate differs from nominal by a constant
 error expressed in parts per million; one tick equals one nominal microsecond,
 so a perfect clock counts 1,000,000 ticks per reference second and a +50 ppm
-clock counts 1,000,050.
+clock counts 1,000,050. A sensor runs its clock with advance_to, reads
+counter_ticks to stamp an event, and ends a period with save_and_reset.
 """
 
 from __future__ import annotations
@@ -39,34 +40,23 @@ class ClockState:
                 f"drift_ppm {self.drift_ppm!r} outside +/-{MAX_DRIFT_PPM:g} ppm"
             )
 
-    def advance(self, ref_dt_us: float) -> None:
-        """Advance the clock by an elapsed reference duration.
-
-        Args:
-            ref_dt_us: elapsed reference microseconds, must be >= 0.
-
-        Raises:
-            ValueError: if ref_dt_us is negative (reference time is monotonic).
-        """
+    def advance_to(self, ref_us: float) -> None:
+        """The one clock update: run to reference time ref_us, which must not
+        be before ref_now_us (reference time is monotonic); ValueError if it is."""
+        ref_dt_us = ref_us - self.ref_now_us
         if ref_dt_us < 0:
             raise ValueError(f"cannot advance by negative duration {ref_dt_us!r}")
         # the counter gains 1 + drift_ppm * 1e-6 ticks per reference microsecond
         self.counter_ticks += ref_dt_us * (1.0 + self.drift_ppm * 1e-6)
-        self.ref_now_us += ref_dt_us
-
-    def advance_to(self, ref_us: float) -> None:
-        """Advance the clock to an absolute reference time (>= current):
-        advance by the difference, in one call."""
-        ref_dt_us = ref_us - self.ref_now_us
-        if ref_dt_us < 0:
-            raise ValueError(f"cannot advance by negative duration {ref_dt_us!r}")
-        self.counter_ticks += ref_dt_us * (1.0 + self.drift_ppm * 1e-6)
         # now + (ref_us - now) can round past ref_us; a repeat would go back
         self.ref_now_us = ref_us
 
-    def read_counter(self) -> float:
-        """Current counter value in ticks; does not mutate the clock."""
-        return self.counter_ticks
+    def advance(self, ref_dt_us: float) -> None:
+        """advance_to(ref_now_us + ref_dt_us) for a duration >= 0. No run calls
+        it; the benchmark's tracer (bench/tracing.py) wraps it by name."""
+        if ref_dt_us < 0:
+            raise ValueError(f"cannot advance by negative duration {ref_dt_us!r}")
+        self.advance_to(self.ref_now_us + ref_dt_us)
 
     def save_and_reset(self) -> float:
         """Atomically capture the counter and restart it from zero.

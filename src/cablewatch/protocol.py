@@ -6,20 +6,21 @@ together with every event it timestamped during the period just closed.
 
 A report is only meaningful for a period whose start and end the sensor both
 saw: retimed = T_evi * T / T_i needs T_i to span exactly one announced
-period. So a sync reports only when its index is the last one seen plus one.
-A first sync, a regressed index or a gap of missed frames instead restarts
-the counter and discards the pending events, which were stamped against a
-counter with no defined start. A report is one datagram, so it carries the
-earliest MAX_EVENTS_PER_REPORT pending events and the sensor discards the
-rest. These are the rules for simulated and live runs alike; nothing beyond
-the wire report ever leaves the sensor.
+period. So a sync reports only when its index is the last one seen plus one;
+that index, the open period, is -1 before the first sync. A first sync, a
+regressed index or a gap of missed frames instead restarts the counter and
+discards the pending events, which were stamped against a counter with no
+defined start. A report is one datagram, so it carries the earliest
+MAX_EVENTS_PER_REPORT pending events and the sensor discards the rest. These
+are the rules for simulated and live runs alike; nothing beyond the wire
+report ever leaves the sensor.
 
 The supervisor files reports per period and releases a period once every
-roster sensor has reported, or partial at its deadline, which one rule,
-release_due, applies for simulated and live runs alike: period k's reports
-are due PERIOD_TIMEOUT_FRACTION*T after the frame that closes it leaves,
-at (k + 1)*T. Its `released` map is the one record of released periods:
-both modes post-process it as it stands.
+roster sensor has reported, or partial at its deadline, naming the sensors
+still missing; one rule, release_due, applies the deadline for simulated
+and live runs alike: period k's reports are due PERIOD_TIMEOUT_FRACTION*T
+after the frame that closes it leaves, at (k + 1)*T. Its `released` map is
+the one record of released periods: both modes post-process it as it stands.
 
 Both machines are single-owner and event-driven: callers deliver one message
 at a time and nothing here touches sockets or wall clocks. Each keeps its own
@@ -36,12 +37,9 @@ from typing import NamedTuple, Optional
 from .clock import ClockState
 from .wave import tuple_record
 from .wire import MAX_EVENTS_PER_REPORT, ReportEvent, SensorReport, SyncFrame
+from .wire import _report_event, _sensor_report, _sync_frame
 
 log = logging.getLogger(__name__)
-
-_report_event = tuple_record(ReportEvent)
-_sensor_report = tuple_record(SensorReport)
-_sync_frame = tuple_record(SyncFrame)
 
 # the wait for a period's reports past the frame that closes it, over T
 PERIOD_TIMEOUT_FRACTION = 0.5
@@ -54,7 +52,8 @@ class SensorProtocol:
         self.sensor_id = sensor_id
         self.clock = clock
         self.pending: list[ReportEvent] = []
-        self.last_seen_period_index: Optional[int] = None
+        # the open period: the index of the last sync seen, -1 before the first
+        self.last_seen_period_index = -1
         # diagnostics
         self.duplicate_syncs = 0
         self.regressions = 0
@@ -62,10 +61,6 @@ class SensorProtocol:
         self.reported_events = 0
         self.discarded_events = 0
         self.clamped_events = 0
-
-    @property
-    def synced(self) -> bool:
-        return self.last_seen_period_index is not None
 
     def on_detection(self, local_timestamp_ticks: int, amplitude_g: float) -> None:
         """Queue one detection, already quantized to the sampling grid."""
@@ -80,7 +75,7 @@ class SensorProtocol:
         """Handle one sync receipt; returns the report to send, if any."""
         last = self.last_seen_period_index
         k = frame.period_index
-        if last is not None and k == last + 1:
+        if last != -1 and k == last + 1:
             # the usual case: the next period, which closes the last one
             self.last_seen_period_index = k
             saved = round(self.clock.save_and_reset())
@@ -96,14 +91,14 @@ class SensorProtocol:
 
         self.clock.save_and_reset()
         self.last_seen_period_index = k
-        if last is not None and k < last:
+        if last != -1 and k < last:
             # the broadcast sequence went backwards (supervisor restart)
             self.regressions += 1
             log.warning(
                 "sensor %d: sync period regressed %d -> %d, resynchronizing",
                 self.sensor_id, last, k,
             )
-        elif last is not None:
+        elif last != -1:
             missed = k - last - 1
             self.dropped_frames += missed
             log.warning(
@@ -146,8 +141,12 @@ class CompletedPeriod(NamedTuple):
 
     period_index: int
     reports: tuple[SensorReport, ...]
-    complete: bool
-    missing: tuple[int, ...]
+    missing: tuple[int, ...]  # roster sensors without a report, ascending
+
+    @property
+    def complete(self) -> bool:
+        # on_report releases a full bucket at once, so expire never sees one
+        return not self.missing
 
 
 _completed_period = tuple_record(CompletedPeriod)
@@ -157,12 +156,14 @@ class SupervisorProtocol:
     """Supervisor-side state: broadcast schedule and per-period report filing."""
 
     def __init__(self, roster, period_t_us: int):
-        if not period_t_us > 0:
-            raise ValueError(f"period must be > 0, got {period_t_us!r}")
+        # every frame carries T, so it is what Scenario accepts and the wire
+        # encodes: an int >= 1, never a bool or a float
+        if isinstance(period_t_us, bool) or not isinstance(period_t_us, int) or period_t_us < 1:
+            raise ValueError(f"period_t_us must be a positive integer, got {period_t_us!r}")
         self.roster = frozenset(roster)
         if not self.roster:
             raise ValueError("roster must not be empty")
-        self.period_t_us = int(period_t_us)
+        self.period_t_us = period_t_us
         self.next_period_index = 0
         self._open: dict[int, dict[int, SensorReport]] = {}
         self._next_due = 0  # the oldest period release_due has not checked
@@ -202,7 +203,7 @@ class SupervisorProtocol:
         bucket[sid] = report
         # the bucket holds roster sensors only, so a full one is the roster
         if len(bucket) == len(self.roster):
-            return self._release(k, complete=True)
+            return self._release(k)
         return None
 
     def expire(self, period_index: int) -> Optional[CompletedPeriod]:
@@ -210,7 +211,7 @@ class SupervisorProtocol:
         if period_index in self.released:
             return None
         self._open.setdefault(period_index, {})
-        return self._release(period_index, complete=False)
+        return self._release(period_index)
 
     def release_due(self, now_us: float) -> list[CompletedPeriod]:
         """Expire, oldest first, every period a sent frame has closed whose
@@ -228,13 +229,12 @@ class SupervisorProtocol:
         self._next_due = k
         return expired
 
-    def _release(self, period_index: int, complete: bool) -> CompletedPeriod:
+    def _release(self, period_index: int) -> CompletedPeriod:
         bucket = self._open.pop(period_index)
-        # reports by sensor id; a complete bucket holds the whole roster
+        # reports by sensor id; a full bucket holds the whole roster
         done = self.released[period_index] = _completed_period((
             period_index,
             tuple([bucket[sid] for sid in sorted(bucket)]),
-            complete,
-            () if complete else tuple(sorted(self.roster - bucket.keys())),
+            tuple(sorted(self.roster - bucket.keys())),
         ))
         return done

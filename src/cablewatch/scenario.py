@@ -171,7 +171,8 @@ class Scenario:
                 f"sampling_period_ticks must be a positive integer, got {self.sampling_period_ticks!r}"
             )
         t_us = self.sync_period_T_us
-        period_ok = t_us >= 1 and int(t_us) == t_us
+        # the wire's period_T_us field: an int, not a bool or a float
+        period_ok = not isinstance(t_us, bool) and isinstance(t_us, int) and t_us >= 1
         if not period_ok:
             out.append(f"sync_period_T_us must be a positive integer, got {t_us!r}")
         elif t_us > MAX_PERIOD_T_US:
@@ -223,7 +224,7 @@ class Scenario:
         # sync receipts, so a saved counter spans at most T + 2 * jitter
         # reference us, at the fastest drift
         jitter = n.latency_jitter_us
-        if math.isfinite(jitter) and (
+        if period_ok and math.isfinite(jitter) and (
             (t_us + 2 * jitter) * (1 + MAX_DRIFT_PPM * 1e-6) > MAX_SAVED_COUNTER_TICKS
         ):
             out.append(
@@ -283,7 +284,8 @@ class Scenario:
         run_duration_us, or without it through the frame after the one that
         closes the period holding the latest activity (a rupture's time plus
         span travel, a spurious hit's time), so that the automatic run closes
-        every rupture; four with no activity after time 0."""
+        every rupture; four with no activity after time 0. A spurious hit
+        after an explicit run's last frame stays pending at its sensor."""
         return self._run_length()[0]
 
     def _run_length(self) -> tuple[int, str]:
@@ -309,7 +311,9 @@ class Scenario:
         sync frames, set by the input source, leaves open: rupture i closes
         only if frames >= floor((time_ref_us + span_travel_us()) / T) + 2,
         the frame after the period that holds its last possible arrival.
-        problems() applies it to run_duration_us, a LiveConfig to periods."""
+        problems() applies it to run_duration_us, a LiveConfig to periods.
+        Spurious hits are not ruptures: one that no frame closes is left in
+        events_pending_at_end, not refused."""
         t_us, travel = self.sync_period_T_us, self.span_travel_us()
         out = []
         for i, r in enumerate(self.ruptures):

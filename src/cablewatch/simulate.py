@@ -2,7 +2,8 @@
 
 Each sensor is a SensorNode, the socket-free driver live agents use too: a
 sync receipt stamps every wave that reached the sensor by then and closes
-the period. The run feeds each sensor its receipts in receipt-time order,
+the period; a stamp before the first sync has period -1 and is discarded
+at the sensor. The run feeds each sensor its receipts in receipt-time order,
 then hands the supervisor's protocol every delivered report in one pass in
 delivery order, each after the protocol has released the periods whose
 deadline that delivery passed (SupervisorProtocol.release_due). Then
@@ -37,12 +38,11 @@ class DetectionRow(NamedTuple):
     """One stamped detection, with the ground truth that produced it."""
 
     sensor_id: int
-    period_index: int  # open period at stamp time, -1 before the first sync
+    period_index: int  # open period at stamp time; -1 (pre_sync) before the first sync
     source: str  # "rupture:<i>" or "spurious:<i>"
     arrival_ref_us: float
     local_timestamp_ticks: int
     max_amplitude_g: float
-    pre_sync: bool  # stamped before the first sync, so the sensor discards it
 
 
 class EstimateRow(NamedTuple):
@@ -106,8 +106,7 @@ class SensorNode:
         sampling = int(self.sampling_period_ticks)
         # no sync arrives between two stamps of one call: the open period
         # is read once
-        pre_sync = not s.synced
-        period = -1 if pre_sync else s.last_seen_period_index
+        period = s.last_seen_period_index
         while unstamped and unstamped[-1][0] <= ref_us:
             at, sid, amp, source = unstamped.pop()
             clock.advance_to(at)
@@ -120,7 +119,7 @@ class SensorNode:
             while ticks < counter:
                 ticks += sampling
             on_detection(ticks, amp)
-            add(_detection_row((sid, period, source, at, ticks, amp, pre_sync)))
+            add(_detection_row((sid, period, source, at, ticks, amp)))
 
     def receive_sync(self, frame: SyncFrame, receipt_ref_us: float) -> Optional[SensorReport]:
         """Handle one sync receipt; a wave arriving at the receipt instant
@@ -324,7 +323,7 @@ def _summarize(nodes, supervisor, detections, retimed, estimates):
         "reports_duplicate": supervisor.duplicate_reports,
         "reports_unknown": supervisor.unknown_reports,
         "detections_total": len(detections),
-        "detections_pre_sync": sum(d.pre_sync for d in detections),
+        "detections_pre_sync": sum(d.period_index == -1 for d in detections),
         # sensor side: every detection is reported, pending or discarded;
         # reports lost or late on the way never reach retiming
         "events_reported": reported,
@@ -355,10 +354,10 @@ ESTIMATES_HEADER = [
     "v_est_m_s", "x_est_m", "flags", "matched", "x_true_m", "abs_error_m",
 ]
 SUMMARY_HEADER = ["metric", "value"]
-# a detections.csv row is one % over the DetectionRow tuple; pre_sync is
-# written by picking the template, and %.0s formats the bool to nothing
-_DETECTION_ROW = "%s,%s,%s,%r,%s,%r,false%.0s\n"
-_PRE_SYNC_ROW = "%s,%s,%s,%r,%s,%r,true%.0s\n"
+# a detections.csv row is one % over the DetectionRow tuple; pre_sync,
+# period_index -1, is written by picking the template
+_DETECTION_ROW = "%s,%s,%s,%r,%s,%r,false\n"
+_PRE_SYNC_ROW = "%s,%s,%s,%r,%s,%r,true\n"
 
 
 def export_csv(report: RunReport, out_dir) -> list[Path]:
@@ -368,7 +367,8 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
     is also its str) is the shortest text that reads back as the same
     double, so identical runs export byte-identical files. No field ever
     needs CSV quoting: sources, flags and labels hold no comma, quote or
-    line break. pre_sync is written true/false. Each file is one write.
+    line break. pre_sync is written true for period_index -1, else false.
+    Each file is one write.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -381,7 +381,8 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
         paths.append(p)
 
     write("detections.csv", DETECTIONS_HEADER, [
-        (_PRE_SYNC_ROW if d.pre_sync else _DETECTION_ROW) % d for d in report.detections
+        (_PRE_SYNC_ROW if d.period_index == -1 else _DETECTION_ROW) % d
+        for d in report.detections
     ])
     # amplitudes are whole milli-g, so few distinct ones recur down the file
     amp_text = {amp: repr(amp) for amp in {e.amplitude_g for e in report.retimed}}

@@ -15,7 +15,7 @@ def run_sensor_period(drift_ppm, receipt0_ref_us, receipt1_ref_us, event_ref_us)
     c.advance_to(receipt0_ref_us)
     c.save_and_reset()
     c.advance_to(event_ref_us)
-    t_ev = c.read_counter()
+    t_ev = c.counter_ticks
     c.advance_to(receipt1_ref_us)
     t_i = c.save_and_reset()
     return t_ev, t_i

@@ -59,6 +59,10 @@ def test_exported_csvs_parse_back_cell_for_cell(name, tmp_path):
             assert len(cells) == len(values)
             assert all(isinstance(v, float) for v in values)
             assert all(reads_back_as(c, v) for c, v in zip(cells, values)), (file, column)
+    # pre_sync is the text form of period_index -1
+    assert [row["pre_sync"] for row in tables["detections.csv"]] == [
+        "true" if d.period_index == -1 else "false" for d in report.detections
+    ]
     summary = tables["summary.csv"]
     assert [row["metric"] for row in summary] == list(report.summary)
     for row, value in zip(summary, report.summary.values()):

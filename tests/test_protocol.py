@@ -32,32 +32,32 @@ def resync_counters(s):
 class TestSensorOnSync:
     def test_first_sync_emits_nothing_and_resets_counter(self):
         s = sensor(drift_ppm=50.0)
-        s.clock.advance(777)
+        s.clock.advance_to(777)
         out = s.on_sync(frame(0))
         assert resync_counters(s) == (0, 0, 0)
         assert out is None
-        assert s.clock.read_counter() == 0.0
+        assert s.clock.counter_ticks == 0.0
         assert s.last_seen_period_index == 0
 
     def test_second_sync_reports_saved_counter_1000050_at_plus_50_ppm(self):
         s = sensor(drift_ppm=50.0)
         s.on_sync(frame(0))
-        s.clock.advance(T_US)
+        s.clock.advance_to(T_US)
         out = s.on_sync(frame(1))
         assert isinstance(out, SensorReport)
         assert out == SensorReport(
             sensor_id=2, period_index=0, saved_counter_ticks=1_000_050, events=()
         )
-        assert s.clock.read_counter() == 0.0
+        assert s.clock.counter_ticks == 0.0
 
     def test_mid_period_event_rides_the_closing_report(self):
         s = sensor(drift_ppm=50.0)
         s.on_sync(frame(0))
-        s.clock.advance(T_US / 2)
-        ticks = round(s.clock.read_counter())
+        s.clock.advance_to(T_US / 2)
+        ticks = round(s.clock.counter_ticks)
         assert ticks == 500_025
         s.on_detection(ticks, 1.2)
-        s.clock.advance(T_US / 2)
+        s.clock.advance_to(T_US)
         out = s.on_sync(frame(1))
         assert out.events == (ReportEvent(500_025, 1200),)
         assert out.saved_counter_ticks == 1_000_050
@@ -65,49 +65,49 @@ class TestSensorOnSync:
     def test_consecutive_periods_carry_their_own_index(self):
         s = sensor()
         s.on_sync(frame(0))
-        s.clock.advance(T_US)
+        s.clock.advance_to(T_US)
         assert s.on_sync(frame(1)).period_index == 0
-        s.clock.advance(T_US)
+        s.clock.advance_to(2 * T_US)
         assert s.on_sync(frame(2)).period_index == 1
 
     def test_detection_before_first_sync_is_discarded(self):
         # stamped on the power-on counter, which has no defined start
         s = sensor()
-        s.clock.advance(300)
+        s.clock.advance_to(300)
         s.on_detection(300, 0.9)
         out0 = s.on_sync(frame(0))
         assert resync_counters(s) == (0, 0, 0)
         assert out0 is None
         assert s.pending == []
         assert s.discarded_events == 1
-        s.clock.advance(T_US)
+        s.clock.advance_to(300 + T_US)
         assert s.on_sync(frame(1)).events == ()
 
     def test_duplicate_sync_is_ignored_without_reset(self):
         s = sensor()
         s.on_sync(frame(0))
-        s.clock.advance(400)
+        s.clock.advance_to(400)
         out = s.on_sync(frame(0))
         assert resync_counters(s) == (1, 0, 0)
         assert out is None
-        assert s.clock.read_counter() == 400.0
+        assert s.clock.counter_ticks == 400.0
         assert s.duplicate_syncs == 1
 
     def test_period_regression_resynchronizes_without_report(self):
         s = sensor()
         s.on_sync(frame(5))
-        s.clock.advance(100)
+        s.clock.advance_to(100)
         s.on_detection(100, 1.0)
         out = s.on_sync(frame(3))
         assert resync_counters(s) == (0, 1, 0)
         assert out is None
         assert s.regressions == 1
-        assert s.clock.read_counter() == 0.0
+        assert s.clock.counter_ticks == 0.0
         assert s.last_seen_period_index == 3
         # the abandoned period's event can no longer be retimed
         assert s.pending == []
         assert s.discarded_events == 1
-        s.clock.advance(T_US)
+        s.clock.advance_to(100 + T_US)
         out = s.on_sync(frame(4))
         assert out.period_index == 3
         assert out.events == ()
@@ -115,14 +115,14 @@ class TestSensorOnSync:
     def test_missed_frames_are_diagnosed(self):
         s = sensor()
         s.on_sync(frame(0))
-        s.clock.advance(3 * T_US)
+        s.clock.advance_to(3 * T_US)
         out = s.on_sync(frame(3))
         assert resync_counters(s) == (0, 0, 2)
         assert out is None
         assert s.dropped_frames == 2
-        assert s.clock.read_counter() == 0.0
+        assert s.clock.counter_ticks == 0.0
         # the next frame in sequence closes period 3 as usual
-        s.clock.advance(T_US)
+        s.clock.advance_to(4 * T_US)
         assert s.on_sync(frame(4)).period_index == 3
 
     def test_gap_discards_events_of_the_unbracketed_period(self):
@@ -131,9 +131,9 @@ class TestSensorOnSync:
         # counter would retime it to 750000 us instead of period 1, 500000 us.
         s = sensor()
         s.on_sync(frame(0))
-        s.clock.advance(1.5 * T_US)
-        s.on_detection(round(s.clock.read_counter()), 1.0)
-        s.clock.advance(0.5 * T_US)
+        s.clock.advance_to(1.5 * T_US)
+        s.on_detection(round(s.clock.counter_ticks), 1.0)
+        s.clock.advance_to(2 * T_US)
         out = s.on_sync(frame(2))
         assert out is None
         assert s.pending == []
@@ -144,7 +144,7 @@ class TestSensorOnSync:
         # sync receipt; the report keeps it inside the closed period
         s = sensor()
         s.on_sync(frame(0))
-        s.clock.advance(10)
+        s.clock.advance_to(10)
         s.on_detection(12, 1.0)
         out = s.on_sync(frame(1))
         assert out.saved_counter_ticks == 10
@@ -156,9 +156,9 @@ class TestSensorOnSync:
         # MAX_EVENTS_PER_REPORT stamps and the sensor counts the excess
         s = sensor()
         s.on_sync(frame(0))
-        for _ in range(MAX_EVENTS_PER_REPORT + 1):
-            s.clock.advance(10)
-            s.on_detection(round(s.clock.read_counter()), 1.0)
+        for i in range(1, MAX_EVENTS_PER_REPORT + 2):
+            s.clock.advance_to(10 * i)
+            s.on_detection(round(s.clock.counter_ticks), 1.0)
         s.clock.advance_to(T_US)
         with caplog.at_level(logging.WARNING, logger="cablewatch.protocol"):
             out = s.on_sync(frame(1))
@@ -200,7 +200,7 @@ class TestSensorProperties:
             period_start = s.clock.ref_now_us
             for off in sorted(offsets):
                 s.clock.advance_to(period_start + off)
-                s.on_detection(round(s.clock.read_counter()), 1.0)
+                s.on_detection(round(s.clock.counter_ticks), 1.0)
                 injected += 1
             s.clock.advance_to(period_start + T_US)
             out = s.on_sync(frame(k + 1))
@@ -385,3 +385,13 @@ class TestSupervisorValidation:
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ValueError, match="period"):
             SupervisorProtocol(roster=[1], period_t_us=0)
+
+    @pytest.mark.parametrize("t_us", [1.5, 0.5, True, 1e6, -3, math.nan, math.inf])
+    def test_period_scenario_would_refuse_is_refused_by_name(self, t_us):
+        # 1.5 once ticked T = 1 and True once ticked T = 1
+        with pytest.raises(ValueError, match=r"period_t_us must be a positive integer, got "):
+            SupervisorProtocol(roster=[1, 2, 3], period_t_us=t_us)
+
+    def test_accepted_period_is_ticked_as_given(self):
+        frame = SupervisorProtocol(roster=[1, 2, 3], period_t_us=1).tick()
+        assert frame == SyncFrame(0, 1) and type(frame.period_T_us) is int

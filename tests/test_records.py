@@ -48,14 +48,13 @@ RECORDS = [
      ESTIMATE_VALUES),
     (DetectionRow,
      ("sensor_id", "period_index", "source", "arrival_ref_us", "local_timestamp_ticks",
-      "max_amplitude_g", "pre_sync"),
-     (2, -1, "spurious:0", 1.5e6, 500, 1.0, True)),
+      "max_amplitude_g"),
+     (2, -1, "spurious:0", 1.5e6, 500, 1.0)),
     (EstimateRow,
      ("period_index", "cluster_index", "n_sensors", "estimate", "first_retimed_us",
       "matched", "x_true_m", "abs_error_m"),
      (1, 0, 4, ESTIMATE, 500.0, "rupture:0", 14.001, 0.001)),
-    (CompletedPeriod, ("period_index", "reports", "complete", "missing"),
-     (3, (REPORT,), False, (1, 4))),
+    (CompletedPeriod, ("period_index", "reports", "missing"), (3, (REPORT,), (1, 4))),
     (RuptureEvent, ("position_m", "time_ref_us", "peak_amplitude_g"), (14.0, 1.5e6, 0.9)),
     (SpuriousEvent, ("sensor_id", "time_ref_us", "amplitude_g"), (2, 1.5e6, 1.2)),
     (TrialResult, ("trial", "x_true_m", "x_est_m", "v_est_m_s", "abs_error_m", "flags"),
@@ -109,6 +108,9 @@ def test_defaults_and_properties_are_kept():
     assert not ESTIMATE.clean
     row = EstimateRow(1, 0, 4, ESTIMATE, 500.0)
     assert row.matched == "" and math.isnan(row.x_true_m) and math.isnan(row.abs_error_m)
+    # a released period is complete exactly when no roster sensor is missing
+    assert CompletedPeriod(3, (REPORT,), ()).complete
+    assert not CompletedPeriod(3, (REPORT,), (1, 4)).complete
 
 
 @pytest.mark.parametrize("cls", [

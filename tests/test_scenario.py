@@ -108,6 +108,14 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=r"outside cable extent \[0.0, 27.0\]"):
             Scenario(geometry=GEOM, ruptures=(RuptureEvent(-5.0, 1000.0),))
 
+    @pytest.mark.parametrize("t_us", [1.5, 0, True, 1e6, math.nan, math.inf])
+    def test_period_must_be_an_int_the_wire_carries(self, t_us):
+        # True once passed as a 1 us period, 1e6 as an int and inf raised
+        # OverflowError; the supervisor refuses the same values
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=GEOM, sync_period_T_us=t_us)
+        assert e.value.problems == [f"sync_period_T_us must be a positive integer, got {t_us!r}"]
+
     def test_duration_must_close_the_ruptures_last_arrival(self):
         # on the reference cable the wave reaches its last sensor in period
         # 2, whose reports ride frame 3: a run of 3 frames (0, T, 2T) left 3

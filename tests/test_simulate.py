@@ -105,8 +105,7 @@ class TestCanonicalRun:
         # nearest sensor (3, at 17 m) hears it 3 m / 5000 m/s = 600 us in
         assert by_sensor[3].arrival_ref_us == pytest.approx(1_500_600.0)
         assert all(d.source == "rupture:0" for d in rep.detections)
-        assert all(d.period_index == 1 for d in rep.detections)
-        assert all(not d.pre_sync for d in rep.detections)
+        assert all(d.period_index == 1 for d in rep.detections)  # none pre-sync
 
 
 class TestQuietAndDegradedRuns:
@@ -176,8 +175,7 @@ class TestQuietAndDegradedRuns:
         rep = run(pre_sync_scenario())
         assert rep.summary["detections_pre_sync"] == 1
         assert rep.summary["events_discarded"] == 1
-        assert rep.detections[0].pre_sync
-        assert rep.detections[0].period_index == -1
+        assert rep.detections[0].period_index == -1  # pre-sync
         assert rep.retimed == []
         assert rep.estimates == []
 
