@@ -33,10 +33,11 @@ from typing import Iterable, Mapping, Optional, Union
 from .network import NetworkModel, rf_delay_us
 from .protocol import PERIOD_TIMEOUT_FRACTION, SupervisorProtocol
 from .scenario import (
-    MAX_RUN_PERIODS, Scenario, ScenarioError, load_scenario, load_yaml_mapping, read_dataclass,
-    roster_pairs,
+    MAX_RUN_PERIODS, Scenario, ScenarioError, finite, load_scenario, load_yaml_mapping,
+    read_dataclass, roster_pairs,
 )
 from .simulate import RunReport, SensorNode, report_run, sensor_nodes
+from .wave import is_integer
 from .wire import (
     WireFormatError, decode_sensor_report, decode_sync_frame, encode_sensor_report,
     encode_sync_frame,
@@ -100,7 +101,7 @@ class LiveConfig:
     def __post_init__(self) -> None:
         problems = []
         periods = self.periods
-        if isinstance(periods, bool) or not isinstance(periods, int):
+        if not is_integer(periods):
             problems.append(f"periods must be an int, got {periods!r}")
         elif periods < 2:
             problems.append(f"need at least 2 sync periods to close one, got {periods!r}")
@@ -123,11 +124,10 @@ class LiveConfig:
                 "2*(RF delay + latency_mean_us + latency_jitter_us) must be under "
                 f"PERIOD_TIMEOUT_FRACTION*T = {deadline_us!r} us, got {round_trip_us!r}"
             )
-        waits = {"pace_s": self.pace_s, "timeout_s": self.timeout_s}
-        bad = [f"{k} must be finite, got {v!r}" for k, v in waits.items() if not math.isfinite(v)]
-        problems.extend(bad)
-        if not bad and not 0 <= self.pace_s < self.timeout_s:
-            problems.append(f"need 0 <= pace_s < timeout_s, got {waits}")
+        pace, timeout = self.pace_s, self.timeout_s
+        waits_ok = finite(problems, "pace_s", pace) & finite(problems, "timeout_s", timeout)
+        if waits_ok and not 0 <= pace < timeout:
+            problems.append(f"need 0 <= pace_s < timeout_s, got {dict(pace_s=pace, timeout_s=timeout)}")
         if self.sync_ports is not None:
             ids = set(self.scenario.geometry.sensor_ids)
             placed = roster_pairs("sync_ports", self.sync_ports, ids, problems)
@@ -135,14 +135,15 @@ class LiveConfig:
             if missing:
                 problems.append(f"sync_ports missing sensors {sorted(missing)}")
             object.__setattr__(self, "sync_ports", dict(self.sync_ports))
-        # resolved, so that ports counted up from sync_port_base are checked too
+        # resolved, once integers, so that counted-up ports are checked too
         ports = {"report_port": self.report_port, "sync_port_base": self.sync_port_base}
-        ports.update((f"sync_ports[{sid}]", p) for sid, p in self.resolved_sync_ports().items())
-        problems.extend(
-            f"{name} must be a port in 0-65535, got {port!r}"
-            for name, port in ports.items()
-            if not 0 <= port <= 65535
-        )
+        if self.sync_ports is not None or all(map(is_integer, ports.values())):
+            ports.update((f"sync_ports[{sid}]", p) for sid, p in self.resolved_sync_ports().items())
+        for name, port in ports.items():
+            if not is_integer(port):
+                problems.append(f"{name} must be an integer, got {port!r}")
+            elif not 0 <= port <= 65535:
+                problems.append(f"{name} must be a port in 0-65535, got {port!r}")
         if problems:
             raise ScenarioError(problems)
 

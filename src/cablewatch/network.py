@@ -22,29 +22,22 @@ a broadcast computes it once per frame; one kernel, NetworkModel._draw, then
 takes the prefix and a sensor id to that receiver's loss and latency.
 broadcast_sync, sync_receipt_at and report_delivery all draw through it.
 
-No run dispatches through EventLoop, which stays only for the benchmark's
-tracer until ROADMAP item 5 step 1: simulate.run sorts the report
-deliveries itself, and SupervisorProtocol applies the period deadline.
+No run dispatches through an event loop: simulate.run sorts the report
+deliveries itself, and SupervisorProtocol applies the period deadline;
+EventLoop keeps the two names the benchmark's tracer wraps (ROADMAP item 5).
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-SUPERVISOR_NODE = "supervisor"
-
-Node = Union[int, str]
-
 KIND_SYNC = "sync"
 KIND_REPORT = "report"
-KIND_TIMER = "timer"
-_KIND_RANK = {KIND_REPORT: 0, KIND_TIMER: 1}
 _KIND_CODE = {KIND_SYNC: 1, KIND_REPORT: 2}
 
 _MASK64 = (1 << 64) - 1
@@ -152,42 +145,10 @@ class NetworkModel:
 
 
 class EventLoop:
-    """Single-threaded dispatch of scheduled actions in reference-time order.
+    """Retired (ROADMAP item 5): only the benchmark's tracer names these two methods."""
 
-    No run uses it: it stays only for the benchmark's tracer, which imports
-    and wraps it, until ROADMAP item 5 step 1."""
+    def schedule(self, at_ref_us, kind, node, action):
+        raise NotImplementedError("EventLoop is retired (ROADMAP item 5)")
 
-    def __init__(self):
-        self.now_ref_us = 0.0
-        self._heap: list[tuple[float, int, int, int, Callable[[float], None]]] = []
-        self._seq = 0
-
-    @staticmethod
-    def _node_rank(node: Node) -> int:
-        return -1 if node == SUPERVISOR_NODE else int(node)
-
-    def schedule(
-        self, at_ref_us: float, kind: str, node: Node, action: Callable[[float], None]
-    ) -> None:
-        """Queue an action; scheduling into the past breaks causality."""
-        if at_ref_us < self.now_ref_us:
-            raise ValueError(
-                f"cannot schedule at {at_ref_us} before now={self.now_ref_us}"
-            )
-        if kind not in _KIND_RANK:
-            raise ValueError(f"unknown event kind {kind!r}")
-        heapq.heappush(
-            self._heap,
-            (at_ref_us, _KIND_RANK[kind], self._node_rank(node), self._seq, action),
-        )
-        self._seq += 1
-
-    def run(self) -> int:
-        """Dispatch until the queue drains; returns the number dispatched."""
-        n = 0
-        while self._heap:
-            at, _, _, _, action = heapq.heappop(self._heap)
-            self.now_ref_us = at
-            action(at)
-            n += 1
-        return n
+    def run(self):
+        raise NotImplementedError("EventLoop is retired (ROADMAP item 5)")

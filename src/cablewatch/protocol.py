@@ -35,7 +35,7 @@ import logging
 from typing import NamedTuple, Optional
 
 from .clock import ClockState
-from .wave import tuple_record
+from .wave import is_integer, tuple_record
 from .wire import MAX_EVENTS_PER_REPORT, ReportEvent, SensorReport, SyncFrame
 from .wire import _report_event, _sensor_report, _sync_frame
 
@@ -158,7 +158,7 @@ class SupervisorProtocol:
     def __init__(self, roster, period_t_us: int):
         # every frame carries T, so it is what Scenario accepts and the wire
         # encodes: an int >= 1, never a bool or a float
-        if isinstance(period_t_us, bool) or not isinstance(period_t_us, int) or period_t_us < 1:
+        if not is_integer(period_t_us) or period_t_us < 1:
             raise ValueError(f"period_t_us must be a positive integer, got {period_t_us!r}")
         self.roster = frozenset(roster)
         if not self.roster:

@@ -6,7 +6,8 @@ is the one reader for every YAML input, scenario files (localize's
 --geometry is one) and live configs: it takes field names, required fields
 and defaults from the dataclasses themselves, rejects unknown fields by path
 and reports every problem at once, so a bad file produces one complete
-diagnosis instead of a fix-one-rerun loop.
+diagnosis instead of a fix-one-rerun loop. Every number, read or built in
+Python, meets one rule: wave.is_integer, or wave.is_number and finite().
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .wave import (
     CableGeometry,
     RuptureEvent,
     frozen_slotted,
+    is_integer,
+    is_number,
 )
 from .wire import (
     MAX_AMPLITUDE_MILLI_G, MAX_PERIOD_T_US, MAX_SAVED_COUNTER_TICKS, MAX_SENSOR_ID, amplitude_milli_g,
@@ -42,6 +45,8 @@ DEFAULT_LATENCY_JITTER_US = 1.0
 # sync periods (frames) one run may take: a bound on run length, against a
 # typo in a time that would run for days before any output
 MAX_RUN_PERIODS = 100_000
+# events past which Scenario.problems screens them in C before any walk
+SCREEN_MIN_EVENTS = 16
 
 T = TypeVar("T")
 
@@ -81,27 +86,84 @@ class NetworkConfig:
             object.__setattr__(self, "radio_positions_m", dict(self.radio_positions_m))
 
 
-def link_problems(link: NetworkConfig) -> list[str]:
-    """Every broken rule of a scenario's radio link, each field named by its
-    path under network: finite latencies and supervisor position (None, a
-    position left to the cable geometry, passes), a positive RF speed, a
-    jitter half-width no wider than the mean latency, so that no message
-    finishes processing before it arrives, and a drop probability in [0, 1].
-    Scenario.problems is its one caller: the network model trusts it."""
-    out = []
+def finite(problems: list[str], path: str, value, *args) -> bool:
+    """Whether value is a finite number (wave.is_number) a float holds; if
+    not, record why by path, which is formatted with args only then."""
+    number = is_number(value)
+    try:
+        if number and math.isfinite(value):
+            return True
+    except OverflowError:  # an int beyond the float range
+        pass
+    problems.append(f"{path.format(*args)} must be {'finite' if number else 'a number'}, got {value!r}")
+    return False
+
+
+def positive(problems: list[str], path: str, value) -> bool:
+    """Whether value is a finite number > 0; if not, record why by path."""
+    if (ok := finite(problems, path, value)) and not value > 0:
+        problems.append(f"{path} must be > 0, got {value!r}")
+    return ok and value > 0
+
+
+def fits_wire_amplitude(amplitude_g: float) -> bool:
+    """Whether a report's u32 amplitude_milli_g carries a finite amplitude."""
+    try:
+        return amplitude_milli_g(amplitude_g) <= MAX_AMPLITUDE_MILLI_G
+    except OverflowError:  # milli-g beyond the float range
+        return False
+
+
+def event_problems(out: list[str], kind: str, i: int, event, name: str) -> bool:
+    """The rules a rupture and a spurious hit share, each broken one into out by the path
+    kind[i]: a finite time >= 0, and a finite amplitude (field name) > 0 that the wire's
+    u32 milli-g carries. Returns whether the time is finite."""
+    time_ref_us, amplitude_g = event.time_ref_us, getattr(event, name)
+    if (time_ok := finite(out, "{}[{}].time_ref_us", time_ref_us, kind, i)) and time_ref_us < 0:
+        out.append(f"{kind}[{i}]: time must be >= 0, got {time_ref_us!r}")
+    if finite(out, "{}[{}].{}", amplitude_g, kind, i, name):
+        if not amplitude_g > 0:
+            out.append(f"{kind}[{i}]: amplitude must be > 0, got {amplitude_g!r}")
+        elif not fits_wire_amplitude(amplitude_g):
+            out.append(f"{kind}[{i}].{name} {amplitude_g!r} does not fit the wire's u32 "
+                       f"amplitude_milli_g (at most {MAX_AMPLITUDE_MILLI_G / 1000} g)")
+    return time_ok
+
+
+def link_problems(link: NetworkConfig, period_t_us: Optional[int]) -> list[str]:
+    """Every broken rule of a scenario's radio link, by path under network: finite latencies
+    and supervisor position (None passes), a positive RF speed, a jitter no wider than the
+    mean latency (no message is processed before it arrives) nor than the wire carries at
+    period T = period_t_us (None if refused), and a drop probability in [0, 1]."""
+    out: list[str] = []
     mean, jitter = link.latency_mean_us, link.latency_jitter_us
-    for name in ("latency_mean_us", "latency_jitter_us", "supervisor_position_m"):
-        value = getattr(link, name)
-        if value is not None and not math.isfinite(value):
-            out.append(f"network.{name} must be finite, got {value!r}")
-    if not link.rf_speed_m_s > 0:
-        out.append(f"network.rf_speed_m_s must be > 0, got {link.rf_speed_m_s!r}")
-    if jitter < 0:
+    mean_ok = finite(out, "network.latency_mean_us", mean)
+    jitter_ok = finite(out, "network.latency_jitter_us", jitter)
+    if link.supervisor_position_m is not None:
+        finite(out, "network.supervisor_position_m", link.supervisor_position_m)
+    rf = link.rf_speed_m_s
+    if not is_number(rf):
+        out.append(f"network.rf_speed_m_s must be a number, got {rf!r}")
+    elif not rf > 0:
+        out.append(f"network.rf_speed_m_s must be > 0, got {rf!r}")
+    if jitter_ok and jitter < 0:
         out.append(f"network.latency_jitter_us must be >= 0, got {jitter!r}")
-    if mean < jitter:
+    if mean_ok and jitter_ok and mean < jitter:
         out.append(f"network.latency_mean_us must be >= latency_jitter_us ({mean!r} < {jitter!r})")
-    if not 0.0 <= link.drop_probability <= 1.0:
-        out.append(f"network.drop_probability must be in [0, 1], got {link.drop_probability!r}")
+    drop = link.drop_probability
+    if finite(out, "network.drop_probability", drop) and not 0.0 <= drop <= 1.0:
+        out.append(f"network.drop_probability must be in [0, 1], got {drop!r}")
+    # the RF delay and the mean latency cancel between two consecutive
+    # sync receipts, so a saved counter spans at most T + 2 * jitter
+    # reference us, at the fastest drift
+    if period_t_us is not None and jitter_ok and (
+        (period_t_us + 2 * jitter) * (1 + MAX_DRIFT_PPM * 1e-6) > MAX_SAVED_COUNTER_TICKS
+    ):
+        out.append(
+            f"network.latency_jitter_us {jitter!r} is too wide: a period's counter, up to "
+            f"(T + 2 * jitter) * (1 + {MAX_DRIFT_PPM:g} ppm) ticks, does not fit the wire's "
+            f"u64 saved_counter (at most {MAX_SAVED_COUNTER_TICKS})"
+        )
     return out
 
 
@@ -132,23 +194,12 @@ class Scenario:
             raise ScenarioError(problems)
 
     def problems(self) -> list[str]:
-        """Every invariant violation in this scenario, exhaustively."""
+        """Every invariant violation in this scenario, exhaustively, by path;
+        each number meets is_integer or finite before its range."""
         out: list[str] = []
-
-        def finite(path: str, value: float, *args) -> bool:
-            """Whether value is finite; if not, record it: no run can schedule
-            or reach it. path is formatted with args only then, so a valid
-            event costs no string."""
-            if math.isfinite(value):
-                return True
-            out.append(f"{path.format(*args)} must be finite, got {value!r}")
-            return False
-
         ids = set(self.geometry.sensor_ids)
         if len(ids) < 3:
-            out.append(
-                f"geometry: localization needs at least 3 sensors, got {len(ids)}"
-            )
+            out.append(f"geometry: localization needs at least 3 sensors, got {len(ids)}")
         if min(ids) < 0 or max(ids) > MAX_SENSOR_ID:
             out.extend(
                 f"geometry.sensor_ids[{i}]: sensor id {sid} does not fit the wire's "
@@ -157,105 +208,90 @@ class Scenario:
                 if not 0 <= sid <= MAX_SENSOR_ID
             )
         for sid, ppm in roster_pairs("drift_ppm", self.drift_ppm, ids, out):
-            if not abs(ppm) <= MAX_DRIFT_PPM:
-                out.append(
-                    f"drift_ppm: sensor {sid} drift {ppm!r} outside +/-{MAX_DRIFT_PPM:g} ppm"
-                )
-        speed = self.wave_speed_m_s
-        if finite("wave_speed_m_s", speed) and not speed > 0:
-            out.append(f"wave_speed_m_s must be > 0, got {speed!r}")
-        if finite("threshold_g", self.threshold_g) and not self.threshold_g > 0:
-            out.append(f"threshold_g must be > 0, got {self.threshold_g!r}")
-        if self.sampling_period_ticks < 1 or int(self.sampling_period_ticks) != self.sampling_period_ticks:
-            out.append(
-                f"sampling_period_ticks must be a positive integer, got {self.sampling_period_ticks!r}"
-            )
+            if not is_number(ppm):
+                out.append(f"drift_ppm[{sid}] must be a number, got {ppm!r}")
+            elif not abs(ppm) <= MAX_DRIFT_PPM:
+                out.append(f"drift_ppm: sensor {sid} drift {ppm!r} outside +/-{MAX_DRIFT_PPM:g} ppm")
+        speed_ok = positive(out, "wave_speed_m_s", self.wave_speed_m_s)
+        positive(out, "threshold_g", self.threshold_g)
+        ticks = self.sampling_period_ticks
+        if not (is_integer(ticks) and ticks >= 1):
+            out.append(f"sampling_period_ticks must be a positive integer, got {ticks!r}")
         t_us = self.sync_period_T_us
-        # the wire's period_T_us field: an int, not a bool or a float
-        period_ok = not isinstance(t_us, bool) and isinstance(t_us, int) and t_us >= 1
+        period_ok = is_integer(t_us) and t_us >= 1
         if not period_ok:
             out.append(f"sync_period_T_us must be a positive integer, got {t_us!r}")
         elif t_us > MAX_PERIOD_T_US:
-            out.append(
-                f"sync_period_T_us {t_us!r} does not fit the wire's u32 "
-                f"period_T_us (at most {MAX_PERIOD_T_US})"
-            )
-        window = self.coincidence_window_us
-        if finite("coincidence_window_us", window) and not window > 0:
-            out.append(f"coincidence_window_us must be > 0, got {window!r}")
-        if finite("attenuation_per_m", self.attenuation_per_m) and self.attenuation_per_m < 0:
+            out.append(f"sync_period_T_us {t_us!r} does not fit the wire's u32 period_T_us "
+                       f"(at most {MAX_PERIOD_T_US})")
+        positive(out, "coincidence_window_us", self.coincidence_window_us)
+        if finite(out, "attenuation_per_m", self.attenuation_per_m) and self.attenuation_per_m < 0:
             out.append(f"attenuation_per_m must be >= 0, got {self.attenuation_per_m!r}")
 
-        def wide_amplitude(path: str, amplitude_g: float) -> str:
-            return (
-                f"{path} {amplitude_g!r} does not fit the wire's u32 "
-                f"amplitude_milli_g (at most {MAX_AMPLITUDE_MILLI_G / 1000} g)"
-            )
-
-        lo, hi = self.geometry.extent_m
-        for i, r in enumerate(self.ruptures):
-            if not lo <= r.position_m <= hi:
-                out.append(
-                    f"ruptures[{i}]: position {r.position_m} m outside cable extent [{lo}, {hi}] m"
-                )
-            # a sensor at the rupture hears its peak
-            if amplitude_milli_g(r.peak_amplitude_g) > MAX_AMPLITUDE_MILLI_G:
-                out.append(wide_amplitude(f"ruptures[{i}].peak_amplitude_g", r.peak_amplitude_g))
-            if finite("ruptures[{}].time_ref_us", r.time_ref_us, i) and r.time_ref_us < 0:
-                out.append(f"ruptures[{i}]: time must be >= 0, got {r.time_ref_us!r}")
-        for i, s in enumerate(self.spurious_events):
-            if isinstance(s.sensor_id, bool) or not isinstance(s.sensor_id, int):
-                out.append(f"spurious_events[{i}].sensor_id must be an int, got {s.sensor_id!r}")
-            elif s.sensor_id not in ids:
-                out.append(f"spurious_events[{i}]: unknown sensor id {s.sensor_id}")
-            if finite("spurious_events[{}].time_ref_us", s.time_ref_us, i) and s.time_ref_us < 0:
-                out.append(f"spurious_events[{i}]: time must be >= 0, got {s.time_ref_us!r}")
-            if finite("spurious_events[{}].amplitude_g", s.amplitude_g, i):
-                if not s.amplitude_g > 0:
-                    out.append(
-                        f"spurious_events[{i}]: amplitude must be > 0, got {s.amplitude_g!r}"
-                    )
-                elif amplitude_milli_g(s.amplitude_g) > MAX_AMPLITUDE_MILLI_G:
-                    out.append(wide_amplitude(f"spurious_events[{i}].amplitude_g", s.amplitude_g))
+        times_ok = self._all_event_problems(ids, out)
 
         n = self.network
-        out.extend(link_problems(n))
-        # the RF delay and the mean latency cancel between two consecutive
-        # sync receipts, so a saved counter spans at most T + 2 * jitter
-        # reference us, at the fastest drift
-        jitter = n.latency_jitter_us
-        if period_ok and math.isfinite(jitter) and (
-            (t_us + 2 * jitter) * (1 + MAX_DRIFT_PPM * 1e-6) > MAX_SAVED_COUNTER_TICKS
-        ):
-            out.append(
-                f"network.latency_jitter_us {jitter!r} is too wide: a period's counter, up to "
-                f"(T + 2 * jitter) * (1 + {MAX_DRIFT_PPM:g} ppm) ticks, does not fit the wire's "
-                f"u64 saved_counter (at most {MAX_SAVED_COUNTER_TICKS})"
-            )
+        out.extend(link_problems(n, t_us if period_ok else None))
         if n.radio_positions_m is not None:
             positions = roster_pairs("network.radio_positions_m", n.radio_positions_m, ids, out)
             placed = {sid for sid, _ in positions}
             if ids - placed:
                 out.append(f"network.radio_positions_m: missing sensors {sorted(ids - placed)}")
             for sid, pos in positions:
-                finite("network.radio_positions_m[{}]", pos, sid)
+                finite(out, "network.radio_positions_m[{}]", pos, sid)
+        if not is_integer(self.seed):
+            out.append(f"seed must be an integer, got {self.seed!r}")
 
         duration = self.run_duration_us
-        if duration is not None and finite("run_duration_us", duration) and not duration > 0:
-            out.append(f"run_duration_us must be > 0, got {duration!r}")
+        duration_ok = duration is None or positive(out, "run_duration_us", duration)
         # the run length, once the inputs that set it are valid
-        if period_ok and math.isfinite(speed) and speed > 0 and (
-            duration is None or 0 < duration < math.inf
-        ):
+        if period_ok and speed_ok and duration_ok and times_ok:
             frames, source = self._run_length()
             if frames > MAX_RUN_PERIODS:
-                out.append(
-                    f"{source} needs a run of {frames} sync periods, more than "
-                    f"MAX_RUN_PERIODS ({MAX_RUN_PERIODS})"
-                )
+                out.append(f"{source} needs a run of {frames} sync periods, more than "
+                           f"MAX_RUN_PERIODS ({MAX_RUN_PERIODS})")
             if duration is not None:
                 out.extend(self.closing_problems(frames, source))
         return out
+
+    def _all_event_problems(self, ids: abc.Set, out: list[str]) -> bool:
+        """Each event's broken rules into out, by path: a rupture's finite position in the cable
+        extent, a spurious hit's roster sensor id, and event_problems'. True if times are finite."""
+        ruptures, spurious = self.ruptures, self.spurious_events
+        lo, hi = self.geometry.extent_m
+        if len(ruptures) + len(spurious) > SCREEN_MIN_EVENTS:
+            # judged a column at a time in C, walked only to name a problem: is_number and
+            # is_integer read a value's type alone, so one value of each type stands for all
+            positions = [r.position_m for r in ruptures]
+            times = [r.time_ref_us for r in ruptures] + [s.time_ref_us for s in spurious]
+            amplitudes = [r.peak_amplitude_g for r in ruptures] + [s.amplitude_g for s in spurious]
+            sensor_ids = [s.sensor_id for s in spurious]
+            numbers = positions + times + amplitudes
+            try:
+                if (
+                    all(map(is_number, dict(zip(map(type, numbers), numbers)).values()))
+                    and all(map(is_integer, dict(zip(map(type, sensor_ids), sensor_ids)).values()))
+                    and all(map(math.isfinite, numbers)) and ids >= set(sensor_ids)
+                    and lo <= min(positions, default=lo) and max(positions, default=hi) <= hi
+                    and min(times, default=0.0) >= 0 and min(amplitudes, default=1.0) > 0
+                    and fits_wire_amplitude(max(amplitudes, default=1.0))
+                ):
+                    return True
+            except OverflowError:  # an int beyond the float range
+                pass
+        times_ok = True
+        for i, r in enumerate(ruptures):
+            x = r.position_m
+            if finite(out, "ruptures[{}].position_m", x, i) and not lo <= x <= hi:
+                out.append(f"ruptures[{i}]: position {x} m outside cable extent [{lo}, {hi}] m")
+            times_ok &= event_problems(out, "ruptures", i, r, "peak_amplitude_g")
+        for i, s in enumerate(spurious):
+            if not is_integer(s.sensor_id):
+                out.append(f"spurious_events[{i}].sensor_id must be an int, got {s.sensor_id!r}")
+            elif s.sensor_id not in ids:
+                out.append(f"spurious_events[{i}]: unknown sensor id {s.sensor_id}")
+            times_ok &= event_problems(out, "spurious_events", i, s, "amplitude_g")
+        return times_ok
 
     def drift_for(self, sensor_id: int) -> float:
         return self.drift_ppm.get(sensor_id, 0.0)
@@ -289,18 +325,17 @@ class Scenario:
         return self._run_length()[0]
 
     def _run_length(self) -> tuple[int, str]:
-        """sync_frames() and the path of the input that sets it. A time that
-        is not finite, which problems() refuses, sets nothing."""
+        """sync_frames() and the path of the input that sets it."""
         t_us = self.sync_period_T_us
         if self.run_duration_us is not None:
             return int(self.run_duration_us // t_us) + 1, "run_duration_us"
         travel = self.span_travel_us()
         latest, setter = 0.0, ("", 0)
         for i, r in enumerate(self.ruptures):
-            if latest < r.time_ref_us + travel < math.inf:
+            if latest < r.time_ref_us + travel:
                 latest, setter = r.time_ref_us + travel, ("ruptures", i)
         for i, sp in enumerate(self.spurious_events):
-            if latest < sp.time_ref_us < math.inf:
+            if latest < sp.time_ref_us:
                 latest, setter = sp.time_ref_us, ("spurious_events", i)
         if latest == 0.0:
             return 4, ""
@@ -317,9 +352,6 @@ class Scenario:
         t_us, travel = self.sync_period_T_us, self.span_travel_us()
         out = []
         for i, r in enumerate(self.ruptures):
-            # a time that is not finite is refused by problems()
-            if not math.isfinite(r.time_ref_us):
-                continue
             needed = math.floor((r.time_ref_us + travel) / t_us) + 2
             if frames < needed:
                 out.append(
@@ -343,7 +375,7 @@ def roster_pairs(
     """
     pairs = []
     for sid, value in mapping.items():
-        if isinstance(sid, bool) or not isinstance(sid, int):
+        if not is_integer(sid):
             problems.append(f"{path}: sensor id must be an int, got {sid!r}")
         elif sid not in roster:
             problems.append(f"{path}: unknown sensor id {sid}")
@@ -363,8 +395,8 @@ def _prefixed(path: str, problem: str) -> str:
 def _as_number(value, kind: type):
     """value as kind (int or float) by the one number rule, else None.
 
-    Bools are not numbers. Strings get one float() attempt because YAML 1.1
-    resolves exponent forms without a sign ('1.5e6') as strings.
+    Strings get one float() attempt because YAML 1.1 resolves exponent forms
+    without a sign ('1.5e6') as strings.
     """
     if isinstance(value, str):
         try:
@@ -373,13 +405,9 @@ def _as_number(value, kind: type):
             return None
         if not math.isfinite(value):
             return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value) or kind is int and isinstance(value, float) and not value.is_integer():
         return None
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            return None
-        return int(value)
-    return float(value)
+    return int(value) if kind is int else float(value)
 
 
 def _convert(value, hint, path: str, errors: list[str]):

@@ -103,7 +103,7 @@ class SensorNode:
             return
         s = self.protocol
         clock, on_detection, add = s.clock, s.on_detection, self.detections.append
-        sampling = int(self.sampling_period_ticks)
+        sampling = self.sampling_period_ticks
         # no sync arrives between two stamps of one call: the open period
         # is read once
         period = s.last_seen_period_index

@@ -52,6 +52,16 @@ def tuple_record(cls: type[T]) -> Callable[[tuple], T]:
     return partial(tuple.__new__, cls)
 
 
+def is_integer(value) -> bool:
+    """The one integer rule: an int, never a bool (which has no subclasses)."""
+    return type(value) is int or (isinstance(value, int) and type(value) is not bool)
+
+
+def is_number(value) -> bool:
+    """The one number rule: an int or a float, never a bool (exact types skip isinstance)."""
+    return type(value) in (float, int) or (isinstance(value, (float, int)) and type(value) is not bool)
+
+
 @dataclass(frozen=True)
 class CableGeometry:
     """Sensor ids and their positions along the cable axis.
@@ -66,7 +76,7 @@ class CableGeometry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensor_ids", tuple(self.sensor_ids))
-        object.__setattr__(self, "positions_m", tuple(float(p) for p in self.positions_m))
+        object.__setattr__(self, "positions_m", tuple(self.positions_m))
         if len(self.sensor_ids) != len(self.positions_m):
             raise ValueError(
                 f"{len(self.sensor_ids)} sensor ids but {len(self.positions_m)} positions"
@@ -74,11 +84,13 @@ class CableGeometry:
         if len(self.sensor_ids) < 2:
             raise ValueError("geometry needs at least two sensors")
         for i, sid in enumerate(self.sensor_ids):
-            if isinstance(sid, bool) or not isinstance(sid, int):
+            if not is_integer(sid):
                 raise ValueError(f"sensor_ids[{i}] must be an int, got {sid!r}")
         for i, p in enumerate(self.positions_m):
-            if not math.isfinite(p):
-                raise ValueError(f"positions_m[{i}] must be finite, got {p!r}")
+            if not (is_number(p) and math.isfinite(p)):
+                rule = "finite" if is_number(p) else "a number"
+                raise ValueError(f"positions_m[{i}] must be {rule}, got {p!r}")
+        object.__setattr__(self, "positions_m", tuple(map(float, self.positions_m)))
         # id -> position, so that lookups stay O(1) however many sensors;
         # an attribute, not a field, so readers and comparisons never see it
         position = dict(zip(self.sensor_ids, self.positions_m))
@@ -108,23 +120,18 @@ class CableGeometry:
 
 @frozen_slotted
 class RuptureEvent:
-    """A wire break: where, when, and how hard it rings.
+    """A wire break: where, when, and how hard it rings. It constructs with
+    any values; Scenario.problems refuses bad ones by path.
 
     Attributes:
         position_m: break position along the cable axis.
         time_ref_us: reference time of the break.
-        peak_amplitude_g: wave amplitude at the source, in g; finite, > 0.
+        peak_amplitude_g: wave amplitude at the source, in g.
     """
 
     position_m: float
     time_ref_us: float
     peak_amplitude_g: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.peak_amplitude_g):
-            raise ValueError(f"peak_amplitude_g must be finite, got {self.peak_amplitude_g!r}")
-        if not self.peak_amplitude_g > 0:
-            raise ValueError(f"peak amplitude must be > 0, got {self.peak_amplitude_g!r}")
 
 
 class WaveArrival(NamedTuple):
@@ -151,8 +158,8 @@ def simulate_rupture(
 
     Raises:
         ValueError: if the rupture lies outside the sensed cable extent, or
-            the wave speed, threshold or attenuation is not finite or out of
-            range.
+            the wave speed, threshold, attenuation or peak amplitude is not
+            finite or out of range.
     """
     lo, hi = geometry.extent_m
     x = rupture.position_m
@@ -160,19 +167,21 @@ def simulate_rupture(
         raise ValueError(
             f"rupture at {x} m is outside the sensed extent [{lo}, {hi}] m"
         )
+    peak = rupture.peak_amplitude_g
     for name, value in (
         ("wave speed", wave_speed_m_s), ("threshold", threshold_g),
-        ("attenuation coefficient", attenuation_per_m),
+        ("attenuation coefficient", attenuation_per_m), ("peak amplitude", peak),
     ):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    for name, value in (("wave speed", wave_speed_m_s), ("threshold", threshold_g)):
+    for name, value in (
+        ("wave speed", wave_speed_m_s), ("threshold", threshold_g), ("peak amplitude", peak),
+    ):
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
     if attenuation_per_m < 0:
         raise ValueError("attenuation coefficient must be >= 0")
     ids, positions = geometry.sensor_ids, geometry.positions_m
-    peak = rupture.peak_amplitude_g
     first, stop = 0, len(positions)
     ratio = peak / threshold_g
     if attenuation_per_m > 0 and 0 < ratio < math.inf:

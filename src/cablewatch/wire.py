@@ -22,7 +22,7 @@ import struct
 from itertools import chain
 from typing import NamedTuple
 
-from .wave import tuple_record
+from .wave import is_integer, tuple_record
 
 SYNC_MAGIC = b"CASC"
 _SYNC = struct.Struct("<4sII")
@@ -50,7 +50,7 @@ class WireFormatError(ValueError):
 
 
 def _check_uint(name: str, value: int, bits: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise WireFormatError(f"{name} must be an int, got {value!r}")
     if not 0 <= value < (1 << bits):
         raise WireFormatError(f"{name}={value} does not fit in u{bits}")

@@ -179,6 +179,10 @@ class TestConfig:
             LiveConfig(scenario=live_scenario(), periods=5, pace_s=math.nan, timeout_s=math.inf)
         assert e.value.problems == ["pace_s must be finite, got nan",
                                     "timeout_s must be finite, got inf"]
+        # True passed as a 1 s wait
+        with pytest.raises(ScenarioError) as e:
+            LiveConfig(scenario=live_scenario(), periods=5, pace_s=True, timeout_s=5.0)
+        assert e.value.problems == ["pace_s must be a number, got True"]
         # a remote agent would give up between two frames
         with pytest.raises(ScenarioError) as e:
             LiveConfig(scenario=live_scenario(), periods=5, pace_s=1.0, timeout_s=1.0)

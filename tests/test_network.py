@@ -1,17 +1,11 @@
-"""Transport delays, deterministic jitter, and event-loop ordering."""
+"""Transport delays and deterministic jitter and loss."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cablewatch.network import (
-    KIND_REPORT,
-    KIND_SYNC,
-    SUPERVISOR_NODE,
-    EventLoop,
-    rf_delay_us,
-)
+from cablewatch.network import KIND_REPORT, KIND_SYNC, rf_delay_us
 from cablewatch.scenario import DEFAULT_RF_SPEED_M_S, NetworkConfig, Scenario, ScenarioError
 from cablewatch.wave import CableGeometry
 
@@ -170,69 +164,3 @@ class TestKeyedDraws:
         m = model(seed=42, drop_probability=0.5)
         assert draw(m, KIND_SYNC, 5, 3) == (False, 19.92399990367404)
         assert draw(m, KIND_REPORT, 5, 3) == (False, 19.137441737333457)
-
-
-class TestEventLoop:
-    def test_dispatch_in_time_order(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(30.0, "timer", SUPERVISOR_NODE, lambda t: seen.append(("c", t)))
-        loop.schedule(10.0, "timer", SUPERVISOR_NODE, lambda t: seen.append(("a", t)))
-        loop.schedule(20.0, "timer", SUPERVISOR_NODE, lambda t: seen.append(("b", t)))
-        assert loop.run() == 3
-        assert seen == [("a", 10.0), ("b", 20.0), ("c", 30.0)]
-        assert loop.now_ref_us == 30.0
-
-    def test_report_dispatches_before_timer_at_same_instant(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(50.0, "timer", SUPERVISOR_NODE, lambda t: seen.append("timer"))
-        loop.schedule(50.0, "report", SUPERVISOR_NODE, lambda t: seen.append("report"))
-        loop.run()
-        assert seen == ["report", "timer"]
-
-    def test_same_kind_ties_break_by_node(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(5.0, "timer", 4, lambda t: seen.append(4))
-        loop.schedule(5.0, "timer", 2, lambda t: seen.append(2))
-        loop.schedule(5.0, "timer", 3, lambda t: seen.append(3))
-        loop.schedule(5.0, "timer", SUPERVISOR_NODE, lambda t: seen.append(SUPERVISOR_NODE))
-        loop.run()
-        assert seen == [SUPERVISOR_NODE, 2, 3, 4]
-
-    def test_actions_can_schedule_later_events(self):
-        loop = EventLoop()
-        seen = []
-
-        def first(t):
-            seen.append("first")
-            loop.schedule(t + 10.0, "timer", 1, lambda t2: seen.append("second"))
-
-        loop.schedule(0.0, "timer", 1, first)
-        loop.run()
-        assert seen == ["first", "second"]
-
-    def test_scheduling_into_the_past_rejected(self):
-        loop = EventLoop()
-        loop.schedule(10.0, "timer", 1, lambda t: loop.schedule(5.0, "timer", 1, lambda t2: None))
-        with pytest.raises(ValueError, match="before now"):
-            loop.run()
-
-    def test_unknown_kind_rejected(self):
-        # sync receipts and detections are the sensors' own business
-        for kind in ("gossip", "sync", "detection"):
-            with pytest.raises(ValueError, match="kind"):
-                EventLoop().schedule(0.0, kind, 1, lambda t: None)
-
-    def test_empty_queue_terminates(self):
-        assert EventLoop().run() == 0
-
-    @given(times=st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=50))
-    def test_dispatch_is_always_chronological(self, times):
-        loop = EventLoop()
-        seen = []
-        for t in times:
-            loop.schedule(t, "timer", 1, lambda now: seen.append(now))
-        loop.run()
-        assert seen == sorted(seen)

@@ -1,5 +1,8 @@
-"""The README's YAML examples load through the same reader as any input."""
+"""The README's examples run as written: its YAML examples load through the
+same reader as any input, and its quick start prints what it says."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -9,16 +12,29 @@ from cablewatch.scenario import load_scenario
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def yaml_block(section):
-    """The first yaml code block under the README heading '## <section>'."""
+def code_block(section, language):
+    """The first code block in language under the README heading '## <section>'."""
     body = README.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```yaml\n(.*?)```", body, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", body, re.S).group(1)
+
+
+def test_quick_start_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code_block("Quick start", "python"), "README quick start", "exec"), {})
+    x_est, matched = out.getvalue().splitlines()[:2]
+    assert x_est.startswith("13.9976")
+    assert matched == "rupture:0"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "detections.csv", "estimates.csv", "retimed.csv", "summary.csv"
+    ]
 
 
 def test_scenario_and_live_examples_load(tmp_path):
     # live.yaml names its scenario file scenario.yaml, next to it
-    (tmp_path / "scenario.yaml").write_text(yaml_block("Scenario files"))
-    (tmp_path / "live.yaml").write_text(yaml_block("Live mode"))
+    (tmp_path / "scenario.yaml").write_text(code_block("Scenario files", "yaml"))
+    (tmp_path / "live.yaml").write_text(code_block("Live mode", "yaml"))
     scenario = load_scenario(tmp_path / "scenario.yaml")
     assert scenario.drift_ppm == {1: 37.0, 2: -12.0, 3: 50.0, 4: -50.0}
     assert scenario.ruptures[0].time_ref_us == 1_500_000.0

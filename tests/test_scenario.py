@@ -1,15 +1,18 @@
 """Scenario validation and YAML loading."""
 
 import collections
+import dataclasses
 import math
 import textwrap
 import typing
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cablewatch import scenario as scenario_module
 from cablewatch.clock import MAX_DRIFT_PPM
+from cablewatch.live import LiveConfig
 from cablewatch.network import rf_delay_us
 from cablewatch.scenario import (
     DEFAULT_LATENCY_MEAN_US,
@@ -252,6 +255,137 @@ class TestScenarioValidation:
         assert "network.radio_positions_m: unknown sensor id 9" in msgs
 
 
+class TestNumberRule:
+    """Every numeric input goes through one integer rule and one number rule
+    (wave.is_integer, wave.is_number): True is not a number, and 1.5 is not
+    an integer, whether the value comes from a YAML file or from Python."""
+
+    RUPTURE = RuptureEvent(14.0, 1_500_000.0)
+    SPURIOUS = SpuriousEvent(2, 1_200_000.0)
+
+    @classmethod
+    def cases(cls):
+        """(path, hint, build) for every int- or float-hinted field, Optional
+        included; build(value) constructs the record with that field set,
+        inside an otherwise valid scenario. The event fields come twice: an
+        event alone, and the last of a dense scenario, which Scenario.problems
+        screens a column at a time first."""
+        dense = scenario_module.SCREEN_MIN_EVENTS
+        rupture, spurious = cls.RUPTURE, cls.SPURIOUS
+
+        def with_event(kind, valid, copies):
+            def build_for(name):
+                def build(value):
+                    bad = dataclasses.replace(valid, **{name: value})
+                    return Scenario(geometry=GEOM, **{kind: (valid,) * copies + (bad,)})
+                return build
+            return build_for
+
+        records = [
+            (Scenario, "{}", lambda name: lambda v: Scenario(geometry=GEOM, **{name: v})),
+            (NetworkConfig, "network.{}",
+             lambda name: lambda v: Scenario(geometry=GEOM, network=NetworkConfig(**{name: v}))),
+            (LiveConfig, "{}", lambda name: lambda v: LiveConfig(**{
+                "scenario": Scenario(geometry=GEOM, ruptures=(rupture,)), "periods": 5, name: v})),
+        ]
+        for copies in (0, dense):
+            records += [
+                (RuptureEvent, f"ruptures[{copies}].{{}}", with_event("ruptures", rupture, copies)),
+                (SpuriousEvent, f"spurious_events[{copies}].{{}}",
+                 with_event("spurious_events", spurious, copies)),
+            ]
+        for record, path, build_for in records:
+            hints = typing.get_type_hints(record)
+            for f in dataclasses.fields(record):
+                hint = hints[f.name]
+                if typing.get_origin(hint) is typing.Union:
+                    (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+                if hint in (int, float):
+                    yield path.format(f.name), hint, build_for(f.name)
+
+    def test_every_numeric_field_refuses_a_bool_and_every_int_field_a_fraction(self):
+        checked = []
+        for path, hint, build in self.cases():
+            bad_values = (True, 1.5) if hint is int else (True,)
+            for bad in bad_values:
+                with pytest.raises(ScenarioError) as e:
+                    build(bad)
+                assert any(p.startswith(f"{path} must be") for p in e.value.problems), (
+                    path, bad, e.value.problems)
+            checked.append(path)
+        # the walk found every record's fields
+        assert {"seed", "sampling_period_ticks", "network.drop_probability",
+                "network.supervisor_position_m", "ruptures[0].position_m",
+                "spurious_events[0].amplitude_g", "report_port", "pace_s",
+                f"spurious_events[{scenario_module.SCREEN_MIN_EVENTS}].sensor_id"} <= set(checked)
+
+    @pytest.mark.parametrize("build, problem", [
+        (lambda: Scenario(geometry=GEOM, drift_ppm={1: 5.0, 2: True}),
+         "drift_ppm[2] must be a number, got True"),
+        (lambda: Scenario(geometry=GEOM, network=NetworkConfig(
+            radio_positions_m={1: 0.0, 2: True, 3: 17.0, 4: 27.0})),
+         "network.radio_positions_m[2] must be a number, got True"),
+        (lambda: LiveConfig(scenario=Scenario(geometry=GEOM), periods=5,
+                            sync_ports={1: 0, 2: True, 3: 0, 4: 0}),
+         "sync_ports[2] must be an integer, got True"),
+    ], ids=["drift_ppm", "radio_positions_m", "sync_ports"])
+    def test_a_bool_map_value_is_refused_by_path(self, build, problem):
+        # each passed as 1: a 1 ppm drift, a radio at 1 m, a sensor on port 1
+        with pytest.raises(ScenarioError) as e:
+            build()
+        assert e.value.problems == [problem]
+
+    @pytest.mark.parametrize("bad, problem", [
+        (SpuriousEvent(2, "4"), ".time_ref_us must be a number, got '4'"),
+        (SpuriousEvent(2, None), ".time_ref_us must be a number, got None"),
+        (SpuriousEvent(2, math.inf), ".time_ref_us must be finite, got inf"),
+        (SpuriousEvent(2, -1.0), ": time must be >= 0, got -1.0"),
+        (SpuriousEvent(2, 1_000.0, 0.0), ": amplitude must be > 0, got 0.0"),
+        (SpuriousEvent(9, 1_000.0), ": unknown sensor id 9"),
+    ], ids=["str_time", "none_time", "inf_time", "negative_time", "zero_amplitude", "unknown_id"])
+    @pytest.mark.parametrize("index", [0, 30])
+    def test_dense_events_name_each_problem_as_sparse_ones_do(self, bad, problem, index):
+        # 40 events clear the column screen, or fall to the walk that names
+        # the bad one: the verdict is the walk's either way
+        events = [SpuriousEvent(1 + i % 4, 1_000.0 * i) for i in range(40)]
+        events[index] = bad
+        for kept, at in ((events, index), ([bad], 0)):
+            with pytest.raises(ScenarioError) as e:
+                Scenario(geometry=GEOM, spurious_events=kept)
+            assert e.value.problems == [f"spurious_events[{at}]{problem}"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                # as often a value every rule takes as any other kind
+                st.sampled_from([1.0, 14.0, 27.0, 1_500.0, 4294967.295]),
+                st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=2),
+                st.sampled_from([0.0, -0.0, 5e-324, 4294967.2954, 4294967.2955, 1e308]),
+            ),
+            min_size=3, max_size=3,
+        ),
+        slot=st.integers(min_value=0, max_value=39),
+        sensor_id=st.one_of(st.integers(min_value=-1, max_value=6), st.booleans(), st.floats()),
+    )
+    def test_the_column_screen_changes_no_verdict(self, values, slot, sensor_id):
+        # one event of 40 takes any values; the scenario's problems are the
+        # same whether the screen or the walk alone judges its events
+        position, time_ref_us, amplitude_g = values
+        ruptures = [RuptureEvent(14.0, 1_000.0 * i) for i in range(20)]
+        spurious = [SpuriousEvent(1 + i % 4, 1_000.0 * i) for i in range(20)]
+        if slot < 20:
+            ruptures[slot] = RuptureEvent(position, time_ref_us, amplitude_g)
+        else:
+            spurious[slot - 20] = SpuriousEvent(sensor_id, time_ref_us, amplitude_g)
+        scenario = Scenario(geometry=GEOM)
+        object.__setattr__(scenario, "ruptures", tuple(ruptures))
+        object.__setattr__(scenario, "spurious_events", tuple(spurious))
+        with mock.patch.object(scenario_module, "SCREEN_MIN_EVENTS", math.inf):
+            walked = scenario.problems()
+        assert scenario.problems() == walked
+
+
 class TestWireLimits:
     """Values that a sync frame or a report cannot carry are refused by
     path: each of these passed validation, then raised WireFormatError in
@@ -273,6 +407,10 @@ class TestWireLimits:
         (dict(spurious_events=(SpuriousEvent(2, 1_500_000.0), SpuriousEvent(1, 1_500_000.0, 5e6))),
          "spurious_events[1].amplitude_g 5000000.0 does not fit the wire's u32 "
          "amplitude_milli_g (at most 4294967.295 g)"),
+        # its milli-g overflows a float: validation raised OverflowError
+        (dict(spurious_events=(SpuriousEvent(2, 1_500_000.0, 1e306),)),
+         "spurious_events[0].amplitude_g 1e+306 does not fit the wire's u32 "
+         "amplitude_milli_g (at most 4294967.295 g)"),
         # a period's counter spans up to T + 2 * jitter: (1e6 + 2e20) * 1.001
         # and (1e6 + 1.844e19) * 1.001 ticks, both past 2**64 - 1
         (dict(ruptures=(RuptureEvent(14.0, 1_500_000.0),),
@@ -285,7 +423,7 @@ class TestWireLimits:
          "(T + 2 * jitter) * (1 + 1000 ppm) ticks, does not fit the wire's u64 saved_counter "
          "(at most 18446744073709551615)"),
     ], ids=["sensor_id_70000", "sensor_id_-1", "period_5e9", "rupture_peak", "spurious_amplitude",
-            "jitter_1e20", "jitter_9.22e18"])
+            "spurious_amplitude_1e306", "jitter_1e20", "jitter_9.22e18"])
     def test_value_the_wire_cannot_carry_is_refused_by_path(self, kw, problem):
         with pytest.raises(ScenarioError) as e:
             Scenario(**{"geometry": GEOM, **kw})
@@ -604,7 +742,7 @@ class TestYamlLoading:
             (
                 MINIMAL_YAML
                 + "ruptures: [{position_m: 14.0, time_ref_us: 1500000, peak_amplitude_g: .inf}]\n",
-                "ruptures[0]: peak_amplitude_g must be finite, got inf",
+                "ruptures[0].peak_amplitude_g must be finite, got inf",
             ),
             (
                 MINIMAL_YAML + "spurious_events: [{sensor_id: 2, time_ref_us: 1500000, amplitude_g: .inf}]\n",

@@ -160,8 +160,10 @@ class TestQuantize:
         with pytest.raises(ValueError, match="negative duration"):
             stamp(-1.0, 4)
 
-    @pytest.mark.parametrize("period", [0, -4, 2.5])
+    @pytest.mark.parametrize("period", [0, -4, 2.5, True, 4.0, math.nan, math.inf, "4"])
     def test_bad_period_rejected(self, period):
+        # True stamped on a 1-tick grid, 4.0 passed as 4, and nan, inf and
+        # "4" raised ValueError, OverflowError and TypeError
         with pytest.raises(ScenarioError) as e:
             Scenario(geometry=FOUR_AT_10M, sampling_period_ticks=period)
         assert e.value.problems == [
@@ -261,14 +263,22 @@ class TestSimulateRupture:
         assert [a.max_amplitude_g for a in flat] == [2.0] * 4
 
     def test_nonpositive_peak_amplitude_rejected(self):
-        with pytest.raises(ValueError, match="amplitude"):
-            RuptureEvent(position_m=1.0, time_ref_us=0.0, peak_amplitude_g=0.0)
+        rupture = RuptureEvent(position_m=1.0, time_ref_us=0.0, peak_amplitude_g=0.0)
+        with pytest.raises(ValueError, match=r"^peak amplitude must be > 0, got 0\.0$"):
+            simulate_rupture(FOUR_AT_10M, rupture)
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=FOUR_AT_10M, ruptures=(rupture,))
+        assert e.value.problems == ["ruptures[0]: amplitude must be > 0, got 0.0"]
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_peak_amplitude_rejected_by_name(self, bad):
         # an infinite amplitude overflowed the detection's milli-g rounding
-        with pytest.raises(ValueError, match=rf"^peak_amplitude_g must be finite, got {bad!r}$"):
-            RuptureEvent(position_m=1.0, time_ref_us=0.0, peak_amplitude_g=bad)
+        rupture = RuptureEvent(position_m=1.0, time_ref_us=0.0, peak_amplitude_g=bad)
+        with pytest.raises(ValueError, match=rf"^peak amplitude must be finite, got {bad!r}$"):
+            simulate_rupture(FOUR_AT_10M, rupture)
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=FOUR_AT_10M, ruptures=(rupture,))
+        assert e.value.problems == [f"ruptures[0].peak_amplitude_g must be finite, got {bad!r}"]
 
 
 uniform_grids = st.tuples(
