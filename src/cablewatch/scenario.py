@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -33,7 +34,8 @@ from .wave import (
     is_number,
 )
 from .wire import (
-    MAX_AMPLITUDE_MILLI_G, MAX_PERIOD_T_US, MAX_SAVED_COUNTER_TICKS, MAX_SENSOR_ID, amplitude_milli_g,
+    AMPLITUDE_MILLI_G_LIMIT, MAX_AMPLITUDE_MILLI_G, MAX_PERIOD_T_US, MAX_SAVED_COUNTER_TICKS,
+    MAX_SENSOR_ID,
 )
 
 DEFAULT_SAMPLING_PERIOD_TICKS = 4
@@ -45,8 +47,7 @@ DEFAULT_LATENCY_JITTER_US = 1.0
 # sync periods (frames) one run may take: a bound on run length, against a
 # typo in a time that would run for days before any output
 MAX_RUN_PERIODS = 100_000
-# events past which Scenario.problems screens them in C before any walk
-SCREEN_MIN_EVENTS = 16
+_FLOAT_MAX = sys.float_info.max
 
 T = TypeVar("T")
 
@@ -87,44 +88,41 @@ class NetworkConfig:
 
 
 def finite(problems: list[str], path: str, value, *args) -> bool:
-    """Whether value is a finite number (wave.is_number) a float holds; if
-    not, record why by path, which is formatted with args only then."""
-    number = is_number(value)
-    try:
-        if number and math.isfinite(value):
-            return True
-    except OverflowError:  # an int beyond the float range
-        pass
-    problems.append(f"{path.format(*args)} must be {'finite' if number else 'a number'}, got {value!r}")
+    """Whether value is a finite number (wave.is_number), one a float holds;
+    if not, record why by path, which is formatted with args only then."""
+    if is_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return True
+    rule = "finite" if is_number(value) else "a number"
+    problems.append(f"{path.format(*args)} must be {rule}, got {value!r}")
     return False
 
 
 def positive(problems: list[str], path: str, value) -> bool:
     """Whether value is a finite number > 0; if not, record why by path."""
-    if (ok := finite(problems, path, value)) and not value > 0:
+    if is_number(value) and 0 < value <= _FLOAT_MAX:
+        return True
+    if finite(problems, path, value):
         problems.append(f"{path} must be > 0, got {value!r}")
-    return ok and value > 0
+    return False
 
 
-def fits_wire_amplitude(amplitude_g: float) -> bool:
-    """Whether a report's u32 amplitude_milli_g carries a finite amplitude."""
-    try:
-        return amplitude_milli_g(amplitude_g) <= MAX_AMPLITUDE_MILLI_G
-    except OverflowError:  # milli-g beyond the float range
-        return False
-
-
-def event_problems(out: list[str], kind: str, i: int, event, name: str) -> bool:
+def event_problems(out: list[str], kind: str, i: int, time_ref_us, amplitude_g, name: str) -> bool:
     """The rules a rupture and a spurious hit share, each broken one into out by the path
-    kind[i]: a finite time >= 0, and a finite amplitude (field name) > 0 that the wire's
-    u32 milli-g carries. Returns whether the time is finite."""
-    time_ref_us, amplitude_g = event.time_ref_us, getattr(event, name)
-    if (time_ok := finite(out, "{}[{}].time_ref_us", time_ref_us, kind, i)) and time_ref_us < 0:
-        out.append(f"{kind}[{i}]: time must be >= 0, got {time_ref_us!r}")
-    if finite(out, "{}[{}].{}", amplitude_g, kind, i, name):
+    kind[i]: a time is a number from 0 to the largest float, and an amplitude (field name)
+    a number > 0 whose milli-g the wire's u32 carries. Each range is finite, so a number in
+    it is finite: finite() runs only to name a value outside. Returns whether the time is
+    finite."""
+    time_ok = True
+    if not (is_number(time_ref_us) and 0 <= time_ref_us <= _FLOAT_MAX):
+        time_ok = finite(out, "{}[{}].time_ref_us", time_ref_us, kind, i)
+        if time_ok:
+            out.append(f"{kind}[{i}]: time must be >= 0, got {time_ref_us!r}")
+    if not (
+        is_number(amplitude_g) and 0 < amplitude_g and amplitude_g * 1000 < AMPLITUDE_MILLI_G_LIMIT
+    ) and finite(out, "{}[{}].{}", amplitude_g, kind, i, name):
         if not amplitude_g > 0:
             out.append(f"{kind}[{i}]: amplitude must be > 0, got {amplitude_g!r}")
-        elif not fits_wire_amplitude(amplitude_g):
+        else:
             out.append(f"{kind}[{i}].{name} {amplitude_g!r} does not fit the wire's u32 "
                        f"amplitude_milli_g (at most {MAX_AMPLITUDE_MILLI_G / 1000} g)")
     return time_ok
@@ -228,7 +226,27 @@ class Scenario:
         if finite(out, "attenuation_per_m", self.attenuation_per_m) and self.attenuation_per_m < 0:
             out.append(f"attenuation_per_m must be >= 0, got {self.attenuation_per_m!r}")
 
-        times_ok = self._all_event_problems(ids, out)
+        # a rupture's position is a number in the cable extent, a finite one
+        lo, hi = self.geometry.extent_m
+        times_ok = True
+        for i, r in enumerate(self.ruptures):
+            x = r.position_m
+            if not (is_number(x) and lo <= x <= hi) and finite(
+                out, "ruptures[{}].position_m", x, i
+            ):
+                out.append(f"ruptures[{i}]: position {x} m outside cable extent [{lo}, {hi}] m")
+            times_ok &= event_problems(
+                out, "ruptures", i, r.time_ref_us, r.peak_amplitude_g, "peak_amplitude_g"
+            )
+        for i, sp in enumerate(self.spurious_events):
+            sid = sp.sensor_id
+            if not is_integer(sid):
+                out.append(f"spurious_events[{i}].sensor_id must be an int, got {sid!r}")
+            elif sid not in ids:
+                out.append(f"spurious_events[{i}]: unknown sensor id {sid}")
+            times_ok &= event_problems(
+                out, "spurious_events", i, sp.time_ref_us, sp.amplitude_g, "amplitude_g"
+            )
 
         n = self.network
         out.extend(link_problems(n, t_us if period_ok else None))
@@ -246,52 +264,16 @@ class Scenario:
         duration_ok = duration is None or positive(out, "run_duration_us", duration)
         # the run length, once the inputs that set it are valid
         if period_ok and speed_ok and duration_ok and times_ok:
-            frames, source = self._run_length()
+            frames, setter = self._run_length()
             if frames > MAX_RUN_PERIODS:
+                source = (
+                    "run_duration_us" if setter is None else "{}[{}].time_ref_us".format(*setter)
+                )
                 out.append(f"{source} needs a run of {frames} sync periods, more than "
                            f"MAX_RUN_PERIODS ({MAX_RUN_PERIODS})")
             if duration is not None:
-                out.extend(self.closing_problems(frames, source))
+                out.extend(self.closing_problems(frames, "run_duration_us"))
         return out
-
-    def _all_event_problems(self, ids: abc.Set, out: list[str]) -> bool:
-        """Each event's broken rules into out, by path: a rupture's finite position in the cable
-        extent, a spurious hit's roster sensor id, and event_problems'. True if times are finite."""
-        ruptures, spurious = self.ruptures, self.spurious_events
-        lo, hi = self.geometry.extent_m
-        if len(ruptures) + len(spurious) > SCREEN_MIN_EVENTS:
-            # judged a column at a time in C, walked only to name a problem: is_number and
-            # is_integer read a value's type alone, so one value of each type stands for all
-            positions = [r.position_m for r in ruptures]
-            times = [r.time_ref_us for r in ruptures] + [s.time_ref_us for s in spurious]
-            amplitudes = [r.peak_amplitude_g for r in ruptures] + [s.amplitude_g for s in spurious]
-            sensor_ids = [s.sensor_id for s in spurious]
-            numbers = positions + times + amplitudes
-            try:
-                if (
-                    all(map(is_number, dict(zip(map(type, numbers), numbers)).values()))
-                    and all(map(is_integer, dict(zip(map(type, sensor_ids), sensor_ids)).values()))
-                    and all(map(math.isfinite, numbers)) and ids >= set(sensor_ids)
-                    and lo <= min(positions, default=lo) and max(positions, default=hi) <= hi
-                    and min(times, default=0.0) >= 0 and min(amplitudes, default=1.0) > 0
-                    and fits_wire_amplitude(max(amplitudes, default=1.0))
-                ):
-                    return True
-            except OverflowError:  # an int beyond the float range
-                pass
-        times_ok = True
-        for i, r in enumerate(ruptures):
-            x = r.position_m
-            if finite(out, "ruptures[{}].position_m", x, i) and not lo <= x <= hi:
-                out.append(f"ruptures[{i}]: position {x} m outside cable extent [{lo}, {hi}] m")
-            times_ok &= event_problems(out, "ruptures", i, r, "peak_amplitude_g")
-        for i, s in enumerate(spurious):
-            if not is_integer(s.sensor_id):
-                out.append(f"spurious_events[{i}].sensor_id must be an int, got {s.sensor_id!r}")
-            elif s.sensor_id not in ids:
-                out.append(f"spurious_events[{i}]: unknown sensor id {s.sensor_id}")
-            times_ok &= event_problems(out, "spurious_events", i, s, "amplitude_g")
-        return times_ok
 
     def drift_for(self, sensor_id: int) -> float:
         return self.drift_ppm.get(sensor_id, 0.0)
@@ -324,13 +306,14 @@ class Scenario:
         after an explicit run's last frame stays pending at its sensor."""
         return self._run_length()[0]
 
-    def _run_length(self) -> tuple[int, str]:
-        """sync_frames() and the path of the input that sets it."""
+    def _run_length(self) -> tuple[int, Optional[tuple[str, int]]]:
+        """sync_frames(), and the event (kind, index) whose time sets it, or
+        None where run_duration_us sets it or nothing happens after time 0."""
         t_us = self.sync_period_T_us
         if self.run_duration_us is not None:
-            return int(self.run_duration_us // t_us) + 1, "run_duration_us"
+            return int(self.run_duration_us // t_us) + 1, None
         travel = self.span_travel_us()
-        latest, setter = 0.0, ("", 0)
+        latest, setter = 0.0, None
         for i, r in enumerate(self.ruptures):
             if latest < r.time_ref_us + travel:
                 latest, setter = r.time_ref_us + travel, ("ruptures", i)
@@ -338,8 +321,8 @@ class Scenario:
             if latest < sp.time_ref_us:
                 latest, setter = sp.time_ref_us, ("spurious_events", i)
         if latest == 0.0:
-            return 4, ""
-        return math.floor(latest / t_us) + 3, "{}[{}].time_ref_us".format(*setter)
+            return 4, None
+        return math.floor(latest / t_us) + 3, setter
 
     def closing_problems(self, frames: int, source: str) -> list[str]:
         """The closing rule, one problem per rupture that a run of frames
@@ -403,11 +386,14 @@ def _as_number(value, kind: type):
             value = float(value)
         except ValueError:
             return None
-        if not math.isfinite(value):
+        if not math.isfinite(value):  # 'inf' and 'nan' are words; YAML's .inf is a float
             return None
     if not is_number(value) or kind is int and isinstance(value, float) and not value.is_integer():
         return None
-    return int(value) if kind is int else float(value)
+    try:
+        return int(value) if kind is int else float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
 
 
 def _convert(value, hint, path: str, errors: list[str]):

@@ -59,7 +59,10 @@ def is_integer(value) -> bool:
 
 def is_number(value) -> bool:
     """The one number rule: an int or a float, never a bool (exact types skip isinstance)."""
-    return type(value) in (float, int) or (isinstance(value, (float, int)) and type(value) is not bool)
+    return (
+        type(value) is float or type(value) is int
+        or (isinstance(value, (float, int)) and type(value) is not bool)
+    )
 
 
 @dataclass(frozen=True)

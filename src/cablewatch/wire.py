@@ -45,6 +45,12 @@ def amplitude_milli_g(amplitude_g: float) -> int:
     return round(amplitude_g * 1000)
 
 
+# amplitude_milli_g fits the u32 just when amplitude_g * 1000 is under this:
+# round() takes such a product to at most MAX_AMPLITUDE_MILLI_G, and the tie
+# to the even 2**32
+AMPLITUDE_MILLI_G_LIMIT = MAX_AMPLITUDE_MILLI_G + 0.5
+
+
 class WireFormatError(ValueError):
     """A datagram (or message about to become one) violates the wire layout."""
 

@@ -5,7 +5,6 @@ import dataclasses
 import math
 import textwrap
 import typing
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +26,8 @@ from cablewatch.scenario import (
     read_dataclass,
 )
 from cablewatch.simulate import run
-from cablewatch.wave import CableGeometry, RuptureEvent
+from cablewatch.wave import CableGeometry, RuptureEvent, is_integer, is_number
+from cablewatch.wire import MAX_AMPLITUDE_MILLI_G, amplitude_milli_g
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 4.0, 17.0, 27.0))
 REFERENCE = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
@@ -267,17 +267,15 @@ class TestNumberRule:
     def cases(cls):
         """(path, hint, build) for every int- or float-hinted field, Optional
         included; build(value) constructs the record with that field set,
-        inside an otherwise valid scenario. The event fields come twice: an
-        event alone, and the last of a dense scenario, which Scenario.problems
-        screens a column at a time first."""
-        dense = scenario_module.SCREEN_MIN_EVENTS
+        inside an otherwise valid scenario. An event with the field set
+        follows a valid one, so that its path carries index 1."""
         rupture, spurious = cls.RUPTURE, cls.SPURIOUS
 
-        def with_event(kind, valid, copies):
+        def with_event(kind, valid):
             def build_for(name):
                 def build(value):
                     bad = dataclasses.replace(valid, **{name: value})
-                    return Scenario(geometry=GEOM, **{kind: (valid,) * copies + (bad,)})
+                    return Scenario(geometry=GEOM, **{kind: (valid, bad)})
                 return build
             return build_for
 
@@ -287,13 +285,9 @@ class TestNumberRule:
              lambda name: lambda v: Scenario(geometry=GEOM, network=NetworkConfig(**{name: v}))),
             (LiveConfig, "{}", lambda name: lambda v: LiveConfig(**{
                 "scenario": Scenario(geometry=GEOM, ruptures=(rupture,)), "periods": 5, name: v})),
+            (RuptureEvent, "ruptures[1].{}", with_event("ruptures", rupture)),
+            (SpuriousEvent, "spurious_events[1].{}", with_event("spurious_events", spurious)),
         ]
-        for copies in (0, dense):
-            records += [
-                (RuptureEvent, f"ruptures[{copies}].{{}}", with_event("ruptures", rupture, copies)),
-                (SpuriousEvent, f"spurious_events[{copies}].{{}}",
-                 with_event("spurious_events", spurious, copies)),
-            ]
         for record, path, build_for in records:
             hints = typing.get_type_hints(record)
             for f in dataclasses.fields(record):
@@ -315,9 +309,9 @@ class TestNumberRule:
             checked.append(path)
         # the walk found every record's fields
         assert {"seed", "sampling_period_ticks", "network.drop_probability",
-                "network.supervisor_position_m", "ruptures[0].position_m",
-                "spurious_events[0].amplitude_g", "report_port", "pace_s",
-                f"spurious_events[{scenario_module.SCREEN_MIN_EVENTS}].sensor_id"} <= set(checked)
+                "network.supervisor_position_m", "ruptures[1].position_m",
+                "spurious_events[1].amplitude_g", "spurious_events[1].sensor_id",
+                "report_port", "pace_s"} <= set(checked)
 
     @pytest.mark.parametrize("build, problem", [
         (lambda: Scenario(geometry=GEOM, drift_ppm={1: 5.0, 2: True}),
@@ -336,54 +330,77 @@ class TestNumberRule:
         assert e.value.problems == [problem]
 
     @pytest.mark.parametrize("bad, problem", [
-        (SpuriousEvent(2, "4"), ".time_ref_us must be a number, got '4'"),
-        (SpuriousEvent(2, None), ".time_ref_us must be a number, got None"),
-        (SpuriousEvent(2, math.inf), ".time_ref_us must be finite, got inf"),
-        (SpuriousEvent(2, -1.0), ": time must be >= 0, got -1.0"),
-        (SpuriousEvent(2, 1_000.0, 0.0), ": amplitude must be > 0, got 0.0"),
-        (SpuriousEvent(9, 1_000.0), ": unknown sensor id 9"),
-    ], ids=["str_time", "none_time", "inf_time", "negative_time", "zero_amplitude", "unknown_id"])
-    @pytest.mark.parametrize("index", [0, 30])
-    def test_dense_events_name_each_problem_as_sparse_ones_do(self, bad, problem, index):
-        # 40 events clear the column screen, or fall to the walk that names
-        # the bad one: the verdict is the walk's either way
-        events = [SpuriousEvent(1 + i % 4, 1_000.0 * i) for i in range(40)]
-        events[index] = bad
-        for kept, at in ((events, index), ([bad], 0)):
-            with pytest.raises(ScenarioError) as e:
-                Scenario(geometry=GEOM, spurious_events=kept)
-            assert e.value.problems == [f"spurious_events[{at}]{problem}"]
+        (RuptureEvent("4", 1_000.0), "ruptures[1].position_m must be a number, got '4'"),
+        (RuptureEvent(math.nan, 1_000.0), "ruptures[1].position_m must be finite, got nan"),
+        (RuptureEvent(99.0, 1_000.0),
+         "ruptures[1]: position 99.0 m outside cable extent [0.0, 27.0] m"),
+        (RuptureEvent(14.0, 10**400), f"ruptures[1].time_ref_us must be finite, got {10**400!r}"),
+        (RuptureEvent(14.0, 1_000.0, -2.0), "ruptures[1]: amplitude must be > 0, got -2.0"),
+        (SpuriousEvent(2, "4"), "spurious_events[1].time_ref_us must be a number, got '4'"),
+        (SpuriousEvent(2, None), "spurious_events[1].time_ref_us must be a number, got None"),
+        (SpuriousEvent(2, math.inf), "spurious_events[1].time_ref_us must be finite, got inf"),
+        (SpuriousEvent(2, -1.0), "spurious_events[1]: time must be >= 0, got -1.0"),
+        (SpuriousEvent(2, 1_000.0, 0.0), "spurious_events[1]: amplitude must be > 0, got 0.0"),
+        (SpuriousEvent(2, 1_000.0, math.nan),
+         "spurious_events[1].amplitude_g must be finite, got nan"),
+        (SpuriousEvent(9, 1_000.0), "spurious_events[1]: unknown sensor id 9"),
+    ], ids=["str_position", "nan_position", "outside_position", "huge_int_time",
+            "negative_peak", "str_time", "none_time", "inf_time", "negative_time",
+            "zero_amplitude", "nan_amplitude", "unknown_id"])
+    def test_an_event_problem_is_named_by_its_path(self, bad, problem):
+        kind = "ruptures" if isinstance(bad, RuptureEvent) else "spurious_events"
+        valid = self.RUPTURE if kind == "ruptures" else self.SPURIOUS
+        with pytest.raises(ScenarioError) as e:
+            Scenario(geometry=GEOM, **{kind: (valid, bad)})
+        assert e.value.problems == [problem]
 
-    @settings(max_examples=200, deadline=None)
+    @staticmethod
+    def finite_number(value):
+        try:
+            return is_number(value) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+
+    @staticmethod
+    def fits_wire(amplitude_g):
+        try:
+            return amplitude_milli_g(amplitude_g) <= MAX_AMPLITUDE_MILLI_G
+        except OverflowError:  # milli-g beyond the float range
+            return False
+
+    @settings(max_examples=300, deadline=None)
     @given(
-        values=st.lists(
-            st.one_of(
-                # as often a value every rule takes as any other kind
-                st.sampled_from([1.0, 14.0, 27.0, 1_500.0, 4294967.295]),
-                st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=2),
-                st.sampled_from([0.0, -0.0, 5e-324, 4294967.2954, 4294967.2955, 1e308]),
-            ),
-            min_size=3, max_size=3,
+        field=st.sampled_from(["position_m", "peak_amplitude_g", "sensor_id", "time_ref_us",
+                               "amplitude_g"]),
+        value=st.one_of(
+            st.floats(), st.integers(), st.integers(min_value=2**1023, max_value=2**1100),
+            st.booleans(), st.none(), st.text(max_size=2),
+            # each side of a rule's bound: the extent, 0, the wire's u32 milli-g
+            st.sampled_from([0.0, -0.0, 5e-324, 27.0, 27.000000000000004, 4294967.295499999,
+                             4294967.2955, 1e306]),
         ),
-        slot=st.integers(min_value=0, max_value=39),
-        sensor_id=st.one_of(st.integers(min_value=-1, max_value=6), st.booleans(), st.floats()),
     )
-    def test_the_column_screen_changes_no_verdict(self, values, slot, sensor_id):
-        # one event of 40 takes any values; the scenario's problems are the
-        # same whether the screen or the walk alone judges its events
-        position, time_ref_us, amplitude_g = values
-        ruptures = [RuptureEvent(14.0, 1_000.0 * i) for i in range(20)]
-        spurious = [SpuriousEvent(1 + i % 4, 1_000.0 * i) for i in range(20)]
-        if slot < 20:
-            ruptures[slot] = RuptureEvent(position, time_ref_us, amplitude_g)
+    def test_an_events_verdict_is_its_rule(self, field, value):
+        # one field of one event takes any value: the scenario refuses it
+        # just when the value breaks that field's rule, the amplitude's as
+        # the wire rounds it, and every problem names the event
+        if field in ("position_m", "peak_amplitude_g"):
+            kind, event = "ruptures", dataclasses.replace(self.RUPTURE, **{field: value})
         else:
-            spurious[slot - 20] = SpuriousEvent(sensor_id, time_ref_us, amplitude_g)
-        scenario = Scenario(geometry=GEOM)
-        object.__setattr__(scenario, "ruptures", tuple(ruptures))
-        object.__setattr__(scenario, "spurious_events", tuple(spurious))
-        with mock.patch.object(scenario_module, "SCREEN_MIN_EVENTS", math.inf):
-            walked = scenario.problems()
-        assert scenario.problems() == walked
+            kind, event = "spurious_events", dataclasses.replace(self.SPURIOUS, **{field: value})
+        ok = {
+            "position_m": lambda v: self.finite_number(v) and 0.0 <= v <= 27.0,
+            "time_ref_us": lambda v: self.finite_number(v) and v >= 0,
+            "sensor_id": lambda v: is_integer(v) and v in GEOM.sensor_ids,
+        }.get(field, lambda v: self.finite_number(v) and v > 0 and self.fits_wire(v))
+        try:
+            # an explicit run: a spurious hit after its end is left pending
+            Scenario(geometry=GEOM, run_duration_us=4e6, **{kind: (event,)})
+            problems = []
+        except ScenarioError as e:
+            problems = e.problems
+        assert (not problems) == ok(value), problems
+        assert all(p.startswith(f"{kind}[0]") for p in problems), problems
 
 
 class TestWireLimits:
@@ -748,9 +765,19 @@ class TestYamlLoading:
                 MINIMAL_YAML + "spurious_events: [{sensor_id: 2, time_ref_us: 1500000, amplitude_g: .inf}]\n",
                 "spurious_events[0].amplitude_g must be finite, got inf",
             ),
+            # an integer beyond the float range is no number a float field holds
+            (
+                MINIMAL_YAML + f"ruptures: [{{position_m: 14.0, time_ref_us: {10**400}}}]\n",
+                f"field 'ruptures[0].time_ref_us' must be a number, got {10**400}",
+            ),
+            (
+                MINIMAL_YAML + f"wave_speed_m_s: {10**400}\n",
+                f"field 'wave_speed_m_s' must be a number, got {10**400}",
+            ),
         ],
         ids=["ruptures_scalar", "fractional_sensor_id", "bool_position", "fractional_drift_key",
-             "infinite_position", "infinite_peak_amplitude", "infinite_spurious_amplitude"],
+             "infinite_position", "infinite_peak_amplitude", "infinite_spurious_amplitude",
+             "huge_int_time", "huge_int_wave_speed"],
     )
     def test_bad_value_is_named_by_its_path(self, load_text, text, problem):
         with pytest.raises(ScenarioError) as e:
