@@ -2,8 +2,8 @@
 
 Subcommands:
     simulate    run a scenario file, write the four CSV tables
-    localize    offline position estimates from an exported retimed.csv, one
-                period at a time, by the scenario file's geometry and
+    localize    offline position estimates from an exported retimed.csv, all
+                its rows in one call, by the scenario file's geometry and
                 coincidence window
     supervise   run the live supervisor endpoint (UDP)
     agent       run one live sensor agent endpoint (UDP)
@@ -25,7 +25,7 @@ from .live import LiveSupervisor, SensorAgent, load_live_config
 from .retiming import RetimedEvent
 from .scenario import load_scenario
 from .simulate import (
-    RETIMED_HEADER, export_csv, localize_period, postprocess_periods, run, sensor_nodes,
+    RETIMED_HEADER, export_csv, localize_events, postprocess_periods, run, sensor_nodes,
 )
 
 log = logging.getLogger(__name__)
@@ -45,12 +45,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_retimed(path: Path, sensor_ids) -> dict[int, list[RetimedEvent]]:
-    """The events of a retimed.csv by period, each period's in file order;
-    each bad cell, a sensor id outside sensor_ids included, is named by
-    file, line and column."""
+def _load_retimed(path: Path, sensor_ids) -> list[RetimedEvent]:
+    """The events of a retimed.csv in file order; each bad cell, a sensor
+    id outside sensor_ids included, is named by file, line and column."""
     kinds = typing.get_type_hints(RetimedEvent)
-    by_period: dict[int, list[RetimedEvent]] = {}
+    events: list[RetimedEvent] = []
     with open(path, newline="") as f:
         rows = csv.DictReader(f)
         missing = [c for c in RETIMED_HEADER if c not in (rows.fieldnames or ())]
@@ -73,24 +72,23 @@ def _load_retimed(path: Path, sensor_ids) -> dict[int, list[RetimedEvent]]:
                         f"{path}, line {rows.line_num}, column {column}: "
                         f"bad value {row[column]!r}"
                     ) from None
-            by_period.setdefault(values["period_index"], []).append(RetimedEvent(**values))
-    return by_period
+            events.append(RetimedEvent(**values))
+    return events
 
 
 def cmd_localize(args) -> int:
     scenario = load_scenario(args.geometry)
-    by_period = _load_retimed(Path(args.retimed), scenario.geometry.sensor_ids)
-    if not by_period:
+    events = _load_retimed(Path(args.retimed), scenario.geometry.sensor_ids)
+    if not events:
         print("no retimed events")
         return 0
     print(f"{'period':>6} {'cluster':>7} {'sensors':>7} {'x_est_m':>12} {'v_est_m_s':>12} flags")
-    for k in sorted(by_period):
-        for row in localize_period(scenario, k, by_period[k]):
-            est = row.estimate
-            print(
-                f"{k:>6} {row.cluster_index:>7} {row.n_sensors:>7} "
-                f"{est.x_est_m:>12.4f} {est.v_est_m_s:>12.2f} {_fmt_flags(est.flags)}"
-            )
+    for row in localize_events(scenario, events):
+        est = row.estimate
+        print(
+            f"{row.period_index:>6} {row.cluster_index:>7} {row.n_sensors:>7} "
+            f"{est.x_est_m:>12.4f} {est.v_est_m_s:>12.2f} {_fmt_flags(est.flags)}"
+        )
     return 0
 
 
@@ -102,11 +100,11 @@ def cmd_supervise(args) -> int:
         f"(decode errors: {supervisor.decode_errors})"
     )
     released = supervisor.protocol.released
-    for k in sorted(released):
-        p = released[k]
+    periods = [released[k] for k in sorted(released)]
+    for p in periods:
         state = "complete" if p.complete else f"timeout, missing {list(p.missing)}"
         print(f"period {p.period_index}: {len(p.reports)} reports, {state}")
-    _, estimates = postprocess_periods(config.scenario, released)
+    _, estimates = postprocess_periods(config.scenario, periods)
     for row in estimates:
         est = row.estimate
         print(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .clock import MAX_DRIFT_PPM
 from .scenario import NetworkConfig, Scenario
 from .simulate import run
-from .wave import CableGeometry, RuptureEvent, frozen_slotted
+from .wave import CableGeometry, RuptureEvent, frozen_slotted, is_integer, is_number
 
 DEFAULT_TRIALS = 1000
 DEFAULT_JITTER_US = 3.0
@@ -74,8 +74,10 @@ def run_trial(
     drift_range_ppm: float = DEFAULT_DRIFT_RANGE_PPM,
 ) -> TrialResult:
     """One randomized rupture through the full pipeline."""
-    if not 0 <= drift_range_ppm <= MAX_DRIFT_PPM:
-        raise ValueError(f"drift range must be in [0, {MAX_DRIFT_PPM:g}] ppm")
+    if not is_integer(master_seed):
+        raise ValueError(f"master_seed must be an int, got {master_seed!r}")
+    if not (is_number(drift_range_ppm) and 0 <= drift_range_ppm <= MAX_DRIFT_PPM):
+        raise ValueError(f"drift_range_ppm must be a drift range in [0, {MAX_DRIFT_PPM:g}] ppm")
     rng = random.Random(f"{master_seed}|trial|{trial}")
     drifts = {sid: rng.uniform(-drift_range_ppm, drift_range_ppm) for sid in base.geometry.sensor_ids}
     lo, hi = base.geometry.extent_m
@@ -140,8 +142,8 @@ def run_study(
     Failed trials (no usable estimate) are excluded from the percentiles and
     counted separately; at default settings none occur.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if not (is_integer(trials) and trials >= 1):
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if base is None:
         base = accuracy_study_scenario()
     results = tuple(

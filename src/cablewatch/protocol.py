@@ -68,7 +68,7 @@ class SensorProtocol:
             raise ValueError(f"timestamp must be >= 0, got {local_timestamp_ticks!r}")
         if amplitude_g < 0:
             raise ValueError(f"amplitude must be >= 0, got {amplitude_g!r}")
-        # (timestamp_ticks, amplitude_milli_g), wire.amplitude_milli_g inlined
+        # (timestamp_ticks, amplitude_milli_g): the one rounding of g to whole milli-g
         self.pending.append(_report_event((int(local_timestamp_ticks), round(amplitude_g * 1000))))
 
     def on_sync(self, frame: SyncFrame) -> Optional[SensorReport]:

@@ -131,21 +131,23 @@ def _sort_by_time(events: list[RetimedEvent]) -> None:
 
 
 def cluster_events(events: Iterable[RetimedEvent], window_us: float) -> list[list[RetimedEvent]]:
-    """Group valid retimed events into coincidence clusters.
+    """Group valid retimed events, of any periods, into coincidence clusters.
 
-    Greedy in retimed-time order: an event joins the open cluster while it
-    falls within window_us of the cluster's first event, otherwise it starts
-    a new one. Flagged events never cluster.
+    Greedy in (period_index, retimed_us, sensor_id) order: an event joins
+    the open cluster while it is of its period and within window_us of its
+    first event, otherwise it starts a new one. So no cluster spans two
+    periods (ROADMAP item 1a). Flagged events never cluster.
     """
     if not window_us > 0:
         raise ValueError(f"coincidence window must be > 0, got {window_us!r}")
     valid = [e for e in events if e.flag is None]
     _sort_by_time(valid)
+    valid.sort(key=itemgetter(1))
     clusters: list[list[RetimedEvent]] = []
     for e in valid:
-        if clusters and e.retimed_us - start_us <= window_us:
+        if clusters and e.period_index == period and e.retimed_us - start_us <= window_us:
             cluster.append(e)
         else:
-            cluster, start_us = [e], e.retimed_us
+            cluster, period, start_us = [e], e.period_index, e.retimed_us
             clusters.append(cluster)
     return clusters

@@ -8,10 +8,10 @@ then hands the supervisor's protocol every delivered report in one pass in
 delivery order, each after the protocol has released the periods whose
 deadline that delivery passed (SupervisorProtocol.release_due). Then
 report_run turns the sensors and the supervisor into a RunReport, the same
-tail a live run ends with: postprocess_periods takes the periods the supervisor
-released in index order, retiming each one and then localizing it
-(localize_period) without looking at ground truth, and only then does
-score attribute each estimate to an injected rupture.
+tail a live run ends with: postprocess_periods retimes the released periods
+in index order, localize_events clusters and localizes all their events in
+one call without looking at ground truth, and only then does score
+attribute each estimate to an injected rupture.
 Identical (scenario, seed) pairs produce identical output, down to the
 exported CSV bytes.
 """
@@ -212,48 +212,48 @@ def report_run(
     detections.sort(key=itemgetter(0))
     detections.sort(key=itemgetter(3))
     released = supervisor.released
-    retimed, estimates = postprocess_periods(scenario, released)
+    periods = [released[k] for k in sorted(released)]
+    retimed, estimates = postprocess_periods(scenario, periods)
     estimates = score(scenario, estimates)
     return RunReport(
         scenario=scenario,
         detections=detections,
         retimed=retimed,
         estimates=estimates,
-        completed_periods=[released[k] for k in sorted(released)],
+        completed_periods=periods,
         summary=_summarize(nodes, supervisor, detections, retimed, estimates),
     )
 
 
 def postprocess_periods(
-    scenario: Scenario, released: dict[int, CompletedPeriod]
+    scenario: Scenario, periods: Iterable[CompletedPeriod]
 ) -> tuple[list[RetimedEvent], list[EstimateRow]]:
-    """Retime each released period, then localize it, periods in index order."""
+    """Retime each released period, given in index order, then localize
+    the events of them all."""
     t_us = scenario.sync_period_T_us
     retimed: list[RetimedEvent] = []
-    estimates: list[EstimateRow] = []
-    for k in sorted(released):
-        events = align_period(released[k].reports, t_us)
-        if events:
-            retimed += events
-            estimates += localize_period(scenario, k, events)
-    return retimed, estimates
+    for period in periods:
+        retimed += align_period(period.reports, t_us)
+    return retimed, localize_events(scenario, retimed)
 
 
-def localize_period(
-    scenario: Scenario, period_index: int, events: Iterable[RetimedEvent]
-) -> list[EstimateRow]:
-    """Cluster one period's retimed events by the scenario's coincidence
+def localize_events(scenario: Scenario, events: Iterable[RetimedEvent]) -> list[EstimateRow]:
+    """Cluster retimed events of any periods by the scenario's coincidence
     window and localize every cluster on its geometry; ground truth plays
-    no part. Events of equal time and sensor keep the order given."""
+    no part. A row's period is its earliest event's, and its cluster index
+    counts within that period. Events of equal period, time and sensor keep
+    the order given."""
     geometry = scenario.geometry
-    # a cluster is in retimed-time order, so its first event is its earliest
-    return [
-        _estimate_row((
-            period_index, ci, len({e.sensor_id for e in cluster}),
-            localize_cluster(cluster, geometry), cluster[0].retimed_us, "", math.nan, math.nan,
-        ))
-        for ci, cluster in enumerate(cluster_events(events, scenario.coincidence_window_us))
-    ]
+    rows: list[EstimateRow] = []
+    for cluster in cluster_events(events, scenario.coincidence_window_us):
+        # a cluster is in (period, retimed time) order, so its first event is its earliest
+        k, first_us = cluster[0].period_index, cluster[0].retimed_us
+        ci = rows[-1].cluster_index + 1 if rows and rows[-1].period_index == k else 0
+        rows.append(_estimate_row((
+            k, ci, len({e.sensor_id for e in cluster}),
+            localize_cluster(cluster, geometry), first_us, "", math.nan, math.nan,
+        )))
+    return rows
 
 
 def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]:

@@ -38,16 +38,10 @@ MAX_SENSOR_ID = (1 << 16) - 1  # sensor_id, u16
 MAX_PERIOD_T_US = (1 << 32) - 1  # period_T_us, u32
 MAX_SAVED_COUNTER_TICKS = (1 << 64) - 1  # saved_counter, u64
 MAX_AMPLITUDE_MILLI_G = (1 << 32) - 1  # amplitude_milli_g, u32
-
-
-def amplitude_milli_g(amplitude_g: float) -> int:
-    """A report's amplitude field for an amplitude in g: whole milli-g."""
-    return round(amplitude_g * 1000)
-
-
-# amplitude_milli_g fits the u32 just when amplitude_g * 1000 is under this:
-# round() takes such a product to at most MAX_AMPLITUDE_MILLI_G, and the tie
-# to the even 2**32
+# a sensor queues round(amplitude_g * 1000) as a report's amplitude field
+# (SensorProtocol.on_detection), which fits the u32 just when the product is
+# under this: round() takes such a product to at most MAX_AMPLITUDE_MILLI_G,
+# and the tie to the even 2**32
 AMPLITUDE_MILLI_G_LIMIT = MAX_AMPLITUDE_MILLI_G + 0.5
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import cablewatch
 from cablewatch.clock import ClockState
 from cablewatch.protocol import SupervisorProtocol
-from test_golden import quick_start
+from test_golden import dense, quick_start
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,3 +42,17 @@ def test_tracer_wraps_and_restores_every_name_it_names():
     assert timers["simulate.run"][0] == 1
     # a lossless run delivers every report once
     assert timers["protocol.on_report"][0] == sum(len(p.reports) for p in report.completed_periods)
+
+
+def test_tracer_counts_each_postprocessing_layer_per_call():
+    # the per-layer cluster and localize figures are read from these counts
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        tracer.active = True
+        report = cablewatch.run(dense())
+        tracer.active = False
+    timers, counts = tracer.totals()
+    assert timers["retiming.align_period"][0] == len(report.completed_periods) == 4
+    assert timers["localization.localize_cluster"][0] == len(report.estimates) == 91
+    assert counts["retiming.events"] == len(report.retimed)

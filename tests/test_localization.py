@@ -102,6 +102,13 @@ class TestEstimatePosition:
         est = localize(AT_14M, FOUR_AT_10M)
         assert est.x_est_m - 10.0 == pytest.approx(4.0, rel=1e-12)
 
+    def test_rupture_on_a_sensor_is_clean(self):
+        # the bracket's near end: x_offset is exactly 0, inside the span
+        est = localize(arrival_times(FOUR_AT_10M, 20.0), FOUR_AT_10M)
+        assert FLAG_OUT_OF_SPAN not in est.flags
+        assert est.clean
+        assert est.x_est_m == 20.0
+
     def test_simultaneous_arrivals_mean_midspan(self):
         est = localize({1: 3000.0, 2: 1000.0, 3: 1000.0, 4: 3000.0}, FOUR_AT_10M)
         assert est.clean
@@ -148,6 +155,10 @@ class TestLocalize:
             q[sid] = float(node.detections[0].local_timestamp_ticks)
         est = localize(q, FOUR_AT_10M)
         assert abs(est.x_est_m - 14.0) <= 0.15
+
+    def test_rupture_at_sensor_2_with_a_tied_pair(self):
+        est = localize({1: 2000.0, 2: 0.0, 3: 2000.0, 4: 4000.0}, FOUR_AT_10M)
+        assert (est.x_est_m, est.v_est_m_s, est.flags) == (10.0, 5000.0, frozenset())
 
     def test_two_sensors_flag_insufficient(self):
         est = localize({1: 100.0, 2: 200.0}, FOUR_AT_10M)

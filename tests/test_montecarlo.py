@@ -49,6 +49,17 @@ class TestTrial:
         with pytest.raises(ValueError, match="drift range"):
             run_trial(accuracy_study_scenario(), 0, drift_range_ppm=5000.0)
 
+    @pytest.mark.parametrize("drift", [True, "5", None])
+    def test_drift_range_must_be_a_number(self, drift):
+        with pytest.raises(ValueError, match="drift_range_ppm"):
+            run_trial(accuracy_study_scenario(), 0, drift_range_ppm=drift)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_master_seed_must_be_an_integer(self, seed):
+        # True and 1.0 would key other trial streams than 1
+        with pytest.raises(ValueError, match="master_seed"):
+            run_trial(accuracy_study_scenario(), 0, master_seed=seed)
+
 
 class TestStudy:
     def test_study_reduces_and_orders_percentiles(self):
@@ -80,6 +91,15 @@ class TestStudy:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):
             run_study(trials=0)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, "3"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            run_study(trials=trials)
+
+    def test_master_seed_checked_for_the_study(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            run_study(trials=1, master_seed=1.0)
 
     def test_custom_base_scenario(self):
         base = Scenario(

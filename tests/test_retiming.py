@@ -50,9 +50,14 @@ class TestRetime:
     def test_event_at_period_start_maps_to_zero(self):
         assert retime(0, 999_950, T_US) == 0.0
 
+    def test_one_tick_of_a_one_tick_period_is_the_whole_period(self):
+        assert retime(1, 1, 1) == 1.0
+
     @pytest.mark.parametrize(
         "t_ev,t_i,t",
-        [(1, 0, T_US), (1, -5, T_US), (1_000_051, 1_000_050, T_US), (-1, 100, T_US), (1, 100, 0)],
+        # (0, 0, T): 0 / 0, refused before it can raise ZeroDivisionError
+        [(1, 0, T_US), (0, 0, T_US), (1, -5, T_US), (1_000_051, 1_000_050, T_US), (-1, 100, T_US),
+         (1, 100, 0)],
     )
     def test_malformed_inputs_raise(self, t_ev, t_i, t):
         with pytest.raises(RetimeError):
@@ -110,6 +115,7 @@ class TestAlignPeriod:
         (-5, 1000, 10, FLAG_OUT_OF_PERIOD),
         (math.nan, 1000, 10, FLAG_OUT_OF_PERIOD),
         (0, 0, 10, FLAG_ZERO_COUNTER),
+        (T_US, 0, 0, FLAG_ZERO_COUNTER),  # 0 / 0: flagged, no ZeroDivisionError
     ])
     def test_flag_of_each_refused_event(self, period_t_us, saved, ticks, flag):
         # a bad period T flags every event instead of raising
@@ -136,6 +142,18 @@ class TestAlignPeriod:
         assert sorted((e.raw_ticks, e.flag) for e in out if not e.valid) == sorted(
             (t, x[1]) for t, x in zip(ticks, expected) if x[1] is not None
         )
+
+    def test_sorted_by_retimed_time_where_raw_ticks_disagree(self):
+        # sensor 1 counted twice as fast: its later stamp is the earlier time
+        out = align_period([report(2, T_US, [(800, 900)]), report(1, 2 * T_US, [(1000, 900)])], T_US)
+        assert [(e.sensor_id, e.retimed_us) for e in out] == [(1, 500.0), (2, 800.0)]
+
+    def test_flagged_events_sorted_by_sensor_then_raw_ticks(self):
+        out = align_period(
+            [report(3, 0, [(20, 900), (10, 900)]), report(1, 0, [(30, 900), (5, 900)])], T_US
+        )
+        assert [(e.sensor_id, e.raw_ticks) for e in out] == [(1, 5), (1, 30), (3, 10), (3, 20)]
+        assert all(e.flag == FLAG_ZERO_COUNTER for e in out)
 
     def test_mixed_periods_rejected(self):
         with pytest.raises(ValueError, match="period"):
@@ -172,6 +190,38 @@ class TestCluster:
         clusters = cluster_events(out, window_us=100_000)
         assert len(clusters) == 1
         assert [e.sensor_id for e in clusters[0]] == [1]
+
+    def test_hit_exactly_one_window_after_the_first_joins(self):
+        out = align_period(
+            [report(1, T_US, [(1_000, 900)]), report(2, T_US, [(101_000, 900)])], T_US
+        )
+        [cluster] = cluster_events(out, window_us=100_000)
+        assert [e.sensor_id for e in cluster] == [1, 2]
+
+    def test_one_microsecond_window_is_accepted(self):
+        out = align_period([report(1, T_US, [(1_000, 900), (1_001, 900), (1_002, 900)])], T_US)
+        clusters = cluster_events(out, window_us=1)
+        assert [[e.raw_ticks for e in c] for c in clusters] == [[1_000, 1_001], [1_002]]
+
+    def test_grouped_in_retimed_order_where_raw_ticks_disagree(self):
+        # sensor 1 counted twice as fast: its later stamp is the earlier time
+        out = align_period([report(2, T_US, [(800, 900)]), report(1, 2 * T_US, [(1000, 900)])], T_US)
+        out.reverse()
+        [cluster] = cluster_events(out, window_us=100_000)
+        assert [e.sensor_id for e in cluster] == [1, 2]
+
+    def test_each_period_clusters_apart_in_period_order(self):
+        # retimed times are offsets within their own period: hits of two
+        # periods at nearby offsets are not one event
+        later = align_period([report(3, T_US, [(600, 900)], period=1)], T_US)
+        first = align_period(
+            [report(1, T_US, [(500, 900)]), report(2, T_US, [(700, 900)])], T_US
+        )
+        clusters = cluster_events(later + first, window_us=100_000)
+        assert [[(e.period_index, e.sensor_id) for e in c] for c in clusters] == [
+            [(0, 1), (0, 2)],
+            [(1, 3)],
+        ]
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="window"):

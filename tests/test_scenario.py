@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cablewatch import scenario as scenario_module
-from cablewatch.clock import MAX_DRIFT_PPM
+from cablewatch.clock import MAX_DRIFT_PPM, ClockState
 from cablewatch.live import LiveConfig
 from cablewatch.network import rf_delay_us
+from cablewatch.protocol import SensorProtocol
 from cablewatch.scenario import (
     DEFAULT_LATENCY_MEAN_US,
     DEFAULT_RF_SPEED_M_S,
@@ -27,7 +28,7 @@ from cablewatch.scenario import (
 )
 from cablewatch.simulate import run
 from cablewatch.wave import CableGeometry, RuptureEvent, is_integer, is_number
-from cablewatch.wire import MAX_AMPLITUDE_MILLI_G, amplitude_milli_g
+from cablewatch.wire import MAX_AMPLITUDE_MILLI_G
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 4.0, 17.0, 27.0))
 REFERENCE = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
@@ -363,10 +364,13 @@ class TestNumberRule:
 
     @staticmethod
     def fits_wire(amplitude_g):
+        # the milli-g a sensor queues for its report
+        protocol = SensorProtocol(sensor_id=1, clock=ClockState(drift_ppm=0.0))
         try:
-            return amplitude_milli_g(amplitude_g) <= MAX_AMPLITUDE_MILLI_G
+            protocol.on_detection(0, amplitude_g)
         except OverflowError:  # milli-g beyond the float range
             return False
+        return protocol.pending[0].amplitude_milli_g <= MAX_AMPLITUDE_MILLI_G
 
     @settings(max_examples=300, deadline=None)
     @given(

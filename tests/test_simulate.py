@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cablewatch.localization import FLAG_INSUFFICIENT_SENSORS, FLAG_OUT_OF_SPAN, RuptureEstimate
+from cablewatch.montecarlo import accuracy_study_scenario
 from cablewatch.retiming import RetimedEvent
 from cablewatch.scenario import NetworkConfig, Scenario, SpuriousEvent
 from cablewatch.simulate import (
@@ -252,6 +253,18 @@ class TestQuietAndDegradedRuns:
             ]
             assert len(near) == 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1a: cluster_events groups each period's hits apart, so "
+        "a rupture whose arrivals straddle a sync splits into two clusters"
+    ))
+    def test_rupture_straddling_a_sync_is_localized_once(self):
+        # at 998 ms sensors 2 and 3 hear it in period 0, sensors 1 and 4 in
+        # period 1
+        scenario = replace(accuracy_study_scenario(), ruptures=(RuptureEvent(14.0, 998_000.0),))
+        clean = [e for e in run(scenario).estimates if e.estimate.clean]
+        assert len(clean) == 1
+        assert abs(clean[0].estimate.x_est_m - 14.0) <= 0.15
+
 
 class TestSensorDriver:
     def test_arrival_at_the_receipt_instant_rides_the_closing_report(self):
@@ -343,10 +356,10 @@ class TestGroundTruthStaysOutOfThePipeline:
             ruptures=(RuptureEvent(14.0, 1_500_000.0), RuptureEvent(20.0, 2_400_000.0)),
             spurious_events=(SpuriousEvent(2, 2_700_000.0),),
         )
-        released = {p.period_index: p for p in run(scenario).completed_periods}
-        got = postprocess_periods(scenario, released)
+        periods = run(scenario).completed_periods
+        got = postprocess_periods(scenario, periods)
         assert len(got[1]) == 3
-        assert got == postprocess_periods(replace(scenario, ruptures=()), released)
+        assert got == postprocess_periods(replace(scenario, ruptures=()), periods)
         assert all(not row.matched for row in got[1])
 
 
