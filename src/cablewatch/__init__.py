@@ -17,7 +17,8 @@ Layers, bottom up:
     localization  sensor-triple selection, speed and position estimates
     network       deterministic link timing, derived from a validated scenario
     scenario      declarative run descriptions and their checks, YAML loading
-    simulate      sampling-grid stamps, simulated runs, the shared run report, scoring,
+    simulate      sampling-grid stamps, simulated runs, the shared run report,
+                  scoring (clean estimates to ruptures, one to one by position),
                   CSV export
     montecarlo    randomized accuracy studies
     live          the same protocol over real UDP datagrams

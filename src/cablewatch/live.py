@@ -198,9 +198,11 @@ class SensorAgent:
 
     Drives the given node, one of config.scenario's, with receipt instants
     drawn from net, the scenario's network model, which agents may share.
-    Binds its socket at construction so callers can start the supervisor
-    afterwards without losing frames; run() serves it alone until the last
-    expected frame, or until timeout_s passes with no datagram.
+    A frame announcing another period T than the scenario's is refused with
+    a warning and not counted in frames_seen. Binds its socket at
+    construction so callers can start the supervisor afterwards without
+    losing frames; run() serves it alone until the last expected frame, or
+    until timeout_s passes with no datagram.
     """
 
     def __init__(
@@ -227,6 +229,11 @@ class SensorAgent:
     def handle_sync(self, payload: bytes, out_sock: socket.socket) -> None:
         frame = decode_sync_frame(payload)
         t_us = self.config.scenario.sync_period_T_us
+        # the node stamps and the supervisor retimes on the scenario's T
+        if frame.period_T_us != t_us:
+            log.warning("sensor %d: sync frame announces T = %d us, configured for %d us; refused",
+                        self.sensor_id, frame.period_T_us, t_us)
+            return
         modeled = self.net.sync_receipt_at(
             frame.period_index * t_us, frame.period_index, self.sensor_id
         )

@@ -10,8 +10,8 @@ deadline that delivery passed (SupervisorProtocol.release_due). Then
 report_run turns the sensors and the supervisor into a RunReport, the same
 tail a live run ends with: postprocess_periods retimes the released periods
 in index order, localize_events clusters and localizes all their events in
-one call without looking at ground truth, and only then does score
-attribute each estimate to an injected rupture.
+one call without looking at ground truth, and only then does score match
+clean estimates to the injected ruptures, one to one by position.
 Identical (scenario, seed) pairs produce identical output, down to the
 exported CSV bytes.
 """
@@ -19,7 +19,6 @@ exported CSV bytes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -46,20 +45,23 @@ class DetectionRow(NamedTuple):
 
 
 class EstimateRow(NamedTuple):
-    """One cluster's localization outcome; only score fills in its cause."""
+    """One cluster's localization outcome; only score fills in the rupture
+    it located, if it is a clean estimate that located one."""
 
     period_index: int
     cluster_index: int
     n_sensors: int
     estimate: RuptureEstimate
-    first_retimed_us: float  # the cluster's earliest retimed time, not exported
     matched: str = ""  # "rupture:<i>" or ""
     x_true_m: float = math.nan  # NaN when unmatched
-    abs_error_m: float = math.nan  # NaN when unmatched or estimate invalid
+    abs_error_m: float = math.nan  # NaN when unmatched
 
 
 _detection_row = tuple_record(DetectionRow)
 _estimate_row = tuple_record(EstimateRow)
+
+# a clean estimate locates a rupture that lies within this distance of it
+LOCATE_TOLERANCE_M = 0.5
 
 
 @dataclass
@@ -247,53 +249,52 @@ def localize_events(scenario: Scenario, events: Iterable[RetimedEvent]) -> list[
     rows: list[EstimateRow] = []
     for cluster in cluster_events(events, scenario.coincidence_window_us):
         # a cluster is in (period, retimed time) order, so its first event is its earliest
-        k, first_us = cluster[0].period_index, cluster[0].retimed_us
+        k = cluster[0].period_index
         ci = rows[-1].cluster_index + 1 if rows and rows[-1].period_index == k else 0
         rows.append(_estimate_row((
             k, ci, len({e.sensor_id for e in cluster}),
-            localize_cluster(cluster, geometry), first_us, "", math.nan, math.nan,
+            localize_cluster(cluster, geometry), "", math.nan, math.nan,
         )))
     return rows
 
 
 def score(scenario: Scenario, estimates: list[EstimateRow]) -> list[EstimateRow]:
-    """Attribute each estimate to the injected rupture nearest in absolute
-    time, the lowest rupture index among equally near ones, if it lies
-    within the coincidence window plus the wave's travel over the span."""
+    """Match clean estimates to the injected ruptures one to one, by position.
+
+    A rupture is scored in the sync period in which its wave first reaches
+    a sensor, against the clean estimates of that period. Every pair within
+    LOCATE_TOLERANCE_M is a candidate, and candidates are taken by (error,
+    rupture order, estimate order), each rupture and each estimate at most
+    once. A matched row gets the rupture's label, position and absolute
+    error; every other row comes back as given.
+    """
     ruptures = scenario.ruptures
-    by_time = sorted(range(len(ruptures)), key=lambda i: ruptures[i].time_ref_us)
-    times = [ruptures[i].time_ref_us for i in by_time]
-    # receipts lag arrivals by latency and travel; anything inside the
-    # coincidence window is the same physical event
-    tolerance = scenario.coincidence_window_us + scenario.span_travel_us()
-    t_us = scenario.sync_period_T_us
-    n_times = len(times)
-    scored = []
-    for row in estimates:
-        k, ci, n, est, first_us, _, _, _ = row
-        t_abs = k * t_us + first_us
-        pos = bisect_left(times, t_abs)
-        before = abs(t_abs - times[pos - 1]) if pos > 0 else math.inf
-        after = abs(t_abs - times[pos]) if pos < n_times else math.inf
-        best_gap = after if after < before else before
-        if best_gap > tolerance:
-            scored.append(row)
+    positions = scenario.geometry.positions_m
+    v, t_us = scenario.wave_speed_m_s, scenario.sync_period_T_us
+    by_period: dict[int, list[int]] = {}
+    for i, r in enumerate(ruptures):
+        nearest = min(abs(p - r.position_m) for p in positions)
+        by_period.setdefault(int((r.time_ref_us + nearest / v * 1e6) // t_us), []).append(i)
+    # a pair never crosses periods, so one sort serves them all
+    pairs = []
+    for j, row in enumerate(estimates):
+        if row.estimate.flags:
             continue
-        # gaps never shrink away from pos on either side, so the ruptures at
-        # best_gap (equal times, or gaps that round equal) are one run around pos
-        lo, hi = pos, pos
-        while lo > 0 and abs(t_abs - times[lo - 1]) == best_gap:
-            lo -= 1
-        while hi < n_times and abs(t_abs - times[hi]) == best_gap:
-            hi += 1
-        best_i = min(by_time[lo:hi])
-        x_true = ruptures[best_i].position_m
-        x_est = est.x_est_m
-        # built from the fields, since _replace costs several times as much
-        scored.append(_estimate_row((
-            k, ci, n, est, first_us, f"rupture:{best_i}", x_true,
-            math.nan if math.isnan(x_est) else abs(x_est - x_true),
-        )))
+        x_est = row.estimate.x_est_m
+        for i in by_period.get(row.period_index, ()):
+            error = abs(x_est - ruptures[i].position_m)
+            if error <= LOCATE_TOLERANCE_M:
+                pairs.append((error, i, j))
+    pairs.sort()
+    scored = list(estimates)
+    located, locating = set(), set()
+    for error, i, j in pairs:
+        if i in located or j in locating:
+            continue
+        located.add(i)
+        locating.add(j)
+        k, ci, n, est = estimates[j][:4]
+        scored[j] = _estimate_row((k, ci, n, est, f"rupture:{i}", ruptures[i].position_m, error))
     return scored
 
 
@@ -392,7 +393,7 @@ def export_csv(report: RunReport, out_dir) -> list[Path]:
     ])
     flag_text: dict[frozenset, str] = {}  # estimates share their flag sets
     rows = []
-    for k, ci, n, (x, v, triple, flags, _, _), _, matched, x_true, error in report.estimates:
+    for k, ci, n, (x, v, triple, flags, _, _), matched, x_true, error in report.estimates:
         text = flag_text.get(flags)
         if text is None:
             text = flag_text[flags] = "|".join(sorted(flags))

@@ -1,6 +1,21 @@
-"""Shared brute-force oracles for timing tests."""
+"""Shared test helpers: brute-force oracles for timing tests, and the
+benchmark's modules loaded from their files."""
+
+import importlib.util
+from pathlib import Path
 
 from cablewatch.clock import ClockState
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name):
+    """bench/<name>.py, loaded from its file with sys.path untouched: the
+    benchmark is no package, and the default suite collects none of it."""
+    spec = importlib.util.spec_from_file_location(f"cablewatch_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_sensor_period(drift_ppm, receipt0_ref_us, receipt1_ref_us, event_ref_us):

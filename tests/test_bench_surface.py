@@ -7,28 +7,18 @@ collect, so this loads the tracer from its file (sys.path untouched) and
 installs and removes its wrappers once.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import cablewatch
 from cablewatch.clock import ClockState
 from cablewatch.protocol import SupervisorProtocol
+from helpers import load_bench_module
 from test_golden import dense, quick_start
-
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("cablewatch_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_tracer_wraps_and_restores_every_name_it_names():
     path = list(sys.path)
-    tracing = load_tracing()
+    tracing = load_bench_module("tracing")
     assert sys.path == path
     classes = (ClockState, SupervisorProtocol)
     before = [dict(vars(cls)) for cls in classes], cablewatch.run
@@ -46,7 +36,7 @@ def test_tracer_wraps_and_restores_every_name_it_names():
 
 def test_tracer_counts_each_postprocessing_layer_per_call():
     # the per-layer cluster and localize figures are read from these counts
-    tracing = load_tracing()
+    tracing = load_bench_module("tracing")
     tracer = tracing.Tracer()
     with tracing.instrumented(tracer):
         tracer.active = True

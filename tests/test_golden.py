@@ -66,8 +66,8 @@ def stress():
 def dense():
     """A dense, lossy run: 16 sensors, 41 ruptures, 60 spurious hits, 1%
     loss. Rupture times are whole milliseconds and the last rupture repeats
-    the first one's time, so clusters meet equidistant ruptures and the
-    tie rule of rupture matching shows in estimates.csv."""
+    the first one's time; score matches by position, so neither shared
+    times nor flagged and far-off estimates earn a match."""
     rng = random.Random(6)
     geometry = CableGeometry(tuple(range(1, 17)), tuple(10.0 * i for i in range(16)))
     times = [1000.0 * rng.randrange(3000) for _ in range(40)]
@@ -99,14 +99,14 @@ GOLDEN = {
     "stress": (stress, {
         "detections.csv": "0df785c024bd6591085ee494939b47aff051e53f5b795a866ee8caec54146e60",
         "retimed.csv": "e8ea465e2bf6ed5658ee168e4e05c860a7d6b44876e94664d226b3b9e5a3ea75",
-        "estimates.csv": "4a62791a72d046363db6ebd5ab700ad7313c3eeb6e7b196bb9d85c80c03c10af",
-        "summary.csv": "0d71b618e65b27ef169564995514e9282f51b10ba84c325cacb005e1912d35fe",
+        "estimates.csv": "dd9febc20ee8b612f355d6a81d5f5d019f1ce3d2cb6f21a86d2bb40620d478c9",
+        "summary.csv": "4a2a06436e450d39f7ff12d22ce477f8fda831ef1ddb514508de6b7ad79b9e1d",
     }),
     "dense": (dense, {
         "detections.csv": "ca7f14a872391da5c7c212ddd7b145c78e0ec37272e83d3255896b0ed6cab0d5",
         "retimed.csv": "a5693564acda643363069099410ed375bb36f184d16d286aeb453f0c0a384e66",
-        "estimates.csv": "e21d2060cfa07bcd43e9a839e302a389672f52a680854e8428a06da2cfa2c277",
-        "summary.csv": "57a0fc3ffc937cac32883ba9feb8cf59f506befb01744ab907825a979db108b9",
+        "estimates.csv": "09e9c974ee484a71195b3ea934ef4d5a035f4d8b3e5829a191e39206bcc0cb5d",
+        "summary.csv": "50a34e53afdab779f5b3c412bbd696bfb000357b4bfe104bab89036fd7b67d85",
     }),
 }
 
@@ -124,14 +124,10 @@ def test_stress_scenario_exercises_every_fault():
         assert s[key] > 0, key
 
 
-def test_dense_scenario_is_lossy_and_matches_tied_ruptures():
-    scenario = dense()
-    report = run(scenario)
-    assert report.summary["periods_timed_out"] > 0
-    assert report.summary["events_discarded"] > 0
-    tied = {i for i, r in enumerate(scenario.ruptures)
-            if sum(o.time_ref_us == r.time_ref_us for o in scenario.ruptures) > 1}
-    assert {f"rupture:{i}" for i in tied} & {e.matched for e in report.estimates}
+def test_dense_scenario_is_lossy():
+    summary = run(dense()).summary
+    assert summary["periods_timed_out"] > 0
+    assert summary["events_discarded"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -155,3 +151,15 @@ def study_digest(trials, master_seed):
 
 def test_monte_carlo_trials_match_pinned_digest():
     assert study_digest(trials=200, master_seed=1) == STUDY_DIGEST
+
+
+if __name__ == "__main__":
+    # re-pinning after an intended output change starts from the current
+    # digests: PYTHONPATH=src python tests/test_golden.py
+    import tempfile
+
+    for name, (make, _) in GOLDEN.items():
+        with tempfile.TemporaryDirectory() as out:
+            for file, digest in digests(make(), out).items():
+                print(name, file, digest)
+    print("STUDY_DIGEST", study_digest(trials=200, master_seed=1))

@@ -259,6 +259,24 @@ class TestAgentLogic:
         assert report.saved_counter_ticks == 1_000_050
         agent.sock.close()
 
+    def test_frame_announcing_another_period_is_refused(self, caplog):
+        # the agent's sensor runs on the scenario's T = 1 s; stamping and
+        # retiming against any other T would put every event in the wrong place
+        agent = self.make_agent()
+        with caplog.at_level(logging.WARNING, logger="cablewatch.live"):
+            for k in (0, 1):
+                agent.handle_sync(encode_sync_frame(SyncFrame(k, 250_000)), self.out)
+        assert [r.getMessage() for r in caplog.records if r.name == "cablewatch.live"] == [
+            "sensor 1: sync frame announces T = 250000 us, configured for 1000000 us; refused",
+        ] * 2
+        assert agent.frames_seen == 0
+        assert agent.reports_sent == 0
+        assert agent.node.protocol.clock.ref_now_us == 0.0
+        # the agent still takes the frames of its own T
+        agent.handle_sync(self.frame(0), self.out)
+        assert agent.frames_seen == 1
+        agent.sock.close()
+
     def test_rupture_detection_rides_in_its_period_report(self):
         agent = self.make_agent(sensor_id=3)  # 3 m from the 14 m rupture
         agent.handle_sync(self.frame(0), self.out)

@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 
 from cablewatch.localization import FLAG_INSUFFICIENT_SENSORS, FLAG_OUT_OF_SPAN, RuptureEstimate
 from cablewatch.montecarlo import accuracy_study_scenario
-from cablewatch.retiming import RetimedEvent
 from cablewatch.scenario import NetworkConfig, Scenario, SpuriousEvent
 from cablewatch.simulate import (
     DETECTIONS_HEADER,
     ESTIMATES_HEADER,
+    LOCATE_TOLERANCE_M,
     RETIMED_HEADER,
     SUMMARY_HEADER,
     EstimateRow,
@@ -24,6 +24,9 @@ from cablewatch.simulate import (
 )
 from cablewatch.wave import CableGeometry, RuptureEvent
 from cablewatch.wire import MAX_EVENTS_PER_REPORT
+from helpers import load_bench_module
+
+WORKLOADS = load_bench_module("workloads")
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 4.0, 17.0, 27.0))
 
@@ -233,7 +236,8 @@ class TestQuietAndDegradedRuns:
             Scenario(geometry=GEOM, ruptures=(RuptureEvent(5.0, 1_500_000.0),))
         )
         est = rep.estimates[0]
-        assert est.matched == "rupture:0"
+        # a flagged estimate locates nothing
+        assert est.matched == ""
         assert FLAG_OUT_OF_SPAN in est.estimate.flags
         assert not est.estimate.clean
 
@@ -363,78 +367,111 @@ class TestGroundTruthStaysOutOfThePipeline:
         assert all(not row.matched for row in got[1])
 
 
-def match_rupture_by_scan(scenario, period_index, cluster):
-    """Reference: every rupture's gap, the first smallest one wins."""
-    if not scenario.ruptures:
-        return "", math.nan
-    t_abs = period_index * scenario.sync_period_T_us + min(e.retimed_us for e in cluster)
-    best_i, best_gap = None, math.inf
-    for i, r in enumerate(scenario.ruptures):
-        gap = abs(t_abs - r.time_ref_us)
-        if gap < best_gap:
-            best_i, best_gap = i, gap
-    travel = scenario.geometry.span_m / scenario.wave_speed_m_s * 1e6
-    if best_gap <= scenario.coincidence_window_us + travel:
-        return f"rupture:{best_i}", scenario.ruptures[best_i].position_m
-    return "", math.nan
+def estimate_row(period_index, x_est_m, flags=frozenset()):
+    """An unscored row holding one estimate at x_est_m."""
+    return EstimateRow(period_index, 0, 3, RuptureEstimate(x_est_m, 5000.0, (1, 2, 3), flags))
 
 
-def one_event_row(period_index, retimed_us):
-    """The estimate row of a one-event cluster, and the cluster."""
-    cluster = [RetimedEvent(1, period_index, retimed_us, 0, 1.0)]
-    row = EstimateRow(
-        period_index=period_index,
-        cluster_index=0,
-        n_sensors=1,
-        estimate=RuptureEstimate(10.0, 5000.0, (1, 2, 3)),
-        first_retimed_us=cluster[0].retimed_us,
-    )
-    return row, cluster
+def matches(scenario, rows):
+    """(label, error) of each scored row; an unmatched row must come back as given."""
+    scored = score(scenario, rows)
+    assert all(got == row for row, got in zip(rows, scored) if not got.matched)
+    return [(r.matched, r.abs_error_m) if r.matched else UNMATCHED for r in scored]
+
+
+UNMATCHED = ("", None)
 
 
 class TestRuptureMatching:
-    # few distinct values, so that equal rupture times and clusters midway
-    # between two ruptures are common; near 1e17 gaps of 1 us round equal.
-    # The latest rupture, 9e7 us, keeps the run within MAX_RUN_PERIODS.
+    # on GEOM the wave from 14.0 m reaches the sensor at 17.0 m after 600 us,
+    # so a rupture there at 1.5 s is scored in period 1
+    scenario = canonical_scenario()
+
+    def test_a_flagged_estimate_never_matches(self):
+        rows = [estimate_row(1, 14.0, frozenset({FLAG_OUT_OF_SPAN})), estimate_row(1, 14.25)]
+        assert matches(self.scenario, rows) == [UNMATCHED, ("rupture:0", 0.25)]
+
+    def test_the_tolerance_is_half_a_metre_inclusive(self):
+        assert LOCATE_TOLERANCE_M == 0.5
+        for x in (14.5, 13.5):
+            assert matches(self.scenario, [estimate_row(1, x)]) == [("rupture:0", 0.5)]
+        for x in (math.nextafter(14.5, math.inf), math.nextafter(13.5, -math.inf)):
+            assert matches(self.scenario, [estimate_row(1, x)]) == [UNMATCHED]
+
+    def test_the_nearer_of_two_clean_estimates_wins(self):
+        rows = [estimate_row(1, 14.25), estimate_row(1, 13.875)]
+        assert matches(self.scenario, rows) == [UNMATCHED, ("rupture:0", 0.125)]
+
+    def test_an_estimate_outside_the_first_arrival_period_stays_unmatched(self):
+        # at 999.8 ms the rupture is in period 0, but its wave first reaches
+        # a sensor at 1000.4 ms, in period 1
+        scenario = canonical_scenario(ruptures=(RuptureEvent(14.0, 999_800.0),))
+        rows = [estimate_row(0, 14.0), estimate_row(2, 14.0), estimate_row(1, 14.0)]
+        assert matches(scenario, rows) == [UNMATCHED, UNMATCHED, ("rupture:0", 0.0)]
+
+    def test_ties_go_by_rupture_order_then_estimate_order(self):
+        scenario = canonical_scenario(ruptures=(
+            RuptureEvent(14.25, 1_500_000.0), RuptureEvent(13.75, 1_400_000.0),
+            RuptureEvent(14.25, 1_600_000.0),
+        ))
+        # one estimate midway between ruptures 0 and 1 goes to rupture 0
+        assert matches(scenario, [estimate_row(1, 14.0)]) == [("rupture:0", 0.25)]
+        # two estimates equally near rupture 0: the first takes it, the
+        # second takes rupture 1, and rupture 2 is left over
+        rows = [estimate_row(1, 14.0), estimate_row(1, 14.0)]
+        assert matches(scenario, rows) == [("rupture:0", 0.25), ("rupture:1", 0.25)]
+
+    def test_a_matched_row_carries_the_ruptures_label_position_and_error(self):
+        row = estimate_row(1, 13.875)
+        [got] = score(self.scenario, [row])
+        assert got == row._replace(matched="rupture:0", x_true_m=14.0, abs_error_m=0.125)
+
     @given(
         st.lists(
-            st.tuples(st.sampled_from([0.0, 1.0, 1000.0, 1500.0, 2000.0, 2500.0, 9e7]),
-                      st.sampled_from([0.0, 14.0, 27.0])),
+            st.tuples(st.sampled_from([0.0, 3.0, 14.0, 14.25, 14.5, 26.0]),
+                      st.sampled_from([0.0, 500.0, 999.0, 1000.0, 2500.0])),
             max_size=8,
         ),
-        st.sampled_from([0, 1, 2]),
-        st.sampled_from([0.0, 250.0, 500.0, 750.0, 1e17]),
-        st.sampled_from([1.0, 300.0, 1e18]),
+        st.lists(
+            st.tuples(st.integers(0, 7),
+                      st.sampled_from([2.5, 3.0, 3.25, 13.5, 13.75, 14.0, 14.25, 14.5, 15.0, 26.5]),
+                      st.booleans()),
+            max_size=8,
+        ),
     )
-    def test_bisection_matches_a_full_scan(self, ruptures, period_index, retimed_us, window_us):
+    def test_matches_are_the_benchmarks_per_period_matching(self, ruptures, estimates):
         scenario = Scenario(
             geometry=GEOM,
             sync_period_T_us=1000,
-            coincidence_window_us=window_us,
-            ruptures=tuple(RuptureEvent(x, t) for t, x in ruptures),
+            ruptures=tuple(RuptureEvent(x, t) for x, t in ruptures),
         )
-        row, cluster = one_event_row(period_index, retimed_us)
-        [got] = score(scenario, [row])
-        want = match_rupture_by_scan(scenario, period_index, cluster)
-        assert got.matched == want[0]
-        assert got.x_true_m == want[1] or math.isnan(got.x_true_m) and math.isnan(want[1])
-        if want[0]:
-            assert got.abs_error_m == abs(10.0 - want[1])
-        else:
-            assert got == row
+        rows = [estimate_row(k, x, frozenset() if clean else frozenset({FLAG_OUT_OF_SPAN}))
+                for k, x, clean in estimates]
+        scored = score(scenario, rows)
+        period_of = [WORKLOADS.first_arrival_period(scenario, r) for r in scenario.ruptures]
+        located = []
+        for row, got in zip(rows, scored):
+            if not got.matched:
+                assert got == row
+                continue
+            i = int(got.matched.removeprefix("rupture:"))
+            located.append(i)
+            assert got.estimate.clean
+            assert got.period_index == period_of[i]
+            assert got.x_true_m == scenario.ruptures[i].position_m
+            assert got.abs_error_m == abs(got.estimate.x_est_m - got.x_true_m) <= 0.5
+        assert len(located) == len(set(located))
+        for k in set(period_of):
+            truth = [r.position_m for r, p in zip(scenario.ruptures, period_of) if p == k]
+            found = [r.estimate.x_est_m for r in rows if r.period_index == k and r.estimate.clean]
+            errors = [r.abs_error_m for r in scored if r.matched and r.period_index == k]
+            assert sorted(errors) == sorted(WORKLOADS.match_errors(truth, found))
 
-    def test_equal_gaps_go_to_the_lowest_index(self):
-        scenario = Scenario(
-            geometry=GEOM,
-            sync_period_T_us=1000,
-            ruptures=(RuptureEvent(27.0, 2000.0), RuptureEvent(4.0, 1000.0),
-                      RuptureEvent(17.0, 2000.0), RuptureEvent(0.0, 1000.0)),
-        )
-        midway, _ = one_event_row(1, 500.0)
-        at_first, _ = one_event_row(1, 0.0)
-        assert [(r.matched, r.x_true_m) for r in score(scenario, [midway, at_first])] == [
-            ("rupture:0", 27.0), ("rupture:1", 4.0),
-        ]
+    def test_matches_agree_with_the_benchmarks_score_on_ae_burst(self, tmp_path):
+        for scenario in WORKLOADS.AeBurst(tmp_path).build(7919, 3):
+            estimates = run(scenario).estimates
+            _, _, want = WORKLOADS.score_run(scenario, estimates)
+            assert sorted(e.abs_error_m for e in estimates if e.matched) == sorted(want)
 
 
 class TestDeterminism:
