@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from .network import NetworkModel, rf_delay_us
+from .network import NetworkModel
 from .protocol import PERIOD_TIMEOUT_FRACTION, SupervisorProtocol
 from .scenario import (
     MAX_RUN_PERIODS, Scenario, ScenarioError, finite, load_scenario, load_yaml_mapping,
@@ -114,8 +114,7 @@ class LiveConfig:
         network = self.scenario.network
         if network.drop_probability != 0.0:
             problems.append("live mode sends real datagrams; modeled drop_probability must be 0")
-        sup, positions = self.scenario.radio_positions()
-        rf_us = max(rf_delay_us(sup, p, network.rf_speed_m_s) for p in positions.values())
+        rf_us = max(self.scenario.rf_delays_us().values())
         round_trip_us = 2 * (rf_us + network.latency_mean_us + network.latency_jitter_us)
         deadline_us = PERIOD_TIMEOUT_FRACTION * self.scenario.sync_period_T_us
         if round_trip_us >= deadline_us:
@@ -135,15 +134,17 @@ class LiveConfig:
             if missing:
                 problems.append(f"sync_ports missing sensors {sorted(missing)}")
             object.__setattr__(self, "sync_ports", dict(self.sync_ports))
-        # resolved, once integers, so that counted-up ports are checked too
-        ports = {"report_port": self.report_port, "sync_port_base": self.sync_port_base}
-        if self.sync_ports is not None or all(map(is_integer, ports.values())):
-            ports.update((f"sync_ports[{sid}]", p) for sid, p in self.resolved_sync_ports().items())
-        for name, port in ports.items():
+        # (path, sensor id, port), resolved once integers so that counted-up
+        # ports are checked too; a path is formatted only for a bad port
+        ports = [("report_port", None, self.report_port),
+                 ("sync_port_base", None, self.sync_port_base)]
+        if self.sync_ports is not None or all(is_integer(p) for _, _, p in ports):
+            ports += (("sync_ports[{}]", sid, p) for sid, p in self.resolved_sync_ports().items())
+        for path, sid, port in ports:
             if not is_integer(port):
-                problems.append(f"{name} must be an integer, got {port!r}")
+                problems.append(f"{path.format(sid)} must be an integer, got {port!r}")
             elif not 0 <= port <= 65535:
-                problems.append(f"{name} must be a port in 0-65535, got {port!r}")
+                problems.append(f"{path.format(sid)} must be a port in 0-65535, got {port!r}")
         if problems:
             raise ScenarioError(problems)
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .clock import MAX_DRIFT_PPM
-from .scenario import NetworkConfig, Scenario
+from .scenario import Scenario
 from .simulate import run
 from .wave import CableGeometry, RuptureEvent, frozen_slotted, is_integer, is_number
 
@@ -47,12 +47,9 @@ class StudyResult:
     failures: int
 
     def summary_lines(self) -> list[str]:
-        n = len(self.trials)
-        flagged = sum(1 for t in self.trials if t.flags)
         return [
-            f"trials:     {n}",
+            f"trials:     {len(self.trials)}",
             f"failures:   {self.failures}",
-            f"flagged:    {flagged}",
             f"p50 error:  {self.p50_m:.6f} m",
             f"p99 error:  {self.p99_m:.6f} m",
             f"max error:  {self.max_m:.6f} m",

@@ -2,14 +2,15 @@
 
 The model says when each datagram lands, or that it is lost; it never holds
 the datagram. This module holds the link's timing, and scenario its
-configuration (NetworkConfig) and the rules that check it:
-Scenario.network_model() derives the model from a validated scenario, so the
-model checks nothing again. Sync broadcasts and report unicasts take the RF
-delay (rf_delay_us: distance over RF speed) plus a per-receiver processing
-latency with bounded jitter. All jitter and loss draws are keyed by (seed,
-message kind, period index, sensor id), so a run is a pure function of its
-scenario and seed; two runs never disagree because of dict ordering or
-shared RNG state.
+configuration (NetworkConfig), the rules that check it and each sensor's RF
+delay (Scenario.rf_delays_us): Scenario.network_model() derives the model
+from a validated scenario, so the model checks nothing again. Each sensor's
+radio sits at its cable position. Sync broadcasts and report unicasts take
+the RF delay (rf_delay_us: the distance to the supervisor over RF_SPEED_M_S)
+plus a per-receiver processing latency with bounded jitter. All jitter and
+loss draws are keyed by (seed, message kind, period index, sensor id), so a
+run is a pure function of its scenario and seed; two runs never disagree
+because of dict ordering or shared RNG state.
 
 The draws come from a counter-based generator (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011): splitmix64 steps (Steele, Lea
@@ -53,10 +54,14 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def rf_delay_us(supervisor_position_m: float, position_m: float, rf_speed_m_s: float) -> float:
+# the radio signal's speed between the supervisor and a sensor
+RF_SPEED_M_S = 180e6
+
+
+def rf_delay_us(supervisor_position_m: float, position_m: float, speed_m_s: float) -> float:
     """Line-of-sight RF travel time between the supervisor and one radio,
     microseconds: the one statement of the link's propagation delay."""
-    return abs(supervisor_position_m - position_m) / rf_speed_m_s * 1e6
+    return abs(supervisor_position_m - position_m) / speed_m_s * 1e6
 
 
 @dataclass(frozen=True)
@@ -74,12 +79,7 @@ class NetworkModel:
         object.__setattr__(
             self, "_kind_keys", {k: _splitmix64(key ^ c) for k, c in _KIND_CODE.items()}
         )
-        # RF delay to the supervisor, which is also the report's, in sensor-id order
-        sup, positions = scenario.radio_positions()
-        rf = link.rf_speed_m_s
-        object.__setattr__(self, "_supervisor_delay_us", {
-            sid: rf_delay_us(sup, positions[sid], rf) for sid in sorted(positions)
-        })
+        object.__setattr__(self, "_supervisor_delay_us", scenario.rf_delays_us())
         object.__setattr__(self, "_drop_probability", link.drop_probability)
         # latency is mean + uniform(-j, j), written mean + (-j + 2j*u)
         j = link.latency_jitter_us

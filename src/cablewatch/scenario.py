@@ -23,7 +23,7 @@ from typing import (
 )
 
 from .clock import MAX_DRIFT_PPM
-from .network import NetworkModel
+from .network import RF_SPEED_M_S, NetworkModel, rf_delay_us
 from .wave import (
     DEFAULT_THRESHOLD_G,
     DEFAULT_WAVE_SPEED_M_S,
@@ -41,7 +41,6 @@ from .wire import (
 DEFAULT_SAMPLING_PERIOD_TICKS = 4
 DEFAULT_SYNC_PERIOD_T_US = 1_000_000
 DEFAULT_COINCIDENCE_WINDOW_US = 100_000.0
-DEFAULT_RF_SPEED_M_S = 180e6
 DEFAULT_LATENCY_MEAN_US = 20.0
 DEFAULT_LATENCY_JITTER_US = 1.0
 # sync periods (frames) one run may take: a bound on run length, against a
@@ -71,20 +70,13 @@ class SpuriousEvent:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Radio link parameters; positions default to the cable geometry."""
+    """Radio link parameters. Each sensor's radio sits at its cable position;
+    the supervisor's at supervisor_position_m, the first sensor's when None."""
 
-    rf_speed_m_s: float = DEFAULT_RF_SPEED_M_S
     supervisor_position_m: Optional[float] = None
     latency_mean_us: float = DEFAULT_LATENCY_MEAN_US
     latency_jitter_us: float = DEFAULT_LATENCY_JITTER_US
     drop_probability: float = 0.0
-    radio_positions_m: Optional[dict[int, float]] = None
-
-    def __post_init__(self) -> None:
-        # a copy of the caller's dict: an edit to it after validation
-        # cannot reach a run
-        if self.radio_positions_m is not None:
-            object.__setattr__(self, "radio_positions_m", dict(self.radio_positions_m))
 
 
 def finite(problems: list[str], path: str, value, *args) -> bool:
@@ -130,20 +122,15 @@ def event_problems(out: list[str], kind: str, i: int, time_ref_us, amplitude_g, 
 
 def link_problems(link: NetworkConfig, period_t_us: Optional[int]) -> list[str]:
     """Every broken rule of a scenario's radio link, by path under network: finite latencies
-    and supervisor position (None passes), a positive RF speed, a jitter no wider than the
-    mean latency (no message is processed before it arrives) nor than the wire carries at
-    period T = period_t_us (None if refused), and a drop probability in [0, 1]."""
+    and supervisor position (None passes), a jitter no wider than the mean latency (no
+    message is processed before it arrives) nor than the wire carries at period
+    T = period_t_us (None if refused), and a drop probability in [0, 1]."""
     out: list[str] = []
     mean, jitter = link.latency_mean_us, link.latency_jitter_us
     mean_ok = finite(out, "network.latency_mean_us", mean)
     jitter_ok = finite(out, "network.latency_jitter_us", jitter)
     if link.supervisor_position_m is not None:
         finite(out, "network.supervisor_position_m", link.supervisor_position_m)
-    rf = link.rf_speed_m_s
-    if not is_number(rf):
-        out.append(f"network.rf_speed_m_s must be a number, got {rf!r}")
-    elif not rf > 0:
-        out.append(f"network.rf_speed_m_s must be > 0, got {rf!r}")
     if jitter_ok and jitter < 0:
         out.append(f"network.latency_jitter_us must be >= 0, got {jitter!r}")
     if mean_ok and jitter_ok and mean < jitter:
@@ -248,15 +235,7 @@ class Scenario:
                 out, "spurious_events", i, sp.time_ref_us, sp.amplitude_g, "amplitude_g"
             )
 
-        n = self.network
-        out.extend(link_problems(n, t_us if period_ok else None))
-        if n.radio_positions_m is not None:
-            positions = roster_pairs("network.radio_positions_m", n.radio_positions_m, ids, out)
-            placed = {sid for sid, _ in positions}
-            if ids - placed:
-                out.append(f"network.radio_positions_m: missing sensors {sorted(ids - placed)}")
-            for sid, pos in positions:
-                finite(out, "network.radio_positions_m[{}]", pos, sid)
+        out.extend(link_problems(self.network, t_us if period_ok else None))
         if not is_integer(self.seed):
             out.append(f"seed must be an integer, got {self.seed!r}")
 
@@ -278,16 +257,20 @@ class Scenario:
     def drift_for(self, sensor_id: int) -> float:
         return self.drift_ppm.get(sensor_id, 0.0)
 
-    def radio_positions(self) -> tuple[float, dict[int, float]]:
-        """The supervisor's radio position and each sensor's, cable positions
-        where the network config leaves them out."""
-        positions = self.network.radio_positions_m
-        if positions is None:
-            positions = dict(zip(self.geometry.sensor_ids, self.geometry.positions_m))
+    def rf_delays_us(self) -> dict[int, float]:
+        """Each sensor's RF delay to the supervisor, which is also its report's,
+        in sensor-id order: the one table that the network model and a live
+        config's round-trip rule read. A sensor's radio sits at its cable
+        position, the supervisor's at network.supervisor_position_m, or at
+        the first sensor's when that is None."""
+        geometry = self.geometry
         sup = self.network.supervisor_position_m
         if sup is None:
-            sup = self.geometry.positions_m[0]
-        return sup, positions
+            sup = geometry.positions_m[0]
+        return {
+            sid: rf_delay_us(sup, geometry.position_of(sid), RF_SPEED_M_S)
+            for sid in sorted(geometry.sensor_ids)
+        }
 
     def network_model(self) -> NetworkModel:
         """The run's radio link, derived from this validated scenario."""
@@ -352,8 +335,8 @@ def roster_pairs(
 ) -> list[tuple[int, T]]:
     """The (sensor id, value) pairs of a map keyed by sensor id, by id.
 
-    The one rule for such keys (drift_ppm, network.radio_positions_m, a live
-    config's sync_ports): each is an int, not a bool, and a sensor of roster.
+    The one rule for such keys (drift_ppm and a live config's sync_ports):
+    each is an int, not a bool, and a sensor of roster.
     A key that breaks it is left out and recorded in problems, named by path.
     """
     pairs = []

@@ -15,9 +15,9 @@ import pytest
 from cablewatch.live import LiveConfig, run_live
 from cablewatch.localization import localize
 from cablewatch.montecarlo import run_study
-from cablewatch.network import rf_delay_us
+from cablewatch.network import RF_SPEED_M_S as DEFAULT_RF_SPEED_M_S, rf_delay_us
 from cablewatch.retiming import retime
-from cablewatch.scenario import DEFAULT_RF_SPEED_M_S, NetworkConfig, Scenario
+from cablewatch.scenario import NetworkConfig, Scenario
 from cablewatch.simulate import export_csv, run
 from cablewatch.wave import CableGeometry, RuptureEvent
 from cablewatch.wire import (

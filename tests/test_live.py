@@ -161,9 +161,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("refused_mean_us, network", [
         (249_999.0, dict(latency_jitter_us=1.0)),
-        # the farthest radio sets the bound: 180 km is 1000 us of RF delay
-        (249_000.0, dict(latency_jitter_us=0.0,
-                         radio_positions_m={1: 0.0, 2: 4.0, 3: 17.0, 4: 180_000.0})),
+        # the farthest radio sets the bound: the supervisor placed 180 km
+        # from sensor 1, which is 1000 us of RF delay
+        (249_000.0, dict(latency_jitter_us=0.0, supervisor_position_m=180_000.0)),
     ])
     def test_round_trip_counts_jitter_and_the_farthest_rf_delay(self, refused_mean_us, network):
         def config(latency_mean_us):

@@ -46,6 +46,15 @@ class TestSelectTriple:
         assert est.triple == (2, 4, 3)
         assert est.dt_speed_us == times[2] - times[3]
 
+    def test_sensors_under_a_meter_apart_are_distinct_neighbours(self):
+        # sensors 2 and 3 sit 0.6 m apart: sensor 4 is an end sensor, so the
+        # speed pair lies beyond sensor 3, and sensor 2 is its nearest sensor
+        geometry = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 10.6, 20.0))
+        est = localize(arrival_times(geometry, 16.0), geometry)
+        assert est.triple == (2, 4, 3)
+        assert est.x_est_m == pytest.approx(16.0, abs=1e-9)
+        assert not est.flags
+
     def test_tie_resolves_to_lower_sensor_id(self):
         # rupture exactly midway: sensors 2 and 3 hear it simultaneously
         est = localize(arrival_times(FOUR_AT_10M, 15.0), FOUR_AT_10M)

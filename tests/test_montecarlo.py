@@ -87,6 +87,15 @@ class TestStudy:
         for key in ("trials:", "failures:", "p50 error:", "p99 error:", "max error:"):
             assert key in text
         assert "5" in text
+        # only clean estimates are scored, so a flagged count would always read 0
+        assert "flagged:" not in text
+
+    @pytest.mark.parametrize("jitter_us, within", [(20.0, True), (50.0, False)])
+    def test_receipt_jitter_the_p99_envelope_allows(self, jitter_us, within):
+        # the 0.15 m p99 envelope holds up to about 37 us of uniform +/-J
+        # receipt jitter (0.082 m at 20 us, 0.122 m at 30 us, 0.199 m at 50 us)
+        res = run_study(trials=1000, master_seed=4242, jitter_us=jitter_us)
+        assert (res.p99_m <= 0.15) is within
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):

@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cablewatch.network import KIND_REPORT, KIND_SYNC, rf_delay_us
-from cablewatch.scenario import DEFAULT_RF_SPEED_M_S, NetworkConfig, Scenario, ScenarioError
+from cablewatch.network import KIND_REPORT, KIND_SYNC, RF_SPEED_M_S, rf_delay_us
+from cablewatch.scenario import NetworkConfig, Scenario, ScenarioError
 from cablewatch.wave import CableGeometry
 
 GEOM = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
@@ -27,10 +27,10 @@ def draw(m, kind, period_index, sensor_id):
 
 class TestPropagationDelay:
     def test_1080m_at_rf_speed_is_6us(self):
-        assert rf_delay_us(0.0, 1080.0, DEFAULT_RF_SPEED_M_S) == pytest.approx(6.0, rel=1e-12)
+        assert rf_delay_us(0.0, 1080.0, RF_SPEED_M_S) == pytest.approx(6.0, rel=1e-12)
 
     def test_colocated_nodes_have_zero_delay(self):
-        assert rf_delay_us(10.0, 10.0, DEFAULT_RF_SPEED_M_S) == 0.0
+        assert rf_delay_us(10.0, 10.0, RF_SPEED_M_S) == 0.0
         # sensor 1 shares the supervisor's position: only the latency remains
         assert model(latency_jitter_us=0.0).report_delivery(0.0, 0, 1) == 20.0
 
@@ -49,19 +49,21 @@ class TestPropagationDelay:
 
 class TestBroadcast:
     def test_zero_jitter_colocated_all_arrive_at_mean_latency(self):
-        m = model(
-            radio_positions_m={1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0},
-            latency_mean_us=20.0,
-            latency_jitter_us=0.0,
-        )
+        # each radio sits at its sensor: the mean latency plus that sensor's
+        # own RF delay, none for sensor 1 at the supervisor
+        m = model(latency_mean_us=20.0, latency_jitter_us=0.0)
         out = m.broadcast_sync(now_ref_us=1000.0, period_index=0)
-        assert out == [(1020.0, 1), (1020.0, 2), (1020.0, 3), (1020.0, 4)]
+        assert out == [
+            (1000.0 + rf_delay_us(0.0, POSITIONS[sid], RF_SPEED_M_S) + 20.0, sid)
+            for sid in GEOM.sensor_ids
+        ]
+        assert out[0] == (1020.0, 1)
 
     def test_radial_difference_of_1080m_gives_6us_receipt_skew(self):
-        m = model(
-            radio_positions_m={1: 60.0, 2: 1140.0, 3: 0.0, 4: 0.0},
-            latency_jitter_us=0.0,
-        )
+        # sensors 1 and 2 sit 1080 m apart on the cable
+        geometry = CableGeometry((1, 2, 3, 4), (60.0, 1140.0, 1150.0, 1160.0))
+        link = NetworkConfig(latency_jitter_us=0.0)
+        m = Scenario(geometry=geometry, network=link).network_model()
         at = {sid: t for t, sid in m.broadcast_sync(now_ref_us=0.0, period_index=0)}
         skew = at[2] - at[1]
         assert skew == pytest.approx(6.0, rel=1e-9)
@@ -70,7 +72,7 @@ class TestBroadcast:
         m = model(latency_mean_us=20.0, latency_jitter_us=1.0)
         for k in range(50):
             for at, sid in m.broadcast_sync(0.0, k):
-                latency = at - rf_delay_us(0.0, POSITIONS[sid], DEFAULT_RF_SPEED_M_S)
+                latency = at - rf_delay_us(0.0, POSITIONS[sid], RF_SPEED_M_S)
                 assert 19.0 <= latency <= 21.0
 
     def test_draws_are_reproducible_across_instances(self):
@@ -98,8 +100,6 @@ class TestBroadcast:
 
     def test_validation(self):
         # no model is built from a link the scenario refuses
-        with pytest.raises(ScenarioError, match="rf_speed_m_s must be > 0"):
-            model(rf_speed_m_s=0.0)
         with pytest.raises(ScenarioError, match="latency_mean_us must be >= latency_jitter_us"):
             model(latency_mean_us=0.5, latency_jitter_us=1.0)
         with pytest.raises(ScenarioError, match=r"drop_probability must be in \[0, 1\]"):
@@ -109,7 +109,6 @@ class TestBroadcast:
         dict(latency_jitter_us=math.nan),
         dict(latency_mean_us=math.inf),
         dict(supervisor_position_m=math.nan),
-        dict(radio_positions_m={1: 0.0, 2: math.nan, 3: 20.0, 4: 30.0}),
     ])
     def test_non_finite_values_rejected(self, kw):
         with pytest.raises(ScenarioError, match="must be finite"):

@@ -2,12 +2,13 @@
 same reader as any input, and its quick start prints what it says."""
 
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
 
 from cablewatch.live import load_live_config
-from cablewatch.scenario import load_scenario
+from cablewatch.scenario import NetworkConfig, load_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,12 @@ def test_scenario_and_live_examples_load(tmp_path):
     assert live.scenario == scenario
     assert live.periods == 5
     assert live.sync_ports == {1: 47801, 2: 47803, 3: 47804, 4: 47805}
+
+
+def test_network_field_list_names_every_link_field():
+    # the parenthesised list after "`network:` block" under Scenario files
+    text = " ".join(README.read_text().split())
+    listed = text.split("`network:` block (", 1)[1].split(")", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(
+        f.name for f in dataclasses.fields(NetworkConfig)
+    )

@@ -12,11 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from cablewatch import scenario as scenario_module
 from cablewatch.clock import MAX_DRIFT_PPM, ClockState
 from cablewatch.live import LiveConfig
-from cablewatch.network import rf_delay_us
+from cablewatch.network import RF_SPEED_M_S, rf_delay_us
 from cablewatch.protocol import SensorProtocol
 from cablewatch.scenario import (
     DEFAULT_LATENCY_MEAN_US,
-    DEFAULT_RF_SPEED_M_S,
     DEFAULT_SYNC_PERIOD_T_US,
     MAX_RUN_PERIODS,
     NetworkConfig,
@@ -75,23 +74,24 @@ class TestScenarioDefaults:
         # supervisor co-located with the first sensor, sensor 3 at 17 m
         assert net.report_delivery(0.0, 0, 1) == DEFAULT_LATENCY_MEAN_US
         assert net.report_delivery(0.0, 0, 3) == (
-            rf_delay_us(0.0, 17.0, DEFAULT_RF_SPEED_M_S) + DEFAULT_LATENCY_MEAN_US
+            rf_delay_us(0.0, 17.0, RF_SPEED_M_S) + DEFAULT_LATENCY_MEAN_US
         )
 
     def test_network_model_honors_radio_overrides(self):
+        # the supervisor placed off the cable; each sensor's radio stays at its sensor
         s = Scenario(
             geometry=GEOM,
-            network=NetworkConfig(
-                supervisor_position_m=-50.0,
-                radio_positions_m={1: 0.0, 2: 4.0, 3: 17.0, 4: 1000.0},
-                latency_jitter_us=0.0,
-            ),
+            network=NetworkConfig(supervisor_position_m=-50.0, latency_jitter_us=0.0),
             seed=9,
         )
         net = s.network_model()
-        for sid, pos in ((1, 0.0), (4, 1000.0)):
+        assert s.rf_delays_us() == {
+            sid: rf_delay_us(-50.0, pos, RF_SPEED_M_S)
+            for sid, pos in zip(GEOM.sensor_ids, GEOM.positions_m)
+        }
+        for sid, pos in ((1, 0.0), (4, 27.0)):
             assert net.sync_receipt_at(0.0, 0, sid) == (
-                rf_delay_us(-50.0, pos, DEFAULT_RF_SPEED_M_S) + DEFAULT_LATENCY_MEAN_US
+                rf_delay_us(-50.0, pos, RF_SPEED_M_S) + DEFAULT_LATENCY_MEAN_US
             )
 
 
@@ -183,8 +183,6 @@ class TestScenarioValidation:
         ("network.latency_mean_us", dict(network=NetworkConfig(latency_mean_us=math.inf))),
         ("network.supervisor_position_m",
          dict(network=NetworkConfig(supervisor_position_m=math.nan))),
-        ("network.radio_positions_m[2]", dict(network=NetworkConfig(
-            radio_positions_m={1: 0.0, 2: math.nan, 3: 17.0, 4: 27.0}))),
         ("ruptures[1].time_ref_us", dict(ruptures=(
             RuptureEvent(14.0, 1_500_000.0), RuptureEvent(14.0, math.nan)))),
         ("spurious_events[0].time_ref_us", dict(spurious_events=(SpuriousEvent(1, math.nan),))),
@@ -202,7 +200,6 @@ class TestScenarioValidation:
         assert f"{name} must be finite" in "\n".join(e.value.problems)
 
     @pytest.mark.parametrize("link, problem", [
-        (dict(rf_speed_m_s=0.0), "network.rf_speed_m_s must be > 0, got 0.0"),
         (dict(drop_probability=1.5), "network.drop_probability must be in [0, 1], got 1.5"),
         (dict(drop_probability=-0.1), "network.drop_probability must be in [0, 1], got -0.1"),
     ])
@@ -210,18 +207,6 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError) as e:
             Scenario(geometry=GEOM, network=NetworkConfig(**link))
         assert e.value.problems == [problem]
-
-    def test_radio_positions_edited_after_validation_do_not_reach_a_run(self):
-        positions = {1: 0.0, 2: 4.0, 3: 17.0, 4: 27.0}
-        s = Scenario(
-            geometry=GEOM,
-            network=NetworkConfig(radio_positions_m=positions),
-            ruptures=(RuptureEvent(14.0, 1_500_000.0),),
-        )
-        before = run(s)
-        positions[2] = math.nan
-        assert s.radio_positions() == (0.0, {1: 0.0, 2: 4.0, 3: 17.0, 4: 27.0})
-        assert run(s) == before
 
     @pytest.mark.parametrize("kw, problem", [
         (dict(drift_ppm={True: 5.0}), "drift_ppm: sensor id must be an int, got True"),
@@ -234,12 +219,6 @@ class TestScenarioValidation:
          "spurious_events[1].sensor_id must be an int, got 3.0"),
         (dict(spurious_events=(SpuriousEvent([1], 1_500_000.0),)),
          "spurious_events[0].sensor_id must be an int, got [1]"),
-        (dict(network=NetworkConfig(radio_positions_m={True: 0.0, 2: 4.0, 3: 17.0, 4: 27.0})),
-         "network.radio_positions_m: sensor id must be an int, got True\n"
-         "network.radio_positions_m: missing sensors [1]"),
-        (dict(network=NetworkConfig(radio_positions_m={"1": 0.0, 2: 4.0, 3: 17.0, 4: 27.0})),
-         "network.radio_positions_m: sensor id must be an int, got '1'\n"
-         "network.radio_positions_m: missing sensors [1]"),
     ])
     def test_non_int_sensor_id_is_rejected_by_path(self, kw, problem):
         # each of these equals or hashes like a real id, so it passed the
@@ -247,16 +226,6 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError) as e:
             Scenario(geometry=GEOM, **kw)
         assert "\n".join(e.value.problems) == problem
-
-    def test_radio_positions_must_match_roster(self):
-        with pytest.raises(ScenarioError) as e:
-            Scenario(
-                geometry=GEOM,
-                network=NetworkConfig(radio_positions_m={1: 0.0, 2: 4.0, 3: 17.0, 9: 1.0}),
-            )
-        msgs = "\n".join(e.value.problems)
-        assert "missing sensors [4]" in msgs
-        assert "network.radio_positions_m: unknown sensor id 9" in msgs
 
 
 class TestNumberRule:
@@ -320,15 +289,12 @@ class TestNumberRule:
     @pytest.mark.parametrize("build, problem", [
         (lambda: Scenario(geometry=GEOM, drift_ppm={1: 5.0, 2: True}),
          "drift_ppm[2] must be a number, got True"),
-        (lambda: Scenario(geometry=GEOM, network=NetworkConfig(
-            radio_positions_m={1: 0.0, 2: True, 3: 17.0, 4: 27.0})),
-         "network.radio_positions_m[2] must be a number, got True"),
         (lambda: LiveConfig(scenario=Scenario(geometry=GEOM), periods=5,
                             sync_ports={1: 0, 2: True, 3: 0, 4: 0}),
          "sync_ports[2] must be an integer, got True"),
-    ], ids=["drift_ppm", "radio_positions_m", "sync_ports"])
+    ], ids=["drift_ppm", "sync_ports"])
     def test_a_bool_map_value_is_refused_by_path(self, build, problem):
-        # each passed as 1: a 1 ppm drift, a radio at 1 m, a sensor on port 1
+        # each passed as 1: a 1 ppm drift, a sensor on port 1
         with pytest.raises(ScenarioError) as e:
             build()
         assert e.value.problems == [problem]
@@ -641,6 +607,17 @@ class TestYamlLoading:
         text = MINIMAL_YAML + "\nnetwork:\n  colour: blue\n"
         with pytest.raises(ScenarioError, match="unknown field 'network.colour'"):
             load_text(text)
+
+    @pytest.mark.parametrize("line", [
+        "radio_positions_m: {1: 0.0, 2: 4.0, 3: 17.0, 4: 27.0}",
+        "rf_speed_m_s: 2.0e8",
+    ])
+    def test_a_retired_radio_input_is_an_unknown_field(self, load_text, line):
+        # each radio sits at its sensor, and the RF speed is network.RF_SPEED_M_S
+        name = line.split(":")[0]
+        with pytest.raises(ScenarioError) as e:
+            load_text(MINIMAL_YAML + f"\nnetwork:\n  {line}\n")
+        assert e.value.problems == [f"unknown field 'network.{name}'"]
 
     def test_unknown_nested_geometry_field(self, load_text):
         text = textwrap.dedent(

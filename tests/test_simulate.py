@@ -303,30 +303,31 @@ class TestSensorDriver:
 
 
 class TestSupervisorOrder:
-    @pytest.mark.parametrize("latency_mean_us, completed, timed_out, late", [
-        (250_000.0, 3, 0, 0),
-        (250_001.0, 0, 3, 12),
+    @pytest.mark.parametrize("latency_mean_us, completed, timed_out, late, released", [
+        (250_000.0, 0, 3, 9, [[1], [1], [1]]),
+        (250_001.0, 0, 3, 12, [[], [], []]),
     ])
     def test_report_landing_at_the_timeout_instant_is_taken_first(
-        self, latency_mean_us, completed, timed_out, late
+        self, latency_mean_us, completed, timed_out, late, released
     ):
-        # every radio at the supervisor and no jitter: a sync lands T/4 after
-        # it leaves, and its reports T/4 later, at k*T + T/2, the instant
-        # period k-1 times out; one microsecond later they are all late
+        # sensor 1 sits at the supervisor and there is no jitter: a sync
+        # lands there T/4 after it leaves, and its report T/4 later, at
+        # k*T + T/2, the instant period k-1 times out, and is filed; the
+        # other sensors' RF delays make theirs late, and one microsecond
+        # more makes sensor 1's late too
         scenario = Scenario(
             geometry=GEOM,
             ruptures=(RuptureEvent(14.0, 1_500_000.0),),
-            network=NetworkConfig(
-                supervisor_position_m=0.0,
-                radio_positions_m={1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0},
-                latency_mean_us=latency_mean_us,
-                latency_jitter_us=0.0,
-            ),
+            network=NetworkConfig(latency_mean_us=latency_mean_us, latency_jitter_us=0.0),
         )
-        summary = run(scenario).summary
+        report = run(scenario)
+        summary = report.summary
         assert (
             summary["periods_completed"], summary["periods_timed_out"], summary["reports_late"]
         ) == (completed, timed_out, late)
+        assert [
+            [r.sensor_id for r in p.reports] for p in report.completed_periods
+        ] == released
 
     @given(seed=st.integers(0, 2**32), jitter_us=st.floats(0.0, 400_000.0))
     def test_supervisor_takes_reports_and_timeouts_in_time_order(self, seed, jitter_us):
