@@ -33,8 +33,8 @@ from typing import Iterable, Mapping, Optional, Union
 from .network import NetworkModel
 from .protocol import PERIOD_TIMEOUT_FRACTION, SupervisorProtocol
 from .scenario import (
-    MAX_RUN_PERIODS, Scenario, ScenarioError, finite, load_scenario, load_yaml_mapping,
-    read_dataclass, roster_pairs,
+    MAX_RUN_PERIODS, Scenario, ScenarioError, finite, load_yaml_mapping, read_dataclass,
+    roster_pairs,
 )
 from .simulate import RunReport, SensorNode, report_run, sensor_nodes
 from .wave import is_integer
@@ -227,7 +227,7 @@ class SensorAgent:
         )
         self.port = self.sock.getsockname()[1]
 
-    def handle_sync(self, payload: bytes, out_sock: socket.socket) -> None:
+    def handle_sync(self, payload: bytes) -> None:
         frame = decode_sync_frame(payload)
         t_us = self.config.scenario.sync_period_T_us
         # the node stamps and the supervisor retimes on the scenario's T
@@ -235,20 +235,18 @@ class SensorAgent:
             log.warning("sensor %d: sync frame announces T = %d us, configured for %d us; refused",
                         self.sensor_id, frame.period_T_us, t_us)
             return
-        modeled = self.net.sync_receipt_at(
-            frame.period_index * t_us, frame.period_index, self.sensor_id
-        )
+        modeled = self.net.sync_receipt_at(frame.period_index, self.sensor_id)
         assert modeled is not None  # LiveConfig forbids modeled drops
         report = self.node.receive_sync(frame, modeled)
         self.frames_seen += 1
         if report is None:
             return
-        out_sock.sendto(encode_sensor_report(report), (self.config.host, self.report_port))
+        self.sock.sendto(encode_sensor_report(report), (self.config.host, self.report_port))
         self.reports_sent += 1
 
     def on_datagram(self, data: bytes) -> None:
         try:
-            self.handle_sync(data, self.sock)
+            self.handle_sync(data)
         except WireFormatError as e:
             log.warning("sensor %d: undecodable datagram: %s", self.sensor_id, e)
 
@@ -264,8 +262,8 @@ class SensorAgent:
 class LiveSupervisor:
     """The central endpoint: broadcasts sync frames, collects reports.
 
-    Frame k is stamped with modeled time k*T regardless of wall pacing, so
-    agents reproduce the simulator's receipt instants exactly.
+    Frame k carries its index and T, and each agent draws its receipt from
+    the index (NetworkModel.sync_receipt_at): wall pacing moves no modeled instant.
     """
 
     def __init__(self, config: LiveConfig):
@@ -351,11 +349,11 @@ def run_live(config: LiveConfig) -> RunReport:
 def load_live_config(source: Union[str, Path]) -> LiveConfig:
     """Load a live-run config: scenario (inline mapping or file path) plus wiring.
 
-    A scenario path is relative to the config file's directory.
+    A scenario path is relative to the config file's directory; its file reads as an
+    inline scenario would, its problems under 'scenario' with the config's own.
     """
     path = Path(source)
     raw = load_yaml_mapping(path, "live config")
-    given = {}
     if isinstance(raw.get("scenario"), str):
-        given["scenario"] = load_scenario(path.parent / raw["scenario"])
-    return read_dataclass(LiveConfig, raw, given)
+        raw["scenario"] = load_yaml_mapping(path.parent / raw["scenario"], "scenario")
+    return read_dataclass(LiveConfig, raw)

@@ -77,6 +77,8 @@ def run_trial(
         raise ValueError(f"master_seed must be an int, got {master_seed!r}")
     if not (is_number(drift_range_ppm) and 0 <= drift_range_ppm <= MAX_DRIFT_PPM):
         raise ValueError(f"drift_range_ppm must be a drift range in [0, {MAX_DRIFT_PPM:g}] ppm")
+    if not (is_number(jitter_us) and 0 <= jitter_us < math.inf):
+        raise ValueError(f"jitter_us must be a finite number >= 0, got {jitter_us!r}")
     rng = random.Random(f"{master_seed}|trial|{trial}")
     drifts = {sid: rng.uniform(-drift_range_ppm, drift_range_ppm) for sid in base.geometry.sensor_ids}
     lo, hi = base.geometry.extent_m

@@ -7,10 +7,12 @@ delay (Scenario.rf_delays_us): Scenario.network_model() derives the model
 from a validated scenario, so the model checks nothing again. Each sensor's
 radio sits at its cable position. Sync broadcasts and report unicasts take
 the RF delay (rf_delay_us: the distance to the supervisor over RF_SPEED_M_S)
-plus a per-receiver processing latency with bounded jitter. All jitter and
-loss draws are keyed by (seed, message kind, period index, sensor id), so a
-run is a pure function of its scenario and seed; two runs never disagree
-because of dict ordering or shared RNG state.
+plus a per-receiver processing latency with bounded jitter. Sync frame k
+leaves at k * T, so a sync draw takes only k; a report leaves at its
+sensor's own receipt, which varies, so report_delivery takes that instant.
+All jitter and loss draws are keyed by (seed, message kind, period index,
+sensor id), so a run is a pure function of its scenario and seed; two runs
+never disagree because of dict ordering or shared RNG state.
 
 The draws come from a counter-based generator (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011): splitmix64 steps (Steele, Lea
@@ -118,25 +120,25 @@ class NetworkModel:
         except KeyError:
             raise ValueError(f"unknown node {sensor_id!r}") from None
         dropped, latency = self._draw(prefix, sensor_id)
-        if dropped:
-            return None
-        return now_ref_us + delay + latency
+        return None if dropped else now_ref_us + delay + latency
 
-    def sync_receipt_at(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:
-        """Receipt instant of one sync broadcast at one sensor, None if lost."""
-        return self._receipt(self._prefix(KIND_SYNC, period_index), now_ref_us, sensor_id)
+    def sync_receipt_at(self, period_index: int, sensor_id: int) -> Optional[float]:
+        """Receipt instant of sync frame period_index at one sensor, None if lost."""
+        sent_us = period_index * self.scenario.sync_period_T_us
+        return self._receipt(self._prefix(KIND_SYNC, period_index), sent_us, sensor_id)
 
-    def broadcast_sync(self, now_ref_us: float, period_index: int) -> list[tuple[float, int]]:
-        """(receipt instant, sensor id) of one sync frame at every sensor that
-        receives it, in sensor-id order: each sensor's sync_receipt_at, with
-        the frame's prefix computed once."""
+    def broadcast_sync(self, period_index: int) -> list[tuple[float, int]]:
+        """(receipt instant, sensor id) of sync frame period_index, sent at
+        period_index * T, at every sensor that receives it, in sensor-id order:
+        each sensor's sync_receipt_at, with the frame's prefix computed once."""
         prefix = self._prefix(KIND_SYNC, period_index)
+        sent_us = period_index * self.scenario.sync_period_T_us
         draw = self._draw
         receipts = []
         for sid, delay in self._supervisor_delay_us.items():
             dropped, latency = draw(prefix, sid)
             if not dropped:
-                receipts.append((now_ref_us + delay + latency, sid))
+                receipts.append((sent_us + delay + latency, sid))
         return receipts
 
     def report_delivery(self, now_ref_us: float, period_index: int, sensor_id: int) -> Optional[float]:

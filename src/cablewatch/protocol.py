@@ -175,7 +175,7 @@ class SupervisorProtocol:
         self.late_reports = 0
 
     def tick(self) -> SyncFrame:
-        """Emit the next sync frame; the caller sends frame k at k * T."""
+        """Emit the next sync frame; NetworkModel.broadcast_sync sends frame k at k * T."""
         frame = _sync_frame((self.next_period_index, self.period_t_us))
         self.next_period_index += 1
         return frame

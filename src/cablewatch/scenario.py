@@ -2,12 +2,12 @@
 
 The file mirrors the Scenario fields, nested the same way, and each input
 has one form: drift_ppm, for one, maps sensor ids to drifts. read_dataclass
-is the one reader for every YAML input, scenario files (localize's
---geometry is one) and live configs: it takes field names, required fields
-and defaults from the dataclasses themselves, rejects unknown fields by path
-and reports every problem at once, so a bad file produces one complete
-diagnosis instead of a fix-one-rerun loop. Every number, read or built in
-Python, meets one rule: wave.is_integer, or wave.is_number and finite().
+is the one reader for every YAML input: scenario files (localize's --geometry
+is one) and live configs, whose scenario file it reads as an inline one. It
+takes field names, required fields and defaults from the dataclasses, rejects
+unknown fields by path and reports every problem at once, so a bad file gives
+one complete diagnosis instead of a fix-one-rerun loop. Every number, read or
+built in Python, meets one rule: wave.is_integer, or wave.is_number and finite().
 """
 
 from __future__ import annotations
@@ -429,19 +429,17 @@ def _type_hints(cls) -> dict[str, Any]:
     return get_type_hints(cls)
 
 
-def _read(cls, raw, path: str, errors: list[str], given: Optional[Mapping[str, Any]] = None):
+def _read(cls, raw, path: str, errors: list[str]):
     """The dataclass cls built from a YAML mapping, or _NO_VALUE.
 
     Field names, required fields and defaults come from cls itself; a null
     field counts as absent. Every problem goes to errors by its path, and
     cls's constructor still runs when only defaulted fields failed to read,
-    so its own checks are reported too. given holds fields the caller has
-    already read.
+    so its own checks are reported too, a nested one's under its field's path.
     """
     if not isinstance(raw, Mapping):
         errors.append(f"field '{path}' must be a mapping, got {raw!r}")
         return _NO_VALUE
-    given = given or {}
     declared = fields(cls)
     names = {f.name for f in declared}
     errors.extend(f"unknown field '{_err_path(path, str(k))}'" for k in raw if k not in names)
@@ -450,14 +448,11 @@ def _read(cls, raw, path: str, errors: list[str], given: Optional[Mapping[str, A
     for f in declared:
         required = f.default is MISSING and f.default_factory is MISSING
         sub = _err_path(path, f.name)
-        if f.name in given:
-            value = given[f.name]
-        elif raw.get(f.name) is not None:
+        value = _NO_VALUE
+        if raw.get(f.name) is not None:
             value = _convert(raw[f.name], hints[f.name], sub, errors)
-        else:
-            value = _NO_VALUE
-            if required:
-                errors.append(f"field '{sub}' is required")
+        elif required:
+            errors.append(f"field '{sub}' is required")
         if value is not _NO_VALUE:
             values[f.name] = value
         elif required:
@@ -473,7 +468,7 @@ def _read(cls, raw, path: str, errors: list[str], given: Optional[Mapping[str, A
     return _NO_VALUE
 
 
-def read_dataclass(cls: type[T], raw: Any, given: Optional[Mapping[str, Any]] = None) -> T:
+def read_dataclass(cls: type[T], raw: Any) -> T:
     """Build the dataclass cls (Scenario, LiveConfig, CableGeometry, ...) from
     a mapping loaded from YAML, converting each field by its declared type.
 
@@ -485,7 +480,7 @@ def read_dataclass(cls: type[T], raw: Any, given: Optional[Mapping[str, Any]] = 
     errors: list[str] = []
     if not isinstance(raw, Mapping):
         raise ScenarioError([f"input must be a mapping, got {type(raw).__name__}"])
-    obj = _read(cls, raw, "", errors, given)
+    obj = _read(cls, raw, "", errors)
     if errors:
         raise ScenarioError(errors)
     return obj

@@ -165,17 +165,15 @@ def sensor_nodes(scenario: Scenario) -> dict[int, SensorNode]:
 def run(scenario: Scenario) -> RunReport:
     """Simulate one scenario end to end."""
     net = scenario.network_model()
-    t_us = scenario.sync_period_T_us
-
     nodes = sensor_nodes(scenario)
-    supervisor = SupervisorProtocol(roster=scenario.geometry.sensor_ids, period_t_us=t_us)
+    supervisor = SupervisorProtocol(roster=scenario.geometry.sensor_ids, period_t_us=scenario.sync_period_T_us)
 
-    # the broadcast calendar: frame k leaves at k*T
+    # the broadcast calendar: the model sends frame k at k*T
     frames, receipts = [], []
     for k in range(scenario.sync_frames()):
         # one datagram, so every receiver decodes the same frame
         frames.append(decode_sync_frame(encode_sync_frame(supervisor.tick())))
-        receipts += [(at, sid, k) for at, sid in net.broadcast_sync(k * t_us, k)]
+        receipts += [(at, sid, k) for at, sid in net.broadcast_sync(k)]
 
     # each sensor hears its frames in receipt-time order, which is not the
     # broadcast order when jitter spans more than half a period

@@ -224,11 +224,9 @@ class TestAgentLogic:
         self.rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.rx.bind(("127.0.0.1", 0))
         self.rx.settimeout(2.0)
-        self.out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
 
     def teardown_method(self):
         self.rx.close()
-        self.out.close()
 
     def make_agent(self, sensor_id=1):
         return agent_for(self.cfg, sensor_id, report_port=self.rx.getsockname()[1])
@@ -238,9 +236,9 @@ class TestAgentLogic:
 
     def test_first_sync_emits_no_report_second_closes_period_zero(self):
         agent = self.make_agent()
-        agent.handle_sync(self.frame(0), self.out)
+        agent.handle_sync(self.frame(0))
         assert agent.reports_sent == 0
-        agent.handle_sync(self.frame(1), self.out)
+        agent.handle_sync(self.frame(1))
         assert agent.reports_sent == 1
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.sensor_id == 1
@@ -251,10 +249,10 @@ class TestAgentLogic:
 
     def test_duplicate_frame_is_ignored_without_reset(self):
         agent = self.make_agent()
-        agent.handle_sync(self.frame(0), self.out)
-        agent.handle_sync(self.frame(0), self.out)
+        agent.handle_sync(self.frame(0))
+        agent.handle_sync(self.frame(0))
         assert agent.node.protocol.duplicate_syncs == 1
-        agent.handle_sync(self.frame(1), self.out)
+        agent.handle_sync(self.frame(1))
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.saved_counter_ticks == 1_000_050
         agent.sock.close()
@@ -265,7 +263,7 @@ class TestAgentLogic:
         agent = self.make_agent()
         with caplog.at_level(logging.WARNING, logger="cablewatch.live"):
             for k in (0, 1):
-                agent.handle_sync(encode_sync_frame(SyncFrame(k, 250_000)), self.out)
+                agent.handle_sync(encode_sync_frame(SyncFrame(k, 250_000)))
         assert [r.getMessage() for r in caplog.records if r.name == "cablewatch.live"] == [
             "sensor 1: sync frame announces T = 250000 us, configured for 1000000 us; refused",
         ] * 2
@@ -273,16 +271,16 @@ class TestAgentLogic:
         assert agent.reports_sent == 0
         assert agent.node.protocol.clock.ref_now_us == 0.0
         # the agent still takes the frames of its own T
-        agent.handle_sync(self.frame(0), self.out)
+        agent.handle_sync(self.frame(0))
         assert agent.frames_seen == 1
         agent.sock.close()
 
     def test_rupture_detection_rides_in_its_period_report(self):
         agent = self.make_agent(sensor_id=3)  # 3 m from the 14 m rupture
-        agent.handle_sync(self.frame(0), self.out)
-        agent.handle_sync(self.frame(1), self.out)
+        agent.handle_sync(self.frame(0))
+        agent.handle_sync(self.frame(1))
         self.rx.recvfrom(65536)  # empty period 0
-        agent.handle_sync(self.frame(2), self.out)
+        agent.handle_sync(self.frame(2))
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.period_index == 1
         assert len(report.events) == 1
@@ -297,23 +295,23 @@ class TestAgentLogic:
         )
         agent = agent_for(cfg, 1, report_port=self.rx.getsockname()[1])
         # the event at 5 us predates the first sync receipt (~20 us)
-        agent.handle_sync(self.frame(0), self.out)
+        agent.handle_sync(self.frame(0))
         assert agent.node.protocol.discarded_events == 1
-        agent.handle_sync(self.frame(1), self.out)
+        agent.handle_sync(self.frame(1))
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.events == ()
         agent.sock.close()
 
     def test_arrival_at_the_receipt_instant_rides_the_closing_report(self):
         scenario = self.cfg.scenario
-        rx1 = scenario.network_model().sync_receipt_at(1_000_000.0, 1, 3)
+        rx1 = scenario.network_model().sync_receipt_at(1, 3)
         cfg = ephemeral_config(
             live_scenario(network=scenario.network, ruptures=(),
                           spurious_events=(SpuriousEvent(3, rx1),))
         )
         agent = agent_for(cfg, 3, report_port=self.rx.getsockname()[1])
-        agent.handle_sync(self.frame(0), self.out)
-        agent.handle_sync(self.frame(1), self.out)
+        agent.handle_sync(self.frame(0))
+        agent.handle_sync(self.frame(1))
         report = decode_sensor_report(self.rx.recvfrom(65536)[0])
         assert report.period_index == 0
         assert len(report.events) == 1
@@ -326,7 +324,7 @@ class TestAgentLogic:
         worker.start()
         # a replayed frame 0 must not stand in for frame 2
         for k in (0, 0, 1, 2):
-            self.out.sendto(self.frame(k), ("127.0.0.1", agent.port))
+            self.rx.sendto(self.frame(k), ("127.0.0.1", agent.port))
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert agent.frames_seen == 4
@@ -354,10 +352,10 @@ class TestAgentLogic:
             target=lambda: (agent.run(), returned.append(time.monotonic())), daemon=True
         )
         worker.start()
-        self.out.sendto(self.frame(0), ("127.0.0.1", agent.port))
+        self.rx.sendto(self.frame(0), ("127.0.0.1", agent.port))
         time.sleep(0.25)
         sent_last = time.monotonic()
-        self.out.sendto(self.frame(1), ("127.0.0.1", agent.port))
+        self.rx.sendto(self.frame(1), ("127.0.0.1", agent.port))
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert returned[0] - sent_last >= 0.5
@@ -661,6 +659,36 @@ class TestLiveConfigFile:
         p.write_text("periods: 2\nscenario: {geometry: {sensor_ids: [1,2,3], positions_m: [0,1,2]}}\ncolour: red\n")
         with pytest.raises(ScenarioError, match="unknown field 'colour'"):
             load_live_config(p)
+
+    BAD_SCENARIO = (
+        "geometry: {sensor_ids: [1, 2, 3, 4], positions_m: [0.0, 10.0, 20.0, 30.0]}\n"
+        "colour: red\n"
+        "ruptures:\n  - {position_m: 99.0, time_ref_us: 1.5e6}\n"
+    )
+    BAD_SCENARIO_PROBLEMS = [
+        "unknown field 'scenario.colour'",
+        "scenario: ruptures[0]: position 99.0 m outside cable extent [0.0, 30.0] m",
+        "field 'periods' must be an integer, got 'abc'",
+        "field 'timeout_s' must be a number, got 'fast'",
+    ]
+
+    def test_scenario_file_problems_come_by_path_with_the_configs_own(self, tmp_path):
+        # one diagnosis: the file's problems under 'scenario', and the
+        # config's own problems in the same report
+        (tmp_path / "scenario.yaml").write_text(self.BAD_SCENARIO)
+        p = tmp_path / "live.yaml"
+        p.write_text("periods: abc\ntimeout_s: fast\nscenario: scenario.yaml\n")
+        with pytest.raises(ScenarioError) as e:
+            load_live_config(p)
+        assert e.value.problems == self.BAD_SCENARIO_PROBLEMS
+
+    def test_inline_scenario_gives_the_same_diagnosis_as_its_file(self, tmp_path):
+        inline = "".join(f"  {line}\n" for line in self.BAD_SCENARIO.splitlines())
+        p = tmp_path / "live.yaml"
+        p.write_text(f"periods: abc\ntimeout_s: fast\nscenario:\n{inline}")
+        with pytest.raises(ScenarioError) as e:
+            load_live_config(p)
+        assert e.value.problems == self.BAD_SCENARIO_PROBLEMS
 
     def test_missing_required_fields(self, tmp_path):
         p = tmp_path / "live.yaml"

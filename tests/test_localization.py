@@ -16,6 +16,7 @@ from cablewatch.retiming import RetimedEvent
 from cablewatch.scenario import Scenario
 from cablewatch.simulate import sensor_nodes
 from cablewatch.wave import CableGeometry, RuptureEvent, simulate_rupture
+from strategies import uneven_geometries
 
 FOUR_AT_10M = CableGeometry((1, 2, 3, 4), (0.0, 10.0, 20.0, 30.0))
 
@@ -265,6 +266,26 @@ class TestProperties:
         # lag flags DEGENERATE_DT
         est = localize(times, FOUR_AT_10M)
         assert not est.dt_speed_us < 0
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 10: the two earliest arrivals need not bracket"
+    )
+    @settings(derandomize=True, deadline=None)
+    @given(
+        geom=uneven_geometries(),
+        frac=st.floats(min_value=0.02, max_value=0.98),
+        v=st.floats(min_value=500.0, max_value=10_000.0),
+    )
+    def test_exact_round_trip_on_uneven_cables(self, geom, frac, v):
+        # the uniform-cable round trip above, on cables whose gaps range
+        # from 0.5 to 60 m
+        lo, hi = geom.extent_m
+        x = lo + frac * (hi - lo)
+        if any(abs(x - p) < 1e-6 for p in geom.positions_m):
+            x += 1e-3
+        est = localize(arrival_times(geom, x, v), geom)
+        assert est.clean
+        assert abs(est.x_est_m - x) <= 1e-9 * geom.span_m
 
     @settings(max_examples=100)
     @given(frac=st.floats(min_value=0.02, max_value=0.98))

@@ -60,6 +60,12 @@ class TestTrial:
         with pytest.raises(ValueError, match="master_seed"):
             run_trial(accuracy_study_scenario(), 0, master_seed=seed)
 
+    @pytest.mark.parametrize("jitter", ["3", math.nan, math.inf, -1.0, True])
+    def test_jitter_must_be_a_finite_number_at_least_zero(self, jitter):
+        # refused by its own name, not by the link path the trial builds
+        with pytest.raises(ValueError, match=r"^jitter_us must be a finite number >= 0, got "):
+            run_trial(accuracy_study_scenario(), 0, jitter_us=jitter)
+
 
 class TestStudy:
     def test_study_reduces_and_orders_percentiles(self):

@@ -42,7 +42,7 @@ class TestPropagationDelay:
     def test_unknown_node_rejected(self):
         m = model()
         with pytest.raises(ValueError, match="unknown node 99"):
-            m.sync_receipt_at(0.0, 0, 99)
+            m.sync_receipt_at(0, 99)
         with pytest.raises(ValueError, match="unknown node 99"):
             m.report_delivery(0.0, 0, 99)
 
@@ -52,45 +52,59 @@ class TestBroadcast:
         # each radio sits at its sensor: the mean latency plus that sensor's
         # own RF delay, none for sensor 1 at the supervisor
         m = model(latency_mean_us=20.0, latency_jitter_us=0.0)
-        out = m.broadcast_sync(now_ref_us=1000.0, period_index=0)
+        out = m.broadcast_sync(period_index=0)
         assert out == [
-            (1000.0 + rf_delay_us(0.0, POSITIONS[sid], RF_SPEED_M_S) + 20.0, sid)
+            (rf_delay_us(0.0, POSITIONS[sid], RF_SPEED_M_S) + 20.0, sid)
             for sid in GEOM.sensor_ids
         ]
-        assert out[0] == (1020.0, 1)
+        assert out[0] == (20.0, 1)
+
+    def test_frame_k_leaves_at_k_periods(self):
+        # the model derives each frame's departure, k * T, from its index alone
+        link = NetworkConfig(supervisor_position_m=0.0, latency_mean_us=20.0, latency_jitter_us=0.0)
+        scenario = Scenario(geometry=GEOM, network=link, sync_period_T_us=250_000)
+        m = scenario.network_model()
+        for k in range(4):
+            expected = [
+                (k * 250_000 + rf_delay_us(0.0, POSITIONS[sid], RF_SPEED_M_S) + 20.0, sid)
+                for sid in GEOM.sensor_ids
+            ]
+            assert m.broadcast_sync(k) == expected
+            assert [(m.sync_receipt_at(k, sid), sid) for sid in GEOM.sensor_ids] == expected
 
     def test_radial_difference_of_1080m_gives_6us_receipt_skew(self):
         # sensors 1 and 2 sit 1080 m apart on the cable
         geometry = CableGeometry((1, 2, 3, 4), (60.0, 1140.0, 1150.0, 1160.0))
         link = NetworkConfig(latency_jitter_us=0.0)
         m = Scenario(geometry=geometry, network=link).network_model()
-        at = {sid: t for t, sid in m.broadcast_sync(now_ref_us=0.0, period_index=0)}
+        at = {sid: t for t, sid in m.broadcast_sync(period_index=0)}
         skew = at[2] - at[1]
         assert skew == pytest.approx(6.0, rel=1e-9)
 
     def test_jitter_stays_within_half_width(self):
         m = model(latency_mean_us=20.0, latency_jitter_us=1.0)
+        t_us = m.scenario.sync_period_T_us
         for k in range(50):
-            for at, sid in m.broadcast_sync(0.0, k):
-                latency = at - rf_delay_us(0.0, POSITIONS[sid], RF_SPEED_M_S)
+            for at, sid in m.broadcast_sync(k):
+                latency = at - k * t_us - rf_delay_us(0.0, POSITIONS[sid], RF_SPEED_M_S)
                 assert 19.0 <= latency <= 21.0
 
     def test_draws_are_reproducible_across_instances(self):
-        a = model(seed=7).broadcast_sync(0.0, 3)
-        b = model(seed=7).broadcast_sync(0.0, 3)
+        a = model(seed=7).broadcast_sync(3)
+        b = model(seed=7).broadcast_sync(3)
         assert a == b
 
     def test_different_periods_draw_different_jitter(self):
         m = model()
         times = {
-            k: tuple(at for at, _ in m.broadcast_sync(0.0, k))
+            k: tuple(at - k * m.scenario.sync_period_T_us for at, _ in m.broadcast_sync(k))
             for k in range(10)
         }
         assert len(set(times.values())) > 1
 
     def test_drop_probability_one_loses_everything(self):
         m = model(drop_probability=1.0)
-        assert m.broadcast_sync(0.0, 0) == []
+        assert m.broadcast_sync(0) == []
         assert m.report_delivery(0.0, 0, 1) is None
 
     def test_report_goes_to_supervisor(self):
@@ -149,14 +163,13 @@ class TestKeyedDraws:
         seed=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
         period=st.integers(min_value=2**32),
         drop=st.floats(min_value=0.0, max_value=1.0),
-        now=st.floats(min_value=0.0, max_value=1e12),
     )
-    def test_broadcast_equals_each_receivers_own_draw(self, seed, period, drop, now):
+    def test_broadcast_equals_each_receivers_own_draw(self, seed, period, drop):
         # one shared (kind, period) prefix per broadcast, the same draws as
         # keying each receiver on its own
         m = model(seed=seed, drop_probability=drop, latency_jitter_us=3.0)
-        one_by_one = [(m.sync_receipt_at(now, period, sid), sid) for sid in (1, 2, 3, 4)]
-        assert m.broadcast_sync(now, period) == [(at, sid) for at, sid in one_by_one if at is not None]
+        one_by_one = [(m.sync_receipt_at(period, sid), sid) for sid in (1, 2, 3, 4)]
+        assert m.broadcast_sync(period) == [(at, sid) for at, sid in one_by_one if at is not None]
 
     def test_pinned_draw(self):
         # a change to the generator changes every run's outputs: make it loud

@@ -1,12 +1,14 @@
 """The README's examples run as written: its YAML examples load through the
 same reader as any input, and its quick start prints what it says."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import re
 from pathlib import Path
 
+from cablewatch.cli import build_parser
 from cablewatch.live import load_live_config
 from cablewatch.scenario import NetworkConfig, load_scenario
 
@@ -53,3 +55,27 @@ def test_network_field_list_names_every_link_field():
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(
         f.name for f in dataclasses.fields(NetworkConfig)
     )
+
+
+def long_options(parser):
+    return {
+        s for a in parser._actions for s in a.option_strings if s.startswith("--") and s != "--help"
+    }
+
+
+def test_command_line_block_names_every_subcommand_and_option():
+    # each line of the block is "cablewatch [<subcommand>] ...": a line
+    # without a subcommand shows the options that go before one
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    named = {}
+    for line in code_block("Command line", "").splitlines():
+        words = line.split()
+        assert words[0] == "cablewatch"
+        command = words[1] if words[1] in subparsers.choices else None
+        assert command not in named, line
+        named[command] = set(re.findall(r"--[\w-]+", line))
+    assert named == {
+        None: long_options(parser),
+        **{name: long_options(sub) for name, sub in subparsers.choices.items()},
+    }

@@ -90,7 +90,7 @@ class TestScenarioDefaults:
             for sid, pos in zip(GEOM.sensor_ids, GEOM.positions_m)
         }
         for sid, pos in ((1, 0.0), (4, 27.0)):
-            assert net.sync_receipt_at(0.0, 0, sid) == (
+            assert net.sync_receipt_at(0, sid) == (
                 rf_delay_us(-50.0, pos, RF_SPEED_M_S) + DEFAULT_LATENCY_MEAN_US
             )
 
